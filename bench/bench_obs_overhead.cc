@@ -168,7 +168,6 @@ void RunServiceObsBatch(benchmark::State& state, ObsLevel level) {
   ServiceOptions options;
   options.num_workers = 4;
   options.cache_capacity = 0;  // warm path: every request evaluates
-  options.memoize = false;
   options.metrics = level != ObsLevel::kDark;
   if (level == ObsLevel::kFullObs) {
     options.trace_sample = 1;
@@ -183,8 +182,12 @@ void RunServiceObsBatch(benchmark::State& state, ObsLevel level) {
     state.SkipWithError(handle.status().ToString().c_str());
     return;
   }
+  std::vector<ServiceRequest> batch;
+  for (const DecisionRequest& request : workload) {
+    batch.push_back(ServiceRequest{*handle, request});
+  }
   for (auto _ : state) {
-    std::vector<Decision> decisions = service.SubmitBatch(*handle, workload);
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     benchmark::DoNotOptimize(decisions);
   }
   state.SetItemsProcessed(state.iterations() *

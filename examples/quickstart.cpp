@@ -72,7 +72,7 @@ int main() {
     request.query = fx.q4;
     request.cinstance = fx.ctable;
     request.want_witness = true;
-    Decision decision = service.Decide(*handle, request);
+    Decision decision = service.Decide({*handle, request});
     std::printf("\nVia CompletenessService: Q4 strongly complete? %s\n",
                 decision.ToString().c_str());
     if (decision.witness != nullptr) {

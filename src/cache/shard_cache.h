@@ -1,6 +1,5 @@
-// ShardCache: the byte-weighted result cache behind one setting shard,
-// replacing the entry-count LruCache on the service hot path. Three ideas
-// compose:
+// ShardCache: the byte-weighted result cache behind one setting shard.
+// Three ideas compose:
 //
 //   * SEGMENTED LRU — entries land in a probation segment and are promoted
 //     to a protected segment on re-reference; eviction drains probation
@@ -23,9 +22,9 @@
 //     shards, floors respected) before making its own entry resident, so
 //     total resident bytes across every shard never exceed the budget.
 //
-// Thread safety: fully internally synchronized — unlike the legacy
-// LruCache, callers need no external lock, because budget pressure makes
-// OTHER shards' caches shed entries concurrently with their owners' reads.
+// Thread safety: fully internally synchronized — callers need no external
+// lock, because budget pressure makes OTHER shards' caches shed entries
+// concurrently with their owners' reads.
 // The internal mutex is never held while acquiring another cache's mutex
 // (see budget.h for the lock order), and Get copies the Decision out under
 // the lock (a returned pointer could dangle the moment a peer shard sheds).
@@ -106,8 +105,8 @@ struct CacheEventSink {
 };
 
 struct ShardCacheOptions {
-  /// Entry-count capacity (the legacy LruCache bound, still enforced);
-  /// 0 disables the cache entirely — Put stores nothing, Get always misses.
+  /// Entry-count capacity; 0 disables the cache entirely — Put stores
+  /// nothing, Get always misses.
   size_t max_entries = 0;
   /// Resident-byte share the protected segment may occupy before its tail
   /// is demoted back to probation.

@@ -5,7 +5,7 @@
 // the hot path of every CC check. The core deciders accept a PreparedSetting
 // directly; the legacy PartiallyClosedSetting entry points wrap their
 // argument in a borrowed (unvalidated) PreparedSetting, so both APIs share
-// one implementation. The batch engine (src/engine/) serves many requests
+// one implementation. The service (src/service/) serves many requests
 // over one PreparedSetting.
 //
 // A PreparedSetting is a cheap, shareable handle (copying copies one

@@ -1,9 +1,8 @@
-// The decision vocabulary shared by the multi-setting CompletenessService
-// and the legacy single-setting CompletenessEngine adapter: problem kinds,
-// decision requests / answers (including counterexample witnesses), the
-// aggregate counters, the stable request cache keys, and the ONE kind→decider
-// dispatch table (EvaluateRequest) that every entry point — service shards,
-// the engine adapter, and the cold per-call baseline — routes through.
+// The decision vocabulary of the multi-setting CompletenessService: problem
+// kinds, decision requests / answers (including counterexample witnesses),
+// the aggregate counters, the stable request cache keys, and the ONE
+// kind→decider dispatch table (EvaluateRequest) that every entry point —
+// service shards and the cold per-call baseline — routes through.
 #ifndef RELCOMP_SERVICE_DECISION_H_
 #define RELCOMP_SERVICE_DECISION_H_
 
@@ -138,13 +137,13 @@ struct EngineCounters {
 };
 
 /// THE kind→decider dispatch table: decides one request against a prepared
-/// setting, with witness plumbing. No cache, no counters — service shards,
-/// the engine adapter, and DecideCold all call this one function, so a new
-/// ProblemKind is wired up in exactly one place. `options_override`, when
-/// given, replaces the request's own SearchOptions for this evaluation —
-/// the service uses it to inject per-submission deadlines, the coalesced
-/// group's joint cancellation token, and per-shard step-budget defaults
-/// without copying the (heavy) request.
+/// setting, with witness plumbing. No cache, no counters — service shards
+/// and DecideCold both call this one function, so a new ProblemKind is
+/// wired up in exactly one place. `options_override`, when given, replaces
+/// the request's own SearchOptions for this evaluation — the service uses
+/// it to inject the coalesced group's joint cancellation token and run
+/// deadline, and per-shard step-budget defaults, without copying the
+/// (heavy) request.
 Decision EvaluateRequest(const DecisionRequest& request,
                          const PreparedSetting& prepared,
                          const SearchOptions* options_override = nullptr);

@@ -56,10 +56,10 @@ Decision RejectedDecision() {
   return decision;
 }
 
-/// Whether a decision was shed by the scheduler rather than evaluated —
-/// batch duplicates of a shed primary mirror its scheduling fate in the
-/// counters instead of counting as cache hits. Mid-run aborts carry the
-/// same codes, so an aborted primary's duplicates mirror the abort too.
+/// Whether a decision was shed by the scheduler rather than answered — the
+/// other members of a shed group mirror its scheduling fate in the counters
+/// instead of counting as cache hits. Mid-run aborts carry the same codes,
+/// so the members of an aborted run mirror the abort too.
 bool IsShedDecision(const Decision& decision) {
   switch (decision.status.code()) {
     case StatusCode::kCancelled:
@@ -94,16 +94,22 @@ bool IsCacheableDecision(const Decision& decision) {
   }
 }
 
-/// Files one request under the partition bucket matching an abort status
-/// (kCancelled → cancelled, kDeadlineExceeded → expired). The ONE place
-/// that owns the mapping — every abort-accounting site goes through it so
-/// the requests == hits+misses+rejected+expired+cancelled invariant cannot
-/// drift between them. Requires the shard mutex.
-void CountAbortBucketLocked(EngineCounters& counters, const Status& status) {
-  if (status.code() == StatusCode::kCancelled) {
-    ++counters.cancelled;
-  } else {
-    ++counters.expired;
+/// Files one request under the partition bucket matching a shed or abort
+/// status (kCancelled → cancelled, kUnavailable → rejected, otherwise
+/// expired). The ONE place that owns the mapping — every shed-accounting
+/// site goes through it so the requests == hits+misses+rejected+expired+
+/// cancelled invariant cannot drift between them. Requires the shard mutex.
+void CountShedLocked(EngineCounters& counters, const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kCancelled:
+      ++counters.cancelled;
+      break;
+    case StatusCode::kUnavailable:
+      ++counters.rejected;
+      break;
+    default:
+      ++counters.expired;
+      break;
   }
 }
 
@@ -112,30 +118,9 @@ void CountAbortBucketLocked(EngineCounters& counters, const Status& status) {
 /// visible as shed_running / aborted_steps. Requires the shard mutex.
 void ReclassifyAbortLocked(EngineCounters& counters, const Decision& decision) {
   --counters.cache_misses;
-  CountAbortBucketLocked(counters, decision.status);
+  CountShedLocked(counters, decision.status);
   ++counters.shed_running;
   counters.aborted_steps += decision.stats.TotalSteps();
-}
-
-/// Counter bucket for one batch duplicate mirroring `primary`. Requires the
-/// shard mutex.
-void CountDuplicateLocked(EngineCounters& counters, const Decision& primary) {
-  ++counters.requests;
-  switch (primary.status.code()) {
-    case StatusCode::kCancelled:
-      ++counters.cancelled;
-      break;
-    case StatusCode::kDeadlineExceeded:
-      ++counters.expired;
-      break;
-    case StatusCode::kUnavailable:
-      ++counters.rejected;
-      break;
-    default:
-      ++counters.cache_hits;
-      ++counters.coalesced;
-      break;
-  }
 }
 
 /// Queue-wait accounting for one scheduled task: the shard counters plus
@@ -151,23 +136,6 @@ void CountWaitLocked(EngineCounters& counters, std::chrono::microseconds wait,
   if (histogram != nullptr) histogram->Record(micros);
 }
 
-/// RAII +1/-1 on a (possibly null) gauge — the in-flight request count
-/// survives every early return of the decide paths.
-class GaugeGuard {
- public:
-  explicit GaugeGuard(obs::Gauge* gauge) : gauge_(gauge) {
-    if (gauge_ != nullptr) gauge_->Add(1);
-  }
-  ~GaugeGuard() {
-    if (gauge_ != nullptr) gauge_->Add(-1);
-  }
-  GaugeGuard(const GaugeGuard&) = delete;
-  GaugeGuard& operator=(const GaugeGuard&) = delete;
-
- private:
-  obs::Gauge* gauge_;
-};
-
 /// The trace outcome tag of a finished decision: the verdict for served
 /// answers, the status code for everything else.
 std::string TraceOutcome(const Decision& decision) {
@@ -175,10 +143,25 @@ std::string TraceOutcome(const Decision& decision) {
   return StatusCodeName(decision.status.code());
 }
 
-sched::TaskOutcome InlineOutcome(const sched::Task& task) {
-  return task.deadline < sched::Clock::now() ? sched::TaskOutcome::kExpired
-                                             : sched::TaskOutcome::kRun;
-}
+/// The delivery side of one batch: every member of the batch publishes its
+/// decision to the batch's stream, and the last one finishes the stream.
+struct BatchSink {
+  DecisionStream* stream;
+  std::atomic<size_t> remaining;
+  /// Whether every delivery ignores the stream bound (see AdmitBatch).
+  bool bypass_bound;
+
+  BatchSink(DecisionStream* s, size_t n, bool bypass)
+      : stream(s), remaining(n), bypass_bound(bypass) {}
+
+  void Deliver(size_t index, Decision decision) {
+    // Only pool workers honor the bound: any other thread may be the
+    // stream's own consumer, which is not draining yet.
+    stream->Publish(StreamedDecision{index, std::move(decision)},
+                    /*ignore_bound=*/bypass_bound || !tls_on_worker_thread);
+    if (remaining.fetch_sub(1) == 1) stream->Finish();
+  }
+};
 
 }  // namespace
 
@@ -268,10 +251,6 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   if (resolved.cache_capacity == ShardOptions::kInherit) {
     resolved.cache_capacity = options_.cache_capacity;
   }
-  // The resolved options report the EFFECTIVE capacity: memoization off
-  // service-wide means every shard's cache is capacity 0, and
-  // shard_options() must say so rather than echo a capacity no cache has.
-  if (!options_.memoize) resolved.cache_capacity = 0;
   if (resolved.max_queue == ShardOptions::kInherit) {
     resolved.max_queue = options_.default_max_queue;
   }
@@ -394,15 +373,13 @@ void CompletenessService::InitShardMetrics(Shard& shard, uint64_t handle_id) {
 }
 
 void CompletenessService::CountAdmission(const Shard& shard,
-                                         const DecisionRequest& request,
-                                         const sched::SchedParams* sched) {
-  const size_t kind = static_cast<size_t>(request.kind);
+                                         const ServiceRequest& request) {
+  const size_t kind = static_cast<size_t>(request.request.kind);
   if (kind < shard.metrics.by_kind.size() &&
       shard.metrics.by_kind[kind] != nullptr) {
     shard.metrics.by_kind[kind]->Inc();
   }
-  const size_t priority = static_cast<size_t>(
-      sched != nullptr ? sched->priority : sched::Priority::kNormal);
+  const size_t priority = static_cast<size_t>(request.sched.priority);
   if (priority < shard.metrics.by_priority.size() &&
       shard.metrics.by_priority[priority] != nullptr) {
     shard.metrics.by_priority[priority]->Inc();
@@ -420,6 +397,7 @@ void CompletenessService::FinishRequest(Shard* shard,
   const uint64_t micros =
       elapsed.count() > 0 ? static_cast<uint64_t>(elapsed.count()) : 0;
   decision->latency_micros = micros;
+  if (shard != nullptr && inflight_gauge_ != nullptr) inflight_gauge_->Add(-1);
   if (shard != nullptr && shard->metrics.e2e_latency != nullptr) {
     shard->metrics.e2e_latency->Record(micros);
   }
@@ -453,15 +431,6 @@ void CompletenessService::FinishRequest(Shard* shard,
   }
 }
 
-void CompletenessService::ResolveMember(FlightGroup::Member& member,
-                                        Decision decision) {
-  if (member.promise != nullptr) {
-    member.promise->set_value(std::move(decision));
-  } else if (member.callback) {
-    member.callback(std::move(decision));
-  }
-}
-
 Result<PreparedSetting> CompletenessService::prepared(
     SettingHandle handle) const {
   std::shared_ptr<Shard> shard = FindShard(handle);
@@ -481,24 +450,6 @@ Result<uint64_t> CompletenessService::FingerprintRequest(
   std::shared_ptr<Shard> shard = FindShard(handle);
   if (shard == nullptr) return UnknownHandleDecision(handle).status;
   return RequestKeyFor(shard->prepared, request).primary;
-}
-
-SearchOptions CompletenessService::EffectiveOptions(
-    const Shard& shard, const DecisionRequest& request,
-    const sched::SchedParams* sched) {
-  SearchOptions effective = request.options;
-  if (shard.options.max_steps != 0 &&
-      effective.max_steps == SearchOptions::kDefaultMaxSteps) {
-    effective.max_steps = shard.options.max_steps;
-  }
-  if (sched != nullptr) {
-    effective.deadline = std::min(effective.deadline, sched->deadline);
-    // Either-cancels: the request's own token keeps working alongside the
-    // submission's (group composite for scheduled batch work).
-    effective.cancel =
-        sched::CancelToken::AnyOf(effective.cancel, sched->cancel);
-  }
-  return effective;
 }
 
 Decision CompletenessService::RunEvaluation(
@@ -578,153 +529,6 @@ void CompletenessService::RecordSearchProfile(const Shard& shard,
   }
 }
 
-Decision CompletenessService::DecideOnShard(
-    Shard& shard, const DecisionRequest& request,
-    const RequestCacheKey* precomputed, const sched::SchedParams* sched,
-    bool count_request, const std::shared_ptr<obs::Trace>& trace) {
-  GaugeGuard in_flight(inflight_gauge_);
-  // Cooperative shed points for synchronous evaluation: a request already
-  // cancelled or past its deadline never reaches the decider.
-  if (sched != nullptr) {
-    if (sched->cancel.cancelled()) {
-      if (trace != nullptr) {
-        trace->Phase("shed");
-        trace->AnnotatePhase("cancelled before evaluation");
-      }
-      MutexLock lock(shard.mu);
-      if (count_request) ++shard.counters.requests;
-      ++shard.counters.cancelled;
-      return CancelledDecision();
-    }
-    if (sched->deadline < sched::Clock::now()) {
-      if (trace != nullptr) {
-        trace->Phase("shed");
-        trace->AnnotatePhase("deadline passed while queued");
-      }
-      MutexLock lock(shard.mu);
-      if (count_request) ++shard.counters.requests;
-      ++shard.counters.expired;
-      return ExpiredDecision();
-    }
-  }
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  const bool coalesce = options_.coalesce;
-  RequestCacheKey key;
-  if (memoize || coalesce) {
-    key = precomputed != nullptr ? *precomputed
-                                 : RequestKeyFor(shard.prepared, request);
-  }
-  if (trace != nullptr && (memoize || coalesce)) trace->Phase("cache-lookup");
-  std::shared_ptr<FlightGroup> joined;
-  std::shared_ptr<FlightGroup> owned;
-  uint64_t joined_run_id = 0;
-  bool joined_run_traced = false;
-  {
-    MutexLock lock(shard.mu);
-    if (count_request) ++shard.counters.requests;
-    if (memoize) {
-      Decision hit;
-      if (shard.cache->Get(key, &hit)) {
-        ++shard.counters.cache_hits;
-        hit.from_cache = true;
-        if (trace != nullptr) trace->AnnotatePhase("hit");
-        return hit;
-      }
-    }
-    if (coalesce) {
-      // Whatever role this caller ends up in, it is one more participant
-      // whose interest keeps the (possibly already running) computation
-      // alive — a caller without a token pins it forever — and whose
-      // deadline extends the run's shared deadline (none lifts it).
-      const sched::CancelToken participant =
-          sched != nullptr ? sched->cancel : sched::CancelToken{};
-      const sched::TimePoint participant_deadline =
-          sched != nullptr ? sched->deadline : sched::kNoDeadline;
-      auto it = shard.in_flight.find(key);
-      if (it != shard.in_flight.end() && it->second->started) {
-        // Live evaluation on another thread: wait on its shared future.
-        ++shard.counters.cache_hits;
-        ++shard.counters.coalesced;
-        joined = it->second;
-        joined->interest.Add(participant);
-        ExtendRunDeadline(*joined, participant_deadline);
-        if (joined->run_trace != nullptr) {
-          joined_run_traced = true;
-          joined_run_id = joined->run_trace->id();
-        }
-      } else if (it != shard.in_flight.end()) {
-        // The group is parked — its owner task is still in the queue. A
-        // synchronous caller must never block on parked work (with every
-        // worker blocked that way the pool would wedge), so it steals the
-        // evaluation; the owner task will find started == true and yield.
-        owned = it->second;
-        owned->started = true;
-        owned->interest.Add(participant);
-        ExtendRunDeadline(*owned, participant_deadline);
-        if (trace != nullptr) owned->run_trace = trace;
-        ++shard.counters.cache_misses;
-      } else {
-        owned = std::make_shared<FlightGroup>();
-        owned->started = true;
-        owned->interest.Add(participant);
-        ExtendRunDeadline(*owned, participant_deadline);
-        owned->future = std::make_shared<std::shared_future<Decision>>(
-            owned->sync_promise.get_future().share());
-        if (trace != nullptr) owned->run_trace = trace;
-        shard.in_flight.emplace(key, owned);
-        ++shard.counters.cache_misses;
-      }
-    } else {
-      ++shard.counters.cache_misses;
-    }
-  }
-  if (joined != nullptr) {
-    if (trace != nullptr) {
-      trace->Phase("coalesce-join");
-      trace->AnnotatePhase(joined_run_traced
-                               ? "joined run trace#" +
-                                     std::to_string(joined_run_id)
-                               : "joined in-flight run");
-    }
-    // The computation is live on the claiming thread (never parked on the
-    // queue), so this wait always makes progress.
-    Decision decision = joined->future->get();
-    if (IsAbortStatus(decision.status)) {
-      // The run this caller piggy-backed on was aborted mid-evaluation:
-      // re-file the join-time hit under the abort's bucket instead.
-      MutexLock lock(shard.mu);
-      --shard.counters.cache_hits;
-      --shard.counters.coalesced;
-      CountAbortBucketLocked(shard.counters, decision.status);
-      return decision;
-    }
-    decision.from_cache = true;
-    AppendNote(&decision, "coalesced with identical in-flight request");
-    return decision;
-  }
-  if (owned == nullptr) {
-    // Coalescing off: plain cache-through evaluation under the merged
-    // budget / deadline / token.
-    SearchOptions effective = EffectiveOptions(shard, request, sched);
-    Decision decision = RunEvaluation(shard, request, &effective, trace);
-    const bool aborted = IsAbortStatus(decision.status);
-    MutexLock lock(shard.mu);
-    shard.counters.search += decision.stats;
-    if (!decision.status.ok() && !aborted) ++shard.counters.errors;
-    if (aborted) ReclassifyAbortLocked(shard.counters, decision);
-    if (memoize && IsCacheableDecision(decision)) {
-      const bool admitted = shard.cache->Put(key, decision);
-      if (trace != nullptr) {
-        trace->AnnotatePhase(admitted ? "admitted" : "admission rejected");
-      }
-    } else if (trace != nullptr) {
-      trace->AnnotatePhase(memoize ? "not cacheable" : "memoization off");
-    }
-    return decision;
-  }
-  return EvaluateForGroup(shard, request, key, owned, kSyncBilled);
-}
-
 void CompletenessService::ExtendRunDeadline(FlightGroup& group,
                                             sched::TimePoint deadline) {
   const sched::Clock::rep candidate = deadline.time_since_epoch().count();
@@ -735,785 +539,346 @@ void CompletenessService::ExtendRunDeadline(FlightGroup& group,
   }
 }
 
-Decision CompletenessService::EvaluateForGroup(
-    Shard& shard, const DecisionRequest& request, const RequestCacheKey& key,
-    const std::shared_ptr<FlightGroup>& group, size_t billed_member) {
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  // The run's trace (the claiming caller's, or an async member's chosen at
-  // claim time). Written under the shard mutex by the thread that set
-  // `started`, which is this thread — reading it here is race-free.
-  const std::shared_ptr<obs::Trace>& trace = group->run_trace;
-  SearchOptions effective = EffectiveOptions(shard, request, nullptr);
-  // The joint interest token and the extendable run deadline: checkpoints
-  // abort this run only once EVERY participant — including ones that join
-  // mid-run — has cancelled, and only past the LATEST deadline among them
-  // (re-read each poll, so a late deadline-less joiner lifts the bound).
-  // Every participant was recorded at its join site; the group outlives
-  // the evaluation (the caller holds the shared_ptr), so the pointer into
-  // it stays valid for the whole search.
-  effective.cancel = group->interest.token();
-  effective.shared_deadline = &group->run_deadline;
-  Decision decision = RunEvaluation(shard, request, &effective, trace);
-  const bool aborted = IsAbortStatus(decision.status);
+CompletenessService::Ticket CompletenessService::Admit(
+    std::shared_ptr<Shard> shard, const ServiceRequest& request,
+    sched::TimePoint submit, Deliver&& deliver) {
+  Decision resolved;
+  std::shared_ptr<obs::Trace> trace;
+  if (shard == nullptr) {
+    resolved = UnknownHandleDecision(request.setting);
+  } else {
+    if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1);
+    CountAdmission(*shard, request);
+    trace = tracer_.MaybeTrace(submit);
+    if (trace != nullptr) trace->Phase("admit", submit);
+    // The member's interest: either of its tokens cancels it, and the
+    // earlier of its deadlines expires it.
+    sched::CancelToken cancel = sched::CancelToken::AnyOf(
+        request.request.options.cancel, request.sched.cancel);
+    const sched::TimePoint deadline =
+        std::min(request.request.options.deadline, request.sched.deadline);
+    const bool cancelled = cancel.cancelled();
+    const bool shed = cancelled || deadline < submit;
+    RequestCacheKey key;
+    if (!shed) {
+      key = RequestKeyFor(shard->prepared, request.request);
+      if (trace != nullptr) trace->Phase("cache-lookup");
+    }
+    MutexLock lock(shard->mu);
+    ++shard->counters.requests;
+    if (shed) {
+      resolved = cancelled ? CancelledDecision() : ExpiredDecision();
+      CountShedLocked(shard->counters, resolved.status);
+      if (trace != nullptr) {
+        trace->Phase("shed");
+        trace->AnnotatePhase(cancelled ? "cancelled at admission"
+                                       : "deadline passed at admission");
+      }
+    } else if (shard->cache->Get(key, &resolved)) {
+      ++shard->counters.cache_hits;
+      resolved.from_cache = true;
+      if (trace != nullptr) trace->AnnotatePhase("hit");
+    } else {
+      std::shared_ptr<FlightGroup>& group = shard->in_flight[key];
+      const bool created = group == nullptr;
+      if (created) {
+        group = std::make_shared<FlightGroup>();
+        group->restores = shard->restores;
+        if (trace != nullptr) trace->Phase("queue");  // until claimed
+      } else if (trace != nullptr) {
+        trace->Phase("coalesce-join");
+        trace->AnnotatePhase(group->run_trace != nullptr
+                                 ? "joined run trace#" +
+                                       std::to_string(group->run_trace->id())
+                                 : "joined in-flight run");
+      }
+      // The member keeps the (possibly already running) computation alive
+      // while its token is live — no token pins it forever — and extends
+      // the run's deadline to its own (none lifts it).
+      group->interest.Add(cancel);
+      ExtendRunDeadline(*group, deadline);
+      group->priority = std::min(group->priority, request.sched.priority);
+      group->members.push_back(FlightGroup::Member{
+          std::move(cancel), deadline, submit, trace, std::move(deliver)});
+      return Ticket{shard, group, key, created};
+    }
+  }
+  FinishRequest(shard.get(), trace, submit, &resolved,
+                ProblemKindName(request.request.kind));
+  deliver(std::move(resolved));
+  return Ticket{};
+}
 
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
+void CompletenessService::AdmitBatch(
+    const std::vector<ServiceRequest>& requests,
+    const std::shared_ptr<const void>& owner, DecisionStream* stream) {
+  if (requests.empty()) {
+    stream->Finish();
+    return;
+  }
+  const sched::TimePoint submit = sched::Clock::now();
+  const bool inline_mode = workers_.empty() || tls_on_worker_thread;
+  // Resolve each distinct handle once instead of taking the registry lock
+  // per request. Pool workers publishing to a bounded stream wait for its
+  // consumer — the submitting thread — which must therefore never wait for
+  // them: inline runs publish before the consumer starts, and with
+  // OverloadPolicy::kBlock a quota/rate-limited tenant may park the
+  // submitting thread in Push until workers free queue slots. Either way
+  // delivery falls back to unbounded buffering; bound batch memory with
+  // kReject quotas instead.
+  std::unordered_map<uint64_t, std::shared_ptr<Shard>> shards;
+  bool bypass_bound = inline_mode;
+  for (const ServiceRequest& request : requests) {
+    auto [it, inserted] = shards.try_emplace(request.setting.id);
+    if (!inserted) continue;
+    it->second = FindShard(request.setting);
+    bypass_bound = bypass_bound ||
+                   (options_.overload == sched::OverloadPolicy::kBlock &&
+                    it->second != nullptr &&
+                    (it->second->options.max_queue > 0 ||
+                     it->second->options.rate_per_sec > 0));
+  }
+  auto sink =
+      std::make_shared<BatchSink>(stream, requests.size(), bypass_bound);
+  std::vector<std::pair<Ticket, const DecisionRequest*>> admitted;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Ticket ticket = Admit(shards[requests[i].setting.id], requests[i], submit,
+                          [sink, i](Decision decision) {
+                            sink->Deliver(i, std::move(decision));
+                          });
+    if (ticket.group != nullptr) {
+      admitted.emplace_back(std::move(ticket), &requests[i].request);
+    }
+  }
+  // Only now, with every duplicate in the batch joined to its group, are
+  // the owner tasks queued.
+  for (const auto& [ticket, request] : admitted) {
+    Dispatch(ticket, request, owner);
+  }
+}
+
+void CompletenessService::Dispatch(const Ticket& ticket,
+                                   const DecisionRequest* request,
+                                   std::shared_ptr<const void> keep_alive) {
+  if (workers_.empty() || tls_on_worker_thread) {
+    // A pool thread must never leave work parked on the queue it drains.
+    RunOwner(ticket, request, sched::TaskOutcome::kRun, sched::kNotQueued);
+    return;
+  }
+  if (!ticket.created) return;  // the group's creator queues its owner
+  sched::Task task;
+  task.tenant = ticket.shard->id;
+  {
+    MutexLock lock(ticket.shard->mu);
+    task.priority = ticket.group->priority;
+  }
+  task.deadline = sched::TimePoint(sched::Clock::duration(
+      ticket.group->run_deadline.load(std::memory_order_relaxed)));
+  task.fn = [this, ticket, request, keep_alive = std::move(keep_alive)](
+                sched::TaskOutcome outcome, std::chrono::microseconds wait) {
+    RunOwner(ticket, request, outcome, wait);
+  };
+  if (!queue_.Push(std::move(task))) {
+    task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
+  }
+}
+
+void CompletenessService::RunOwner(const Ticket& ticket,
+                                   const DecisionRequest* request,
+                                   sched::TaskOutcome outcome,
+                                   std::chrono::microseconds wait) {
+  Shard& shard = *ticket.shard;
+  FlightGroup& group = *ticket.group;
+  Decision decision;
+  std::optional<size_t> billed;
+  bool evaluate = false;
   {
     MutexLock lock(shard.mu);
-    shard.counters.search += decision.stats;
-    if (!decision.status.ok() && !aborted) ++shard.counters.errors;
-    if (aborted) ReclassifyAbortLocked(shard.counters, decision);
-    if (memoize && IsCacheableDecision(decision)) {
-      const bool admitted = shard.cache->Put(key, decision);
-      if (trace != nullptr) {
-        trace->AnnotatePhase(admitted ? "admitted" : "admission rejected");
+    CountWaitLocked(shard.counters, wait, shard.metrics.queue_wait);
+    if (group.started) return;  // claimed by another participant
+    group.started = true;
+    // The first live member is charged with the group's outcome; only a
+    // live member keeps the computation alive.
+    if (outcome != sched::TaskOutcome::kRejected) {
+      const sched::TimePoint now = sched::Clock::now();
+      for (size_t i = 0; i < group.members.size() && !billed; ++i) {
+        const FlightGroup::Member& member = group.members[i];
+        if (!member.cancel.cancelled() && member.deadline >= now) billed = i;
       }
-    } else if (trace != nullptr) {
-      trace->AnnotatePhase(memoize ? "not cacheable" : "memoization off");
     }
-    shard.in_flight.erase(key);
-    members = std::move(group->members);
-    group->members.clear();
-    // Classify each async member while the counters are consistent with
-    // the cancellation snapshot (a token flipping after this point is too
-    // late: the result is already being published). Members of an aborted
-    // run mirror the abort's bucket — they were never served an answer, so
-    // they must not count as cache hits.
-    member_cancelled.reserve(members.size());
+    if (!billed) {
+      decision = outcome == sched::TaskOutcome::kRejected ? RejectedDecision()
+                                                          : ExpiredDecision();
+    } else if (group.restores != shard.restores &&
+               shard.cache->Get(ticket.key, &decision)) {
+      // Admission missed, and only a LoadCaches restore can have cached
+      // the key since: the group is the key's one writer.
+      ++shard.counters.cache_hits;
+      decision.from_cache = true;
+    } else {
+      ++shard.counters.cache_misses;
+      evaluate = true;
+      // The billed member's timeline gains the evaluate / cache-store
+      // phases, and later joiners see which sampled run they joined.
+      group.run_trace = group.members[*billed].trace;
+    }
+    // A group that will not run retires now: a late arrival must not join
+    // a fate decided without it.
+    if (!evaluate) shard.in_flight.erase(ticket.key);
+  }
+  if (evaluate) {
+    SearchOptions effective = request->options;
+    if (shard.options.max_steps != 0 &&
+        effective.max_steps == SearchOptions::kDefaultMaxSteps) {
+      effective.max_steps = shard.options.max_steps;
+    }
+    // The run polls only the members' joint interest: it aborts once EVERY
+    // member — including ones joining mid-run — has cancelled, or past the
+    // LATEST member deadline (re-read each poll). The group outlives the
+    // evaluation (the ticket holds it), so the pointer stays valid.
+    effective.deadline = sched::kNoDeadline;
+    effective.cancel = group.interest.token();
+    effective.shared_deadline = &group.run_deadline;
+    decision = RunEvaluation(shard, *request, &effective, group.run_trace);
+  }
+  Publish(shard, ticket, decision, billed, evaluate,
+          ProblemKindName(request->kind));
+}
+
+void CompletenessService::Publish(Shard& shard, const Ticket& ticket,
+                                  const Decision& decision,
+                                  std::optional<size_t> billed, bool evaluated,
+                                  const char* kind) {
+  FlightGroup& group = *ticket.group;
+  std::vector<FlightGroup::Member> members;
+  std::vector<Decision> decisions;
+  {
+    MutexLock lock(shard.mu);
+    if (evaluated) {
+      const bool aborted = IsAbortStatus(decision.status);
+      shard.counters.search += decision.stats;
+      if (!decision.status.ok() && !aborted) ++shard.counters.errors;
+      if (aborted) ReclassifyAbortLocked(shard.counters, decision);
+      const bool memoize = shard.cache->capacity() > 0;
+      if (memoize && IsCacheableDecision(decision)) {
+        const bool admitted = shard.cache->Put(ticket.key, decision);
+        if (group.run_trace != nullptr) {
+          group.run_trace->AnnotatePhase(admitted ? "admitted"
+                                                  : "admission rejected");
+        }
+      } else if (group.run_trace != nullptr) {
+        group.run_trace->AnnotatePhase(memoize ? "not cacheable"
+                                               : "memoization off");
+      }
+      // Retire the group before publishing: late arrivals hit the cache.
+      shard.in_flight.erase(ticket.key);
+    }
+    members = std::move(group.members);
+    group.members.clear();
+    // Classify every other member while the counters are consistent with
+    // this cancellation snapshot (a token flipping later is too late: the
+    // result is already being published).
+    decisions.reserve(members.size());
     for (size_t i = 0; i < members.size(); ++i) {
-      const bool cancelled =
-          i != billed_member && members[i].cancel.cancelled();
-      member_cancelled.push_back(cancelled);
-      if (i == billed_member) continue;  // charged as the evaluation miss
-      if (cancelled) {
+      Decision& out = decisions.emplace_back(decision);
+      if (i == billed) continue;  // charged at claim time
+      if (members[i].cancel.cancelled()) {
         ++shard.counters.cancelled;
-      } else if (aborted) {
-        CountAbortBucketLocked(shard.counters, decision.status);
+        out = CancelledDecision();
+      } else if (IsShedDecision(decision)) {
+        CountShedLocked(shard.counters, decision.status);
       } else {
         ++shard.counters.cache_hits;
         ++shard.counters.coalesced;
+        out.from_cache = true;
+        AppendNote(&out, "coalesced with identical in-flight request");
       }
     }
   }
-  // Publish after the slot is gone: late arrivals hit the LRU instead.
-  // Promises and callbacks resolve outside the shard lock — callbacks may
-  // re-enter the service.
-  group->sync_promise.set_value(decision);
+  // Delivery runs outside the shard lock: callbacks may re-enter.
   for (size_t i = 0; i < members.size(); ++i) {
-    Decision member_decision;
-    if (member_cancelled[i]) {
-      member_decision = CancelledDecision();
-    } else {
-      member_decision = decision;
-      if (i != billed_member && !aborted) {
-        member_decision.from_cache = true;
-        AppendNote(&member_decision, "coalesced with identical in-flight request");
-      }
-    }
-    FinishRequest(&shard, members[i].trace, members[i].submit,
-                  &member_decision, ProblemKindName(request.kind));
-    ResolveMember(members[i], std::move(member_decision));
-  }
-  return decision;
-}
-
-void CompletenessService::ShedGroup(Shard& shard, const RequestCacheKey& key,
-                                    const std::shared_ptr<FlightGroup>& group,
-                                    const char* kind) {
-  const Decision shed = RejectedDecision();
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
-  {
-    MutexLock lock(shard.mu);
-    if (group->started) return;  // a sync caller stole it; it will publish
-    shard.in_flight.erase(key);
-    members = std::move(group->members);
-    group->members.clear();
-    member_cancelled.reserve(members.size());
-    for (const FlightGroup::Member& member : members) {
-      const bool cancelled = member.cancel.cancelled();
-      member_cancelled.push_back(cancelled);
-      if (cancelled) {
-        ++shard.counters.cancelled;
+    if (!evaluated && members[i].trace != nullptr) {
+      if (IsShedDecision(decision)) {
+        members[i].trace->Phase("shed");
       } else {
-        ++shard.counters.rejected;
+        members[i].trace->AnnotatePhase("served from cache at claim time");
       }
     }
-  }
-  group->sync_promise.set_value(shed);  // parked ⇒ no sync waiters listen
-  for (size_t i = 0; i < members.size(); ++i) {
-    Decision decision = member_cancelled[i] ? CancelledDecision() : shed;
-    if (members[i].trace != nullptr) members[i].trace->Phase("shed");
-    FinishRequest(&shard, members[i].trace, members[i].submit, &decision, kind);
-    ResolveMember(members[i], std::move(decision));
+    FinishRequest(&shard, members[i].trace, members[i].submit, &decisions[i],
+                  kind);
+    members[i].deliver(std::move(decisions[i]));
   }
 }
 
 Decision CompletenessService::Decide(const ServiceRequest& request) {
   const sched::TimePoint submit = sched::Clock::now();
-  std::shared_ptr<Shard> shard = FindShard(request.setting);
-  if (shard == nullptr) return UnknownHandleDecision(request.setting);
-  CountAdmission(*shard, request.request, &request.sched);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  Decision decision =
-      DecideOnShard(*shard, request.request, nullptr, &request.sched,
-                    /*count_request=*/true, trace);
-  FinishRequest(shard.get(), trace, submit, &decision,
-                ProblemKindName(request.request.kind));
-  return decision;
+  // Shared with the delivery callback: another thread may still be inside
+  // set_value when this one wakes and returns.
+  auto result = std::make_shared<std::promise<Decision>>();
+  std::future<Decision> future = result->get_future();
+  Ticket ticket = Admit(FindShard(request.setting), request, submit,
+                        [result](Decision decision) {
+                          result->set_value(std::move(decision));
+                        });
+  // A synchronous caller never blocks on a group parked in the queue (with
+  // every worker blocked that way the pool would wedge): it runs the group
+  // itself unless another participant already is.
+  if (ticket.group != nullptr) {
+    RunOwner(ticket, &request.request, sched::TaskOutcome::kRun,
+             sched::kNotQueued);
+  }
+  return future.get();
 }
 
-Decision CompletenessService::Decide(SettingHandle handle,
-                                     const DecisionRequest& request) {
-  const sched::TimePoint submit = sched::Clock::now();
-  std::shared_ptr<Shard> shard = FindShard(handle);
-  if (shard == nullptr) return UnknownHandleDecision(handle);
-  CountAdmission(*shard, request, nullptr);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  Decision decision = DecideOnShard(*shard, request, nullptr, nullptr,
-                                    /*count_request=*/true, trace);
-  FinishRequest(shard.get(), trace, submit, &decision,
-                ProblemKindName(request.kind));
-  return decision;
-}
-
-std::vector<CompletenessService::RoutedRequest> CompletenessService::RouteBatch(
+std::vector<Decision> CompletenessService::SubmitBatch(
     const std::vector<ServiceRequest>& requests) {
-  std::vector<RoutedRequest> routed;
-  routed.reserve(requests.size());
-  // Resolve each distinct handle once instead of taking the registry lock
-  // per request.
-  std::unordered_map<uint64_t, std::shared_ptr<Shard>> resolved;
-  for (const ServiceRequest& request : requests) {
-    auto it = resolved.find(request.setting.id);
-    if (it == resolved.end()) {
-      it = resolved.emplace(request.setting.id, FindShard(request.setting))
-               .first;
-    }
-    routed.push_back(RoutedRequest{it->second, &request.request,
-                                   request.setting, &request.sched});
-  }
-  return routed;
-}
-
-void CompletenessService::SubmitRouted(
-    const std::vector<RoutedRequest>& routed, DecisionStream* stream,
-    std::shared_ptr<const void> keep_alive) {
-  const sched::TimePoint submit = sched::Clock::now();
-  const bool plan = options_.coalesce;
-  const bool inline_mode = workers_.empty() || tls_on_worker_thread;
-
-  // Publishing from the submitting thread (inline mode — including the
-  // re-entrant on-a-worker case, where this thread is also the eventual
-  // consumer — rejected pushes, unknown handles) must never block on the
-  // stream bound: the consumer has not started draining yet. Pool workers
-  // executing scheduled tasks respect it — that is the backpressure —
-  // UNLESS admission itself can block: with OverloadPolicy::kBlock and a
-  // quota/rate-limited tenant in the batch, the submitting thread may park
-  // in Push until workers free queue slots, and a worker parked in Publish
-  // waiting for that same (not yet draining) thread would close a deadlock
-  // cycle. In that configuration delivery falls back to unbounded
-  // buffering; bound batch memory with kReject quotas instead.
-  bool admission_may_block = false;
-  if (options_.overload == sched::OverloadPolicy::kBlock) {
-    for (const RoutedRequest& r : routed) {
-      if (r.shard != nullptr && (r.shard->options.max_queue > 0 ||
-                                 r.shard->options.rate_per_sec > 0)) {
-        admission_may_block = true;
-        break;
-      }
-    }
-  }
-  const bool bypass_bound = inline_mode || admission_may_block;
-  auto publish = [stream, bypass_bound](size_t index, Decision decision) {
-    stream->Publish(StreamedDecision{index, std::move(decision)},
-                    /*ignore_bound=*/bypass_bound || !tls_on_worker_thread);
-  };
-
-  // Key derivation (re-fingerprinting each request's query and c-instance)
-  // runs on the submitting thread: planning must never depend on pool
-  // progress, because a worker publishing to a caller-owned bounded stream
-  // can legitimately block until that stream's consumer drains — a pool
-  // barrier here could deadlock against exactly that consumer.
-  std::vector<RequestCacheKey> keys(plan ? routed.size() : 0);
-  if (plan) {
-    for (size_t i = 0; i < routed.size(); ++i) {
-      if (routed[i].shard == nullptr) continue;
-      keys[i] = RequestKeyFor(routed[i].shard->prepared, *routed[i].request);
-    }
-  }
-
-  // Dedup-aware planning: one computation per (shard, cache key); the
-  // duplicates are delivered by their primary's task the moment it
-  // completes.
-  struct PlanKey {
-    const Shard* shard = nullptr;
-    RequestCacheKey key;
-    bool operator==(const PlanKey& other) const {
-      return shard == other.shard && key == other.key;
-    }
-  };
-  struct PlanKeyHash {
-    size_t operator()(const PlanKey& k) const {
-      return std::hash<const void*>()(k.shard) ^ RequestCacheKeyHash()(k.key);
-    }
-  };
-  std::unordered_map<PlanKey, size_t, PlanKeyHash> first_of;
-  std::unordered_map<size_t, std::vector<size_t>> dups_of;  // primary → dups
-  std::vector<size_t> primaries;
-  primaries.reserve(routed.size());
-  for (size_t i = 0; i < routed.size(); ++i) {
-    if (routed[i].shard == nullptr) {
-      Decision unknown = UnknownHandleDecision(routed[i].handle);
-      FinishRequest(nullptr, nullptr, submit, &unknown,
-                    ProblemKindName(routed[i].request->kind));
-      publish(i, std::move(unknown));
-      continue;
-    }
-    CountAdmission(*routed[i].shard, *routed[i].request, routed[i].sched);
-    if (plan) {
-      auto [it, inserted] =
-          first_of.emplace(PlanKey{routed[i].shard.get(), keys[i]}, i);
-      if (!inserted) {
-        dups_of[it->second].push_back(i);
-        continue;
-      }
-    }
-    primaries.push_back(i);
-  }
-  if (primaries.empty()) {
-    stream->Finish();
-    return;
-  }
-
-  auto remaining = std::make_shared<std::atomic<size_t>>(primaries.size());
-  std::vector<sched::Task> tasks;
-  tasks.reserve(primaries.size());
-  for (size_t i : primaries) {
-    const RoutedRequest& r = routed[i];
-    // The dedup group's slots (primary first) and their cancel tokens.
-    // Sched params merge across members: the latest deadline and the most
-    // urgent priority govern the task, and — like in-flight flight groups
-    // — the computation is shed only when EVERY member's token is
-    // cancelled; individually-cancelled members report kCancelled at
-    // delivery. Tokens are copied (shared state), so the closure holds no
-    // pointers into the caller's sched params.
-    std::vector<size_t> slots{i};
-    if (auto it = dups_of.find(i); it != dups_of.end()) {
-      slots.insert(slots.end(), it->second.begin(), it->second.end());
-    }
-    sched::SchedParams effective;
-    std::vector<sched::CancelToken> tokens(slots.size());
-    sched::CancelGroup slot_interest;
-    for (size_t j = 0; j < slots.size(); ++j) {
-      const sched::SchedParams* sp = routed[slots[j]].sched;
-      const sched::Priority priority =
-          sp != nullptr ? sp->priority : sched::Priority::kNormal;
-      const sched::TimePoint deadline =
-          sp != nullptr ? sp->deadline : sched::kNoDeadline;
-      if (sp != nullptr) tokens[j] = sp->cancel;
-      slot_interest.Add(tokens[j]);  // a token-less slot pins the group
-      if (j == 0) {
-        effective.priority = priority;
-        effective.deadline = deadline;
-      } else {
-        effective.priority = std::min(effective.priority, priority);
-        effective.deadline = std::max(effective.deadline, deadline);
-      }
-    }
-    // The merged params carry the slots' JOINT token: both the entry gate
-    // in DecideOnShard and the decider's mid-run checkpoints then abort
-    // exactly when every member of the dedup group has cancelled.
-    effective.cancel = slot_interest.token();
-    // One sampled trace per dedup group, carried by the primary slot: the
-    // admit span covers routing + planning, the queue span everything from
-    // enqueue to the worker claiming the task.
-    std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-    if (trace != nullptr) {
-      trace->Phase("admit", submit);
-      trace->Phase("queue");
-    }
-    sched::Task task;
-    task.tenant = r.handle.id;
-    task.priority = effective.priority;
-    task.deadline = effective.deadline;
-    task.fn = [this, shard = r.shard, request = r.request,
-               has_key = plan, key = plan ? keys[i] : RequestCacheKey{},
-               slots = std::move(slots), tokens = std::move(tokens),
-               effective, remaining, stream, publish, keep_alive, submit,
-               trace](sched::TaskOutcome outcome,
-                      std::chrono::microseconds wait) {
-      {
-        MutexLock lock(shard->mu);
-        CountWaitLocked(shard->counters, wait, shard->metrics.queue_wait);
-      }
-      // Cancellation snapshot at evaluation start: members cancelling
-      // later are too late (they receive the result), matching the
-      // flight-group semantics.
-      std::vector<bool> cancelled(slots.size());
-      bool all_cancelled = true;
-      for (size_t j = 0; j < slots.size(); ++j) {
-        cancelled[j] = tokens[j].cancelled();
-        all_cancelled = all_cancelled && cancelled[j];
-      }
-      Decision decision;
-      bool evaluated = false;
-      if (outcome == sched::TaskOutcome::kRun && !all_cancelled) {
-        // `effective` carries the slots' joint token and latest deadline,
-        // so the evaluation itself aborts at a checkpoint if the whole
-        // group cancels (or the merged deadline passes) mid-run.
-        decision = DecideOnShard(*shard, *request, has_key ? &key : nullptr,
-                                 &effective, /*count_request=*/true, trace);
-        evaluated = true;  // DecideOnShard counted one request's outcome
-      } else if (outcome == sched::TaskOutcome::kExpired) {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = ExpiredDecision();
-      } else if (outcome == sched::TaskOutcome::kRejected) {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = RejectedDecision();
-      } else {
-        if (trace != nullptr) trace->Phase("shed");
-        decision = CancelledDecision();  // every member cancelled
-      }
-      // The first live member inherits the evaluation's accounting (done
-      // inside DecideOnShard); everyone else is counted here per its own
-      // fate. Shed groups (expired / rejected / all-cancelled) charge
-      // every member.
-      size_t billed = slots.size();
-      if (evaluated) {
-        for (size_t j = 0; j < slots.size(); ++j) {
-          if (!cancelled[j]) {
-            billed = j;
-            break;
-          }
-        }
-      }
-      for (size_t j = 0; j < slots.size(); ++j) {
-        Decision member_decision;
-        if (j == billed) {
-          member_decision = decision;
-        } else if (cancelled[j]) {
-          member_decision = CancelledDecision();
-          MutexLock lock(shard->mu);
-          ++shard->counters.requests;
-          ++shard->counters.cancelled;
-        } else if (!evaluated) {
-          member_decision = decision;
-          MutexLock lock(shard->mu);
-          CountDuplicateLocked(shard->counters, decision);
-        } else {
-          member_decision = decision;
-          member_decision.from_cache = !IsShedDecision(decision);
-          AppendNote(&member_decision,
-                     "coalesced with identical request in batch");
-          MutexLock lock(shard->mu);
-          CountDuplicateLocked(shard->counters, decision);
-        }
-        // The trace rides the primary slot only — one Finish, one slow-log
-        // offer per sampled submission.
-        FinishRequest(shard.get(), j == 0 ? trace : nullptr, submit,
-                      &member_decision, ProblemKindName(request->kind));
-        publish(slots[j], std::move(member_decision));
-      }
-      if (remaining->fetch_sub(1) == 1) stream->Finish();
-    };
-    tasks.push_back(std::move(task));
-  }
-
-  if (inline_mode) {
-    for (sched::Task& task : tasks) {
-      task.fn(InlineOutcome(task), sched::kNotQueued);
-    }
-    return;
-  }
-  for (sched::Task& task : tasks) {
-    if (!queue_.Push(std::move(task))) {
-      task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
-    }
-  }
-}
-
-std::vector<Decision> CompletenessService::CollectRouted(
-    const std::vector<RoutedRequest>& routed) {
-  // The blocking collect shared by both SubmitBatch overloads: run the
-  // plan through an unbounded stream and reassemble by index.
   DecisionStream stream(/*capacity=*/0);
-  SubmitRouted(routed, &stream);
-  std::vector<Decision> results(routed.size());
+  AdmitBatch(requests, nullptr, &stream);
+  std::vector<Decision> results(requests.size());
   stream.Drain([&results](StreamedDecision item) {
     results[item.index] = std::move(item.decision);
   });
   return results;
 }
 
-std::vector<Decision> CompletenessService::SubmitBatch(
-    const std::vector<ServiceRequest>& requests) {
-  return CollectRouted(RouteBatch(requests));
-}
-
-std::vector<Decision> CompletenessService::SubmitBatch(
-    SettingHandle handle, const std::vector<DecisionRequest>& requests) {
-  std::shared_ptr<Shard> shard = FindShard(handle);
-  std::vector<RoutedRequest> routed;
-  routed.reserve(requests.size());
-  for (const DecisionRequest& request : requests) {
-    routed.push_back(RoutedRequest{shard, &request, handle, nullptr});
-  }
-  return CollectRouted(routed);
-}
-
 void CompletenessService::SubmitStream(
     const std::vector<ServiceRequest>& requests, DecisionStream* stream) {
-  // This flavor returns before delivery completes, so the scheduled tasks
-  // must not reference the caller's vector: route against a private copy
-  // pinned by every task until the last one ran.
+  // This flavor returns before delivery completes, so the owner tasks must
+  // not reference the caller's vector: admit a private copy pinned by every
+  // task until the last one ran.
   auto owned = std::make_shared<const std::vector<ServiceRequest>>(requests);
-  std::vector<RoutedRequest> routed = RouteBatch(*owned);
-  SubmitRouted(routed, stream, owned);
+  AdmitBatch(*owned, owned, stream);
 }
 
 void CompletenessService::SubmitStream(
     const std::vector<ServiceRequest>& requests, const StreamSink& sink) {
   DecisionStream stream(/*capacity=*/0);
-  SubmitStream(requests, &stream);
+  AdmitBatch(requests, nullptr, &stream);
   stream.Drain([&sink](StreamedDecision item) {
     sink(item.index, item.decision);
   });
 }
 
-void CompletenessService::SubmitAsyncImpl(
-    ServiceRequest request, std::shared_ptr<std::promise<Decision>> promise,
-    std::function<void(Decision)> on_complete) {
-  auto deliver = [&promise, &on_complete](Decision decision) {
-    FlightGroup::Member member;
-    member.promise = promise;
-    member.callback = on_complete;
-    ResolveMember(member, std::move(decision));
-  };
-  // Route at submission time: releasing the setting after admission does
-  // not fail requests already in the system.
-  const sched::TimePoint submit = sched::Clock::now();
-  std::shared_ptr<Shard> shard = FindShard(request.setting);
-  if (shard == nullptr) {
-    Decision unknown = UnknownHandleDecision(request.setting);
-    FinishRequest(nullptr, nullptr, submit, &unknown,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(unknown));
-    return;
-  }
-  CountAdmission(*shard, request.request, &request.sched);
-  std::shared_ptr<obs::Trace> trace = tracer_.MaybeTrace(submit);
-  if (trace != nullptr) trace->Phase("admit", submit);
-  if (workers_.empty() || tls_on_worker_thread) {
-    Decision decision =
-        DecideOnShard(*shard, request.request, nullptr, &request.sched,
-                      /*count_request=*/true, trace);
-    FinishRequest(shard.get(), trace, submit, &decision,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(decision));
-    return;
-  }
-  const sched::SchedParams& sp = request.sched;
-  // Admission-time shed: dead requests never pollute the queue.
-  if (sp.cancel.cancelled() || sp.deadline < sched::Clock::now()) {
-    const bool cancelled = sp.cancel.cancelled();
-    {
-      MutexLock lock(shard->mu);
-      ++shard->counters.requests;
-      if (cancelled) {
-        ++shard->counters.cancelled;
-      } else {
-        ++shard->counters.expired;
-      }
-    }
-    if (trace != nullptr) {
-      trace->Phase("shed");
-      trace->AnnotatePhase(cancelled ? "cancelled at admission"
-                                     : "deadline passed at admission");
-    }
-    Decision decision = cancelled ? CancelledDecision() : ExpiredDecision();
-    FinishRequest(shard.get(), trace, submit, &decision,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(decision));
-    return;
-  }
-
-  if (!options_.coalesce) {
-    {
-      MutexLock lock(shard->mu);
-      ++shard->counters.requests;
-    }
-    if (trace != nullptr) trace->Phase("queue");
-    sched::Task task;
-    task.tenant = request.setting.id;
-    task.priority = sp.priority;
-    task.deadline = sp.deadline;
-    task.fn = [this, shard, request = std::move(request.request),
-               sched = sp, promise, on_complete = std::move(on_complete),
-               submit, trace](sched::TaskOutcome outcome,
-                              std::chrono::microseconds wait) {
-      {
-        MutexLock lock(shard->mu);
-        CountWaitLocked(shard->counters, wait, shard->metrics.queue_wait);
-      }
-      Decision decision;
-      switch (outcome) {
-        case sched::TaskOutcome::kRun:
-          decision = DecideOnShard(*shard, request, nullptr, &sched,
-                                   /*count_request=*/false, trace);
-          break;
-        case sched::TaskOutcome::kExpired: {
-          if (trace != nullptr) trace->Phase("shed");
-          MutexLock lock(shard->mu);
-          ++shard->counters.expired;
-          decision = ExpiredDecision();
-          break;
-        }
-        case sched::TaskOutcome::kRejected: {
-          if (trace != nullptr) trace->Phase("shed");
-          MutexLock lock(shard->mu);
-          ++shard->counters.rejected;
-          decision = RejectedDecision();
-          break;
-        }
-      }
-      FinishRequest(shard.get(), trace, submit, &decision,
-                    ProblemKindName(request.kind));
-      FlightGroup::Member member;
-      member.promise = promise;
-      member.callback = on_complete;  // const capture: copy, not move
-      ResolveMember(member, std::move(decision));
-    };
-    if (!queue_.Push(std::move(task))) {
-      task.fn(sched::TaskOutcome::kRejected, sched::kNotQueued);
-    }
-    return;
-  }
-
-  // Coalescing admission: cache hits and joins resolve without ever
-  // touching the queue; only a fresh computation becomes a task.
-  const RequestCacheKey key = RequestKeyFor(shard->prepared, request.request);
-  const bool memoize = options_.memoize && shard->cache->capacity() > 0;
-  if (trace != nullptr) trace->Phase("cache-lookup");
-  std::shared_ptr<FlightGroup> group;
-  Decision hit;
-  bool have_hit = false;
-  bool joined = false;
-  uint64_t joined_run_id = 0;
-  bool joined_run_traced = false;
-  {
-    MutexLock lock(shard->mu);
-    ++shard->counters.requests;
-    if (memoize) {
-      if (shard->cache->Get(key, &hit)) {
-        ++shard->counters.cache_hits;
-        hit.from_cache = true;
-        have_hit = true;
-        if (trace != nullptr) trace->AnnotatePhase("hit");
-      }
-    }
-    if (!have_hit) {
-      auto it = shard->in_flight.find(key);
-      if (it != shard->in_flight.end()) {
-        // Join the flight group (parked or already evaluating); this
-        // member is classified — result, coalesced copy, or cancelled —
-        // when the group publishes. Its token joins the group interest and
-        // its deadline extends the run deadline, so a RUNNING evaluation
-        // stays alive (and deadline-bounded correctly) while this member
-        // is live.
-        it->second->interest.Add(sp.cancel);
-        ExtendRunDeadline(*it->second, sp.deadline);
-        joined = true;
-        if (it->second->run_trace != nullptr) {
-          joined_run_traced = true;
-          joined_run_id = it->second->run_trace->id();
-        }
-        it->second->members.push_back(FlightGroup::Member{
-            sp.cancel, sp.deadline, promise, std::move(on_complete), submit,
-            trace});
-      } else {
-        group = std::make_shared<FlightGroup>();
-        group->interest.Add(sp.cancel);
-        ExtendRunDeadline(*group, sp.deadline);
-        group->future = std::make_shared<std::shared_future<Decision>>(
-            group->sync_promise.get_future().share());
-        group->members.push_back(FlightGroup::Member{
-            sp.cancel, sp.deadline, promise, std::move(on_complete), submit,
-            trace});
-        shard->in_flight.emplace(key, group);
-      }
-    }
-  }
-  if (have_hit) {
-    FinishRequest(shard.get(), trace, submit, &hit,
-                  ProblemKindName(request.request.kind));
-    deliver(std::move(hit));
-    return;
-  }
-  if (joined) {
-    // The member's own trace shows the join; the run it joined is closed by
-    // whichever thread publishes the group (EvaluateForGroup / ShedGroup /
-    // RunOwnerTask), which also finishes this member's trace.
-    if (trace != nullptr) {
-      trace->Phase("coalesce-join");
-      trace->AnnotatePhase(joined_run_traced
-                               ? "joined run trace#" +
-                                     std::to_string(joined_run_id)
-                               : "joined in-flight run");
-    }
-    return;
-  }
-  if (trace != nullptr) trace->Phase("queue");
-  // The request is about to move into the task closure; the shed path
-  // below only needs its kind name (a static string).
-  const char* kind_name = ProblemKindName(request.request.kind);
-  sched::Task task;
-  task.tenant = request.setting.id;
-  task.priority = sp.priority;
-  task.deadline = sp.deadline;
-  task.fn = [this, shard, key, group,
-             request = std::move(request.request)](
-                sched::TaskOutcome, std::chrono::microseconds wait) {
-    RunOwnerTask(shard, key, group, request, wait);
-  };
-  if (!queue_.Push(std::move(task))) {
-    ShedGroup(*shard, key, group, kind_name);
-  }
-}
-
-void CompletenessService::RunOwnerTask(
-    const std::shared_ptr<Shard>& shard_ptr, const RequestCacheKey& key,
-    const std::shared_ptr<FlightGroup>& group, const DecisionRequest& request,
-    std::chrono::microseconds wait) {
-  Shard& shard = *shard_ptr;
-  GaugeGuard in_flight(inflight_gauge_);
-  const bool memoize = options_.memoize && shard.cache->capacity() > 0;
-  enum class Action { kStolen, kShed, kHit, kEvaluate };
-  Action action = Action::kEvaluate;
-  size_t billed = kSyncBilled;
-  Decision hit;
-  std::vector<FlightGroup::Member> members;
-  std::vector<bool> member_cancelled;
-  {
-    MutexLock lock(shard.mu);
-    CountWaitLocked(shard.counters, wait, shard.metrics.queue_wait);
-    if (group->started) {
-      // A synchronous caller stole the parked group; it owns publication.
-      action = Action::kStolen;
-    } else {
-      // Only a live member keeps the computation alive: a group whose
-      // every waiter has cancelled or expired is shed before evaluation.
-      // (Sync waiters only ever join *started* groups, so none exist.)
-      const sched::TimePoint now = sched::Clock::now();
-      for (size_t i = 0; i < group->members.size(); ++i) {
-        const FlightGroup::Member& m = group->members[i];
-        if (!m.cancel.cancelled() && m.deadline >= now) {
-          billed = i;
-          break;
-        }
-      }
-      if (billed == kSyncBilled) {
-        action = Action::kShed;
-        shard.in_flight.erase(key);
-        members = std::move(group->members);
-        group->members.clear();
-        member_cancelled.reserve(members.size());
-        for (const FlightGroup::Member& member : members) {
-          const bool cancelled = member.cancel.cancelled();
-          member_cancelled.push_back(cancelled);
-          if (cancelled) {
-            ++shard.counters.cancelled;
-          } else {
-            ++shard.counters.expired;
-          }
-        }
-      } else if (memoize && shard.cache->Get(key, &hit)) {
-        // A synchronous caller computed and cached this request while the
-        // task sat queued: serve the whole group from the cache.
-        action = Action::kHit;
-        hit.from_cache = true;
-        shard.in_flight.erase(key);
-        members = std::move(group->members);
-        group->members.clear();
-        member_cancelled.reserve(members.size());
-        for (size_t i = 0; i < members.size(); ++i) {
-          const bool cancelled =
-              i != billed && members[i].cancel.cancelled();
-          member_cancelled.push_back(cancelled);
-          if (cancelled) {
-            ++shard.counters.cancelled;
-          } else {
-            ++shard.counters.cache_hits;
-            if (i != billed) ++shard.counters.coalesced;
-          }
-        }
-      } else {
-        action = Action::kEvaluate;
-        group->started = true;
-        // The billed member's trace becomes the run's trace: its timeline
-        // gains the evaluate / cache-store phases, and later joiners see
-        // which sampled run they piggy-backed on.
-        if (billed < group->members.size()) {
-          group->run_trace = group->members[billed].trace;
-        }
-        ++shard.counters.cache_misses;  // charged to the billed member
-      }
-    }
-  }
-  switch (action) {
-    case Action::kStolen:
-      return;
-    case Action::kShed: {
-      group->sync_promise.set_value(ExpiredDecision());
-      for (size_t i = 0; i < members.size(); ++i) {
-        Decision decision = member_cancelled[i] ? CancelledDecision()
-                                                : ExpiredDecision();
-        if (members[i].trace != nullptr) members[i].trace->Phase("shed");
-        FinishRequest(&shard, members[i].trace, members[i].submit, &decision,
-                      ProblemKindName(request.kind));
-        ResolveMember(members[i], std::move(decision));
-      }
-      return;
-    }
-    case Action::kHit: {
-      group->sync_promise.set_value(hit);
-      for (size_t i = 0; i < members.size(); ++i) {
-        Decision decision;
-        if (member_cancelled[i]) {
-          decision = CancelledDecision();
-        } else {
-          decision = hit;
-          if (i != billed) {
-            AppendNote(&decision, "coalesced with identical in-flight request");
-          }
-        }
-        if (members[i].trace != nullptr) {
-          members[i].trace->AnnotatePhase("served from cache at claim time");
-        }
-        FinishRequest(&shard, members[i].trace, members[i].submit, &decision,
-                      ProblemKindName(request.kind));
-        ResolveMember(members[i], std::move(decision));
-      }
-      return;
-    }
-    case Action::kEvaluate:
-      EvaluateForGroup(shard, request, key, group, billed);
-      return;
-  }
-}
-
 std::future<Decision> CompletenessService::SubmitAsync(ServiceRequest request) {
   auto promise = std::make_shared<std::promise<Decision>>();
   std::future<Decision> future = promise->get_future();
-  SubmitAsyncImpl(std::move(request), std::move(promise), nullptr);
+  SubmitAsync(std::move(request), [promise](Decision decision) {
+    promise->set_value(std::move(decision));
+  });
   return future;
 }
 
 void CompletenessService::SubmitAsync(ServiceRequest request,
                                       std::function<void(Decision)> on_complete) {
-  SubmitAsyncImpl(std::move(request), nullptr, std::move(on_complete));
+  // Routed at submission time: releasing the setting after admission does
+  // not fail requests already in the system.
+  const sched::TimePoint submit = sched::Clock::now();
+  Ticket ticket = Admit(FindShard(request.setting), request, submit,
+                        std::move(on_complete));
+  if (ticket.group == nullptr) return;
+  auto owned =
+      std::make_shared<const DecisionRequest>(std::move(request.request));
+  Dispatch(ticket, owned.get(), owned);
 }
 
 namespace {
@@ -1711,6 +1076,8 @@ Result<size_t> CompletenessService::LoadCaches(const std::string& path) {
     for (auto& [key, decision] : image.entries) {
       live->cache->Restore(key, std::move(decision));
     }
+    MutexLock lock(live->mu);
+    ++live->restores;
     ++accepted;
   }
   return accepted;

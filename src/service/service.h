@@ -1,23 +1,32 @@
-// CompletenessService: the multi-setting decision service. Where the legacy
-// CompletenessEngine serves one partially closed setting (Dm, V), the
-// service hosts a registry of them — one per tenant / master-data snapshot —
-// admitted via RegisterSetting (deduplicated by the stable setting
-// fingerprint, refcounted, evicted by ReleaseSetting). Each registered
-// setting backs a shard owning its PreparedSetting, result cache, and
-// counters; handle-carrying requests are routed to their shard and served
-// over ONE worker pool shared by every setting, through four submission
-// paths:
+// CompletenessService: the multi-setting decision service. It hosts a
+// registry of partially closed settings (Dm, V) — one per tenant /
+// master-data snapshot — admitted via RegisterSetting (deduplicated by the
+// stable setting fingerprint, refcounted, evicted by ReleaseSetting). Each
+// registered setting backs a shard owning its PreparedSetting, result
+// cache, and counters; handle-carrying requests are routed to their shard
+// and served over ONE worker pool shared by every setting.
 //
-//   Decide       — one request, synchronously on the calling thread;
-//   SubmitBatch  — a batch (possibly spanning settings), fanned out across
-//                  the pool with dedup-aware planning: identical requests in
-//                  one batch collapse to a single computation, the
+// Every request follows one lifecycle. Admission routes it to its shard,
+// counts it, sheds it if its own cancel token or deadline is already spent,
+// serves it from the shard cache, or else joins (or creates) the shard's
+// flight group for its cache key as a member with a delivery callback. The
+// group's owner task claims the group, then sheds it when every member has
+// cancelled or expired, serves a cache entry restored meanwhile, or
+// evaluates and stores; publication classifies and delivers every member.
+// The four submission calls are thin front doors onto it:
+//
+//   Decide       — admit, then run the group on the calling thread (a
+//                  group parked in the queue is claimed and run here too)
+//                  or wait for the run already in progress;
+//   SubmitAsync  — admit, then queue the owner task; the decision arrives
+//                  through a completion callback (or a future);
+//   SubmitBatch  — admit every request of a batch (possibly spanning
+//                  settings), then queue the batch's owner tasks: identical
+//                  requests in one batch collapse into one evaluation, the
 //                  duplicates reporting from_cache = true with a note;
-//   SubmitAsync  — fire-and-collect: returns a std::future<Decision> (or
-//                  invokes a completion callback) resolved by the pool;
-//   SubmitStream — the batch plan, delivered incrementally: each Decision
-//                  is handed to a pull stream / callback sink as it
-//                  completes instead of materializing the result vector.
+//   SubmitStream — the same, delivering each Decision to a pull stream /
+//                  callback sink as it completes instead of materializing
+//                  the result vector.
 //
 // Between the request paths and the worker pool sits the sched/ subsystem:
 // work is scheduled by a FairQueue whose tenants are the setting shards.
@@ -37,19 +46,19 @@
 // Aborted and budget-exhausted decisions are never admitted to the shard
 // cache.
 //
-// Identical requests that are concurrently in flight — across batches,
-// async and stream submissions — coalesce: later occurrences join the
-// first's flight group instead of recomputing. A coalesced group is shed
-// (queued) or aborted (running) only when EVERY member has cancelled (or
-// expired); one live waiter keeps the computation alive for everyone — the
-// running evaluation polls the group's joint cancellation token at its
-// checkpoints, so the last waiter's Cancel() stops a computation that is
-// already burning a worker, not just parked ones. Answers are
-// deterministic: independent of worker count, scheduling policy, and
-// coalescing; only the from_cache flags and coalescing notes may differ
-// between runs. (The coalesced paths drive cancellation through the sched
-// params; a DecisionRequest's own options.cancel token is honored on the
-// non-coalesced paths only.)
+// Identical requests that are concurrently in flight — across every front
+// door — coalesce: later occurrences join the first's flight group instead
+// of recomputing. Each member's interest in the shared run is its request's
+// own options.cancel and options.deadline merged with its submission's
+// sched params (either token cancels it; the earlier deadline expires it).
+// A group is shed (queued) or aborted (running) only when EVERY member has
+// cancelled (or expired); one live member keeps the computation alive for
+// everyone — the running evaluation polls the group's joint cancellation
+// token and its latest member deadline at its checkpoints, so the last
+// member's Cancel() stops a computation that is already burning a worker,
+// not just parked ones. Answers are deterministic: independent of worker
+// count, scheduling policy, and coalescing; only the from_cache flags and
+// coalescing notes may differ between runs.
 //
 // Shard caches live in the cache/ subsystem: each shard owns a
 // byte-weighted segmented LRU (cache::ShardCache — probation/protected
@@ -72,6 +81,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -132,11 +142,8 @@ struct ShardOptions {
 
   /// Entry capacity for this shard's result cache; kInherit uses
   /// ServiceOptions::cache_capacity, 0 disables memoization for the shard.
-  /// The RESOLVED options returned by shard_options() always report the
-  /// EFFECTIVE capacity: kInherit replaced by the service default, and 0
-  /// whenever memoization is off service-wide (ServiceOptions::memoize =
-  /// false zeroes every shard's capacity at registration), so the reported
-  /// value and the cache's actual behavior cannot disagree.
+  /// The RESOLVED options returned by shard_options() report kInherit
+  /// replaced by the service default.
   size_t cache_capacity = kInherit;
   /// Starvation floor under the shared byte budget: OTHER shards' budget
   /// pressure never evicts this shard below this many resident bytes (the
@@ -175,8 +182,6 @@ struct ServiceOptions {
   /// bytes never exceed the budget no matter how witness-heavy one
   /// tenant's results are.
   size_t cache_budget_bytes = 0;
-  bool memoize = true;
-  bool coalesce = true;         ///< dedup-aware planning + in-flight joins
   /// Queue order across tenants. kFifo is the legacy strict arrival order;
   /// kFairShare applies stride scheduling over shard weights.
   sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
@@ -284,28 +289,21 @@ class CompletenessService {
 
   /// Decides one request synchronously on the calling thread (consulting
   /// and filling the shard cache, coalescing with in-flight identical
-  /// requests, honoring the request's cancellation token and deadline both
-  /// at entry and mid-run via the decider's cooperative checkpoints). An
-  /// invalid or released handle yields an error Decision, not a crash.
+  /// requests, honoring the request's cancellation tokens and deadlines
+  /// both at entry and mid-run via the decider's cooperative checkpoints).
+  /// An invalid or released handle yields an error Decision, not a crash.
   /// Thread-safe.
   Decision Decide(const ServiceRequest& request);
 
-  /// Same, without wrapping the request (no copy) — the adapter hot path.
-  Decision Decide(SettingHandle handle, const DecisionRequest& request);
-
   /// Decides a batch; the result vector is parallel to `requests`. Requests
   /// may target different settings — each routes to its own shard — and are
-  /// fanned out across the shared pool under the scheduling policy. Dedup-
-  /// aware planning: identical requests (same shard, same cache key)
-  /// collapse to one computation; duplicates report from_cache = true with
-  /// a coalescing note. Multiple batches may be submitted concurrently;
-  /// under kFairShare their tenants share the pool by weight. Thread-safe.
+  /// fanned out across the shared pool under the scheduling policy. The
+  /// whole batch is admitted before any of its work is queued, so identical
+  /// requests (same shard, same cache key) always collapse to one
+  /// computation; duplicates report from_cache = true with a coalescing
+  /// note. Multiple batches may be submitted concurrently; under kFairShare
+  /// their tenants share the pool by weight. Thread-safe.
   std::vector<Decision> SubmitBatch(const std::vector<ServiceRequest>& requests);
-
-  /// Single-setting batch without per-request handle plumbing (and without
-  /// copying the requests into ServiceRequests) — the engine adapter's path.
-  std::vector<Decision> SubmitBatch(SettingHandle handle,
-                                    const std::vector<DecisionRequest>& requests);
 
   /// Async path: admits the request (cache lookups and coalescing joins are
   /// resolved immediately, on the submitting thread; fresh work is enqueued
@@ -316,14 +314,15 @@ class CompletenessService {
 
   /// Callback flavor: `on_complete` is invoked with the decision, on a
   /// worker thread (or inline: with 0 workers, when the submission is made
-  /// from a pool thread, or when it resolves at admission from the cache).
+  /// from a pool thread, or when it resolves at admission from the cache),
+  /// or on the thread of a Decide that ran the coalesced evaluation.
   /// Submissions made from inside a callback execute inline — a worker
   /// parking on work only workers can drain would deadlock the pool — so
   /// callbacks may safely call back into the service.
   void SubmitAsync(ServiceRequest request,
                    std::function<void(Decision)> on_complete);
 
-  /// Streaming submission, pull flavor: the batch plan of SubmitBatch, but
+  /// Streaming submission, pull flavor: admitted like SubmitBatch, but
   /// each decision is published to `stream` as it completes (tagged with
   /// its request index) instead of materializing the whole result vector.
   /// Returns once everything is admitted (the requests are copied, so the
@@ -436,55 +435,55 @@ class CompletenessService {
   using SettingKey = RequestCacheKey;
   using SettingKeyHash = RequestCacheKeyHash;
 
+  /// A decision's delivery channel; invoked exactly once, never under a
+  /// service lock (it may re-enter the service).
+  using Deliver = std::function<void(Decision)>;
+
   /// One coalesced computation in flight: every identical concurrent
-  /// request joins this group instead of recomputing. Members that joined
-  /// at admission (async/stream) carry their own promise or callback and a
-  /// cancellation token; synchronous callers wait on the shared future.
-  /// The group is shed without evaluation only when no sync caller waits
-  /// and every member has cancelled or expired.
+  /// request, whichever front door it came through, joins this group as a
+  /// Member instead of recomputing. Guarded by the owning shard's mutex,
+  /// except the atomic `run_deadline`.
   struct FlightGroup {
     struct Member {
+      /// The member's interest: AnyOf(request.options.cancel, sched.cancel)
+      /// and min(request.options.deadline, sched.deadline).
       sched::CancelToken cancel;
       sched::TimePoint deadline = sched::kNoDeadline;
-      std::shared_ptr<std::promise<Decision>> promise;  // future flavor
-      std::function<void(Decision)> callback;           // callback flavor
       /// Submission time and (when sampled) this member's own trace: each
-      /// waiter's decision is stamped with ITS latency at delivery, and a
-      /// coalesced waiter's trace records the run it joined.
+      /// member's decision is stamped with ITS latency at delivery, and a
+      /// coalesced member's trace records the run it joined.
       sched::TimePoint submit{};
       std::shared_ptr<obs::Trace> trace;
+      Deliver deliver;
     };
-    std::vector<Member> members;  ///< async joiners; an async owner is [0]
-    /// Joint cancellation interest of every participant — async members,
-    /// sync callers (owners, stealers, and joiners), and batch dedup
-    /// composites. The running evaluation polls interest.token() at its
-    /// cooperative checkpoints, so it aborts exactly when every registered
-    /// participant has cancelled; participants without a token pin the
-    /// computation live forever. Membership may grow while the evaluation
-    /// runs (a late joiner re-pins a not-yet-aborted run).
+    std::vector<Member> members;  ///< in admission order; the creator is [0]
+    /// Joint cancellation interest of every member. The running evaluation
+    /// polls interest.token() at its cooperative checkpoints, so it aborts
+    /// exactly when every member has cancelled; members without a token pin
+    /// the computation live forever. Membership may grow while the
+    /// evaluation runs (a late joiner re-pins a not-yet-aborted run).
     sched::CancelGroup interest;
-    /// The run's EXTENDABLE deadline: the latest deadline among every
-    /// participant recorded so far (steady-clock rep; max = none — one
-    /// deadline-less waiter lifts the bound for everyone). The evaluation's
-    /// checkpoints re-read it each poll via SearchOptions::shared_deadline,
-    /// so a waiter joining mid-run extends a running search's deadline the
-    /// same way its token re-pins cancellation. Grows monotonically
-    /// (ExtendRunDeadline); a member cancelling does not shrink it — the
-    /// cancellation side is the CancelGroup's job.
+    /// The run's EXTENDABLE deadline: the latest deadline among the members
+    /// so far (steady-clock rep; max = none — one deadline-less member lifts
+    /// the bound for everyone). The evaluation's checkpoints re-read it each
+    /// poll via SearchOptions::shared_deadline, so a member joining mid-run
+    /// extends a running search's deadline the same way its token re-pins
+    /// cancellation. Grows monotonically (ExtendRunDeadline); a member
+    /// cancelling does not shrink it — that is the CancelGroup's job.
     std::atomic<sched::Clock::rep> run_deadline{
         sched::TimePoint::min().time_since_epoch().count()};
-    /// Set once evaluation is claimed — by the queued owner task, or by a
-    /// synchronous caller that arrived first and "steals" the parked group
-    /// (a sync caller must never block on a task still parked in the
-    /// queue: with every worker blocked that way the pool would deadlock).
-    /// Sync callers therefore only ever wait on `future` of STARTED
-    /// groups, which is why the shed check needs no sync-waiter count.
+    /// The most urgent priority among the members: the owner task's class.
+    sched::Priority priority = sched::Priority::kLow;
+    /// The shard's `restores` when the group was created.
+    uint64_t restores = 0;
+    /// Set once a participant claims the group: its owner task, or a caller
+    /// that must not block on a task still parked in the queue (Decide, or
+    /// any inline submission — with every worker blocked that way the pool
+    /// would deadlock) and so runs the group itself.
     bool started = false;
-    std::promise<Decision> sync_promise;
-    std::shared_ptr<std::shared_future<Decision>> future;
-    /// The trace of whichever participant claimed the evaluation (null for
-    /// an unsampled run). Written under the shard mutex where `started` is
-    /// set; joiners read it there to note which run they piggy-backed on.
+    /// The trace of the member charged with the evaluation (null for an
+    /// unsampled run). Written at claim time; joiners read it under the
+    /// shard mutex to note which run they piggy-backed on.
     std::shared_ptr<obs::Trace> run_trace;
   };
 
@@ -536,40 +535,74 @@ class CompletenessService {
     mutable Mutex mu{LockRank::kShard, "Shard::mu"};
     const std::shared_ptr<cache::ShardCache> cache;
     EngineCounters counters GUARDED_BY(mu);
+    /// LoadCaches calls that restored entries into this live shard.
+    uint64_t restores GUARDED_BY(mu) = 0;
     std::unordered_map<RequestCacheKey, std::shared_ptr<FlightGroup>,
                        RequestCacheKeyHash>
         in_flight GUARDED_BY(mu);
   };
 
-  /// A request resolved to its shard (null when the handle is unknown).
-  struct RoutedRequest {
+  /// What admission hands back to a front door: the flight group the
+  /// request joined or created — null when it was resolved at admission
+  /// (unknown handle, shed, cache hit) and already delivered.
+  struct Ticket {
     std::shared_ptr<Shard> shard;
-    const DecisionRequest* request = nullptr;
-    SettingHandle handle;
-    const sched::SchedParams* sched = nullptr;  ///< null = defaults
+    std::shared_ptr<FlightGroup> group;
+    RequestCacheKey key;
+    bool created = false;  ///< it created the group
   };
 
   std::shared_ptr<Shard> FindShard(SettingHandle handle) const
       EXCLUDES(registry_mu_);
   static Decision UnknownHandleDecision(SettingHandle handle);
 
-  /// Delivers one async member's decision through whichever channel it
-  /// registered (future or completion callback). Must be called outside
-  /// the shard lock — callbacks may re-enter the service.
-  static void ResolveMember(FlightGroup::Member& member, Decision decision);
+  /// The one admission path. Routes the request to `shard` (null = unknown
+  /// handle), charges it, sheds it when its own cancel token or deadline is
+  /// already spent, serves it from the cache, or else joins — creating if
+  /// absent — the shard's flight group for its key as a Member delivering
+  /// through `deliver`. A request resolved here is finished and delivered
+  /// before Admit returns, `deliver` invoked in place (never copied).
+  Ticket Admit(std::shared_ptr<Shard> shard, const ServiceRequest& request,
+               sched::TimePoint submit, Deliver&& deliver);
 
-  /// Cache-through, coalescing evaluation on one shard + counter update,
-  /// honoring `sched` (cancellation/deadline at entry) when given.
-  /// `precomputed` lets the batch planner hand over the cache key it
-  /// already derived; `count_request` is false when the caller already
-  /// charged the request at admission (async paths). `trace`, when
-  /// sampled, receives the cache-lookup / coalesce-join / evaluate /
-  /// cache-store phases (the caller owns admit/queue/finish).
-  Decision DecideOnShard(Shard& shard, const DecisionRequest& request,
-                         const RequestCacheKey* precomputed = nullptr,
-                         const sched::SchedParams* sched = nullptr,
-                         bool count_request = true,
-                         const std::shared_ptr<obs::Trace>& trace = nullptr)
+  /// Admits every request of a batch with members publishing to `stream`
+  /// (finished after the last delivery), then dispatches the batch's
+  /// groups — only once the whole batch is admitted, so duplicates within
+  /// it always collapse into one evaluation. `owner`, when set, keeps
+  /// `requests` alive until every queued owner task ran; without it the
+  /// caller must drain `stream` before `requests` dies.
+  void AdmitBatch(const std::vector<ServiceRequest>& requests,
+                  const std::shared_ptr<const void>& owner,
+                  DecisionStream* stream);
+
+  /// Runs the admitted group's owner task inline — with no workers, or on a
+  /// pool thread, where the caller claims joined parked groups too — or
+  /// queues the creator's owner task at the most urgent priority and the
+  /// latest deadline among the group's members. `keep_alive` pins
+  /// `request` for the queued task.
+  void Dispatch(const Ticket& ticket, const DecisionRequest* request,
+                std::shared_ptr<const void> keep_alive);
+
+  /// The owner-task body: claims the group (returning at once when another
+  /// participant already did), then sheds the group when the queue refused
+  /// it or every member has cancelled or expired, serves a cache entry
+  /// LoadCaches restored since admission, or evaluates `request` under the
+  /// group's joint token and run deadline — and publishes. `request` is
+  /// read only after a successful claim: an unclaimed group has every
+  /// member undelivered, so a batch caller waiting on its members still
+  /// owns the request.
+  void RunOwner(const Ticket& ticket, const DecisionRequest* request,
+                sched::TaskOutcome outcome, std::chrono::microseconds wait);
+
+  /// Delivers a claimed group's `decision` to every member: when
+  /// `evaluated`, first books the run (search stats, errors, a mid-run
+  /// abort's re-filing) and stores a cacheable verdict, atomically with
+  /// retiring the group (a group that never ran retired at claim). The
+  /// `billed` member (counted at claim; none for a shed group) receives
+  /// `decision` as is; every other member reports kCancelled if its own
+  /// token fired, else mirrors a shed/abort, else is a coalesced hit.
+  void Publish(Shard& shard, const Ticket& ticket, const Decision& decision,
+               std::optional<size_t> billed, bool evaluated, const char* kind)
       EXCLUDES(shard.mu);
 
   /// Resolves one new shard's metric instruments (and wires the cache's
@@ -578,12 +611,12 @@ class CompletenessService {
   void InitShardMetrics(Shard& shard, uint64_t handle_id);
 
   /// Charges the per-kind / per-priority admission counters. Called once
-  /// per submitted request (duplicates included) at each entry point.
-  static void CountAdmission(const Shard& shard, const DecisionRequest& request,
-                             const sched::SchedParams* sched);
+  /// per admitted request (duplicates included).
+  static void CountAdmission(const Shard& shard, const ServiceRequest& request);
 
   /// The one delivery choke point: stamps Decision::latency_micros
-  /// (submit → now), records it in the shard's end-to-end histogram and
+  /// (submit → now), releases an admitted request from the in-flight
+  /// gauge, records the latency in the shard's end-to-end histogram and
   /// the shard + service sliding windows, and — when the request carried
   /// a trace — finishes the trace (closing any open phase at the SAME
   /// instant the latency is measured, so span durations sum exactly to
@@ -596,15 +629,6 @@ class CompletenessService {
   void FinishRequest(Shard* shard, const std::shared_ptr<obs::Trace>& trace,
                      sched::TimePoint submit, Decision* decision,
                      const char* kind);
-
-  /// The evaluation-time SearchOptions for one request on `shard`: the
-  /// shard's default step budget (for requests that left max_steps at the
-  /// built-in default), the earliest of the request's own and the
-  /// submission's deadline, and the submission's cancellation token (the
-  /// group composite for scheduled batch work).
-  static SearchOptions EffectiveOptions(const Shard& shard,
-                                        const DecisionRequest& request,
-                                        const sched::SchedParams* sched);
 
   /// The instrumented core of every evaluation: anchors a SearchProfile at
   /// the same instant the trace's "evaluate" phase opens (so profile slice
@@ -625,69 +649,10 @@ class CompletenessService {
   void RecordSearchProfile(const Shard& shard, const DecisionRequest& request,
                            const SearchProfile& profile);
 
-  /// Records one participant's deadline in the group's shared run
-  /// deadline (monotonic max; kNoDeadline lifts it entirely). Called at
-  /// every join/creation/steal site, including while the evaluation runs.
+  /// Records one member's deadline in the group's shared run deadline
+  /// (monotonic max; kNoDeadline lifts it entirely), including while the
+  /// evaluation runs.
   static void ExtendRunDeadline(FlightGroup& group, sched::TimePoint deadline);
-
-  /// Evaluates the group's request on the calling thread and publishes the
-  /// decision to the cache, every member, and all sync waiters. The caller
-  /// has set group->started under shard.mu. `billed_member` is the async
-  /// member charged with the evaluation (its decision is delivered
-  /// unannotated), or kSyncBilled when a synchronous caller owns the miss.
-  /// The evaluation runs under the group's joint cancellation token and
-  /// its extendable run deadline (the latest among all participants,
-  /// re-read at every checkpoint, so late joiners extend it). An aborted
-  /// evaluation reports kDeadlineExceeded / kCancelled to every live
-  /// member, moves the billed miss into the matching abort bucket (plus
-  /// shed_running / aborted_steps), and is never cached.
-  static constexpr size_t kSyncBilled = static_cast<size_t>(-1);
-  Decision EvaluateForGroup(Shard& shard, const DecisionRequest& request,
-                            const RequestCacheKey& key,
-                            const std::shared_ptr<FlightGroup>& group,
-                            size_t billed_member) EXCLUDES(shard.mu);
-
-  /// Sheds a not-yet-started group refused by admission control: members
-  /// report kUnavailable unless individually cancelled. No-op if
-  /// evaluation already started.
-  void ShedGroup(Shard& shard, const RequestCacheKey& key,
-                 const std::shared_ptr<FlightGroup>& group, const char* kind)
-      EXCLUDES(shard.mu);
-
-  /// The queued owner task of an admission-time flight group: records the
-  /// queue wait, then evaluates, serves the group from a cache entry that
-  /// appeared meanwhile, or sheds it when every member cancelled/expired —
-  /// or yields entirely when a synchronous caller stole the evaluation.
-  void RunOwnerTask(const std::shared_ptr<Shard>& shard,
-                    const RequestCacheKey& key,
-                    const std::shared_ptr<FlightGroup>& group,
-                    const DecisionRequest& request,
-                    std::chrono::microseconds wait);
-
-  /// Shared admission core of both SubmitAsync flavors.
-  void SubmitAsyncImpl(ServiceRequest request,
-                       std::shared_ptr<std::promise<Decision>> promise,
-                       std::function<void(Decision)> on_complete);
-
-  /// The shared planning/fan-out core of SubmitBatch and SubmitStream:
-  /// plans dedup over `routed`, schedules one task per distinct request,
-  /// and publishes every slot's decision (duplicates right after their
-  /// primary) to `stream`, finishing it after the last slot. The stream
-  /// must outlive delivery (the caller drains it to completion). A dedup
-  /// group merges its members' sched params — latest deadline, most
-  /// urgent priority, shed only when EVERY member's token is cancelled —
-  /// and individually-cancelled members report kCancelled at delivery.
-  /// `keep_alive` pins whatever owns the routed requests until the last
-  /// task ran (the non-blocking pull flavor passes its private copy).
-  void SubmitRouted(const std::vector<RoutedRequest>& routed,
-                    DecisionStream* stream,
-                    std::shared_ptr<const void> keep_alive = nullptr);
-
-  /// Blocking collect over SubmitRouted — the SubmitBatch backend.
-  std::vector<Decision> CollectRouted(const std::vector<RoutedRequest>& routed);
-
-  std::vector<RoutedRequest> RouteBatch(
-      const std::vector<ServiceRequest>& requests);
 
   void WorkerLoop(int worker_index);
 

@@ -1,11 +1,10 @@
-// The cache lifecycle subsystem: the legacy LruCache template's contract
-// (eviction order, overwrite refresh, zero capacity), the Decision weigher,
-// the byte-weighted segmented ShardCache (scan resistance, frequency-sketch
-// admission), the shared cross-shard CacheBudget (hard byte invariant,
-// coldest-shard-first victims, starvation floors), the versioned snapshot
-// format (round trip, corruption / stale-fingerprint rejection), and the
-// service-level warm start (SaveCaches → restart → RegisterSetting serves
-// yesterday's decision as a hit with zero evaluations).
+// The cache lifecycle subsystem: the Decision weigher, the byte-weighted
+// segmented ShardCache (scan resistance, frequency-sketch admission), the
+// shared cross-shard CacheBudget (hard byte invariant, coldest-shard-first
+// victims, starvation floors), the versioned snapshot format (round trip,
+// corruption / stale-fingerprint rejection), and the service-level warm
+// start (SaveCaches → restart → RegisterSetting serves yesterday's decision
+// as a hit with zero evaluations).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include "cache/persist.h"
 #include "cache/shard_cache.h"
 #include "cache/weigher.h"
-#include "service/lru_cache.h"
 #include "service/service.h"
 #include "test_util.h"
 
@@ -27,50 +25,6 @@ namespace relcomp {
 namespace {
 
 using testing::S;
-
-// ----------------------------------------------------- legacy LruCache --
-
-TEST(LruCacheTest, EvictionOrderIsLeastRecentlyUsed) {
-  LruCache<int, std::string> cache(2);
-  cache.Put(1, "one");
-  cache.Put(2, "two");
-  ASSERT_NE(cache.Get(1), nullptr);  // 1 is now the most recent
-  cache.Put(3, "three");             // evicts 2, the least recent
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.Get(2), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheTest, OverwriteRefreshesRecencyAndReplacesValue) {
-  LruCache<int, std::string> cache(2);
-  cache.Put(1, "one");
-  cache.Put(2, "two");
-  cache.Put(1, "uno");  // overwrite refreshes 1's recency
-  cache.Put(3, "three");  // evicts 2, not the refreshed 1
-  const std::string* one = cache.Get(1);
-  ASSERT_NE(one, nullptr);
-  EXPECT_EQ(*one, "uno");
-  EXPECT_EQ(cache.Get(2), nullptr);
-}
-
-TEST(LruCacheTest, ZeroCapacityStoresNothing) {
-  LruCache<int, int> cache(0);
-  cache.Put(1, 10);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCacheTest, ClearEmptiesTheCache) {
-  LruCache<int, int> cache(4);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  cache.Put(3, 30);  // still usable after Clear
-  EXPECT_NE(cache.Get(3), nullptr);
-}
 
 // --------------------------------------------------------------- weigher --
 
@@ -316,16 +270,17 @@ TEST(CacheBudgetTest, ConcurrentInsertsNeverExceedTheBudget) {
   auto a = MakeBudgeted(&budget, 256, /*floor=*/1024);
   auto b = MakeBudgeted(&budget, 256, /*floor=*/1024);
 
-  // TryCharge admits a reservation only within budget, so BOTH invariants
-  // are hard: charged bytes never exceed the budget, and resident bytes
-  // (≤ charged — every entry is charged before it materializes) never do
-  // either, at any sampled instant.
+  // TryCharge admits a reservation only within budget, under the ledger
+  // lock, so the charged bytes — one atomic — never exceed the budget at
+  // any sampled instant. Resident bytes (≤ charged: every entry is charged
+  // before it materializes) are checked once the floods join: the two
+  // caches' sizes are read under two different locks, so their sum while
+  // the floods run is no consistent snapshot.
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
   std::thread sampler([&] {
     while (!stop.load()) {
       if (budget.used_bytes() > kBudget) violations.fetch_add(1);
-      if (a->bytes() + b->bytes() > kBudget) violations.fetch_add(1);
       std::this_thread::yield();
     }
   });
@@ -492,9 +447,11 @@ uint64_t PartitionSum(const EngineCounters& counters) {
 
 TEST(CacheLifecycleServiceTest, SharedBudgetHoldsAcrossTenantsUnderLoad) {
   // Two witness-heavy tenants over one small shared byte budget, inserting
-  // concurrently: total cached bytes must NEVER exceed the budget, the
-  // coldest shard must pay first, floors must hold, and the request
-  // partition invariant must still balance.
+  // concurrently: total cached bytes stay within the budget, the coldest
+  // shard pays first, floors hold, and the request partition invariant
+  // still balances. The two shards' sizes are read under two different
+  // locks, so their sum is checked once the floods join (the ledger's own
+  // invariant under concurrent inserts is CacheBudgetTest's).
   const size_t kBudget = 24 * 1024;
   const size_t kFloor = 2 * 1024;
   ServiceOptions options;
@@ -523,21 +480,7 @@ TEST(CacheLifecycleServiceTest, SharedBudgetHoldsAcrossTenantsUnderLoad) {
   ASSERT_OK_AND_ASSIGN(stats_a_before, service.CacheStats(handle_a));
   ASSERT_GE(stats_a_before.bytes, kFloor) << "phase 1 must overfill the floor";
 
-  // Phase 2: both tenants insert concurrently while a sampler audits the
-  // budget invariant.
-  std::atomic<bool> stop{false};
-  std::atomic<int> violations{0};
-  std::thread sampler([&] {
-    // No gtest assertions off the main thread: tally violations instead.
-    while (!stop.load()) {
-      Result<cache::CacheStats> sa = service.CacheStats(handle_a);
-      Result<cache::CacheStats> sb = service.CacheStats(handle_b);
-      if (sa.ok() && sb.ok() && sa->bytes + sb->bytes > kBudget) {
-        violations.fetch_add(1);
-      }
-      std::this_thread::yield();
-    }
-  });
+  // Phase 2: both tenants insert concurrently.
   std::thread flood_a([&] {
     for (int i = 6; i < 24; ++i) {
       service.Decide(WitnessRequest(handle_a, schema, i));
@@ -550,9 +493,6 @@ TEST(CacheLifecycleServiceTest, SharedBudgetHoldsAcrossTenantsUnderLoad) {
   });
   flood_a.join();
   flood_b.join();
-  stop.store(true);
-  sampler.join();
-  EXPECT_EQ(violations.load(), 0) << "budget exceeded during the flood";
 
   ASSERT_OK_AND_ASSIGN(stats_a, service.CacheStats(handle_a));
   ASSERT_OK_AND_ASSIGN(stats_b, service.CacheStats(handle_b));
@@ -681,7 +621,7 @@ TEST(CacheLifecycleServiceTest, LoadIntoDisabledCacheCountsNothingApplied) {
   }
   ServiceOptions off;
   off.num_workers = 0;
-  off.memoize = false;
+  off.cache_capacity = 0;
   CompletenessService service(off);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(setting));
   // The image matches a LIVE shard whose cache is disabled: dropped, and
@@ -694,23 +634,7 @@ TEST(CacheLifecycleServiceTest, LoadIntoDisabledCacheCountsNothingApplied) {
 }
 
 TEST(CacheLifecycleServiceTest, ResolvedOptionsReportEffectiveCapacity) {
-  // The doc/behavior mismatch fixed: with memoization off service-wide the
-  // resolved per-shard options report capacity 0 — matching the cache's
-  // actual behavior — instead of echoing an inherited capacity no cache
-  // honors.
-  ServiceOptions options;
-  options.num_workers = 0;
-  options.cache_capacity = 512;
-  options.memoize = false;
-  CompletenessService service(options);
-  ASSERT_OK_AND_ASSIGN(handle,
-                       service.RegisterSetting(MakeWitnessSetting(8)));
-  ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(handle));
-  EXPECT_EQ(resolved.cache_capacity, 0u);
-  ASSERT_OK_AND_ASSIGN(stats, service.CacheStats(handle));
-  EXPECT_EQ(stats.entries, 0u);
-
-  // With memoization on, kInherit resolves to the service default.
+  // kInherit resolves to the service default.
   ServiceOptions on;
   on.num_workers = 0;
   on.cache_capacity = 512;

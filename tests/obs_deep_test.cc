@@ -261,8 +261,11 @@ TEST(HistogramEdgeTest, OverflowBucketQuantilesStayFinite) {
 
 TEST(HistogramEdgeTest, MergeUnderConcurrentRecordingKeepsInvariants) {
   // Writers hammer a live histogram (including racing max updates) while
-  // a reader repeatedly snapshots and merges; every merged view must obey
-  // count == sum(buckets) and max >= the largest completed record.
+  // a reader repeatedly snapshots and merges: merging must add counts and
+  // keep the max. A snapshot taken while writers run is no consistent cut
+  // (it reads the buckets before `count`, so records finishing in between
+  // skew the two either way); count == sum(buckets) is checked once the
+  // writers have joined.
   obs::Histogram live;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -283,13 +286,6 @@ TEST(HistogramEdgeTest, MergeUnderConcurrentRecordingKeepsInvariants) {
   HistogramData merged;
   for (int i = 0; i < 200; ++i) {
     HistogramData snap = live.Snapshot();
-    uint64_t bucket_total = 0;
-    for (uint64_t b : snap.buckets) bucket_total += b;
-    // Racing writers bump buckets before count, so a snapshot may observe
-    // slightly more bucket increments than counted records — never fewer
-    // by more than the writers in flight.
-    EXPECT_LE(snap.count, bucket_total);
-    EXPECT_LE(bucket_total - snap.count, 8u);
     merged = HistogramData{};
     merged.Merge(snap).Merge(snap);
     EXPECT_EQ(merged.count, 2 * snap.count);
@@ -298,6 +294,9 @@ TEST(HistogramEdgeTest, MergeUnderConcurrentRecordingKeepsInvariants) {
   stop.store(true);
   for (std::thread& w : writers) w.join();
   const HistogramData final_snap = live.Snapshot();
+  uint64_t bucket_total = 0;
+  for (uint64_t b : final_snap.buckets) bucket_total += b;
+  EXPECT_EQ(final_snap.count, bucket_total);
   EXPECT_GT(final_snap.count, 0u);
   EXPECT_GE(final_snap.max, uint64_t{1} << 40);
 }
@@ -488,7 +487,7 @@ TEST(ServiceObsDeepTest, DumpMetricsReportsWindowedRatesAndRecentLatency) {
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 
   for (int i = 0; i < 3; ++i) {
-    service.Decide(handle, slow.Request());
+    service.Decide({handle, slow.Request()});
   }
 
   const std::string prom = service.DumpMetrics(obs::DumpFormat::kPrometheus);
@@ -518,7 +517,7 @@ TEST(ServiceObsDeepTest, SearchStepMetricsAttributePerLoop) {
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
   DecisionRequest request = slow.Request();
   request.options.max_steps = 100'000;
-  service.Decide(handle, request);
+  service.Decide({handle, request});
 
   const std::string prom = service.DumpMetrics(obs::DumpFormat::kPrometheus);
   EXPECT_NE(prom.find("relcomp_search_steps_total{"), std::string::npos)
@@ -617,7 +616,7 @@ TEST(ServiceObsDeepTest, ObsReportShowsVitalsAndRecorderSamples) {
   options.recorder_interval_ms = 5;
   CompletenessService service(options);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
-  service.Decide(handle, slow.Request());
+  service.Decide({handle, slow.Request()});
 
   // The sampler thread ticks every 5ms; wait (bounded) for a sample.
   const auto deadline = Clock::now() + std::chrono::seconds(5);

@@ -590,7 +590,6 @@ ServiceOptions ObsOptions(size_t workers, uint64_t trace_sample,
   ServiceOptions options;
   options.num_workers = workers;
   options.cache_capacity = 64;
-  options.memoize = true;
   options.trace_sample = trace_sample;
   options.slow_log = slow_log;
   return options;
@@ -617,15 +616,15 @@ TEST(ServiceObsTest, TracedBatchTimelineAccountsForLatencyExactly) {
                                          /*slow_log=*/8));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
-  std::vector<DecisionRequest> requests;
+  std::vector<ServiceRequest> requests;
   for (const Query* q : {&fx.by_patient, &fx.all_cities}) {
     DecisionRequest request;
     request.kind = ProblemKind::kRcdpStrong;
     request.query = *q;
     request.cinstance = fx.audited;
-    requests.push_back(std::move(request));
+    requests.push_back(ServiceRequest{handle, std::move(request)});
   }
-  const std::vector<Decision> decisions = service.SubmitBatch(handle, requests);
+  const std::vector<Decision> decisions = service.SubmitBatch(requests);
   ASSERT_EQ(decisions.size(), 2u);
   for (const Decision& decision : decisions) EXPECT_OK(decision.status);
 
@@ -667,7 +666,7 @@ TEST(ServiceObsTest, TracedBatchTimelineAccountsForLatencyExactly) {
 
   // Resubmitting the same batch hits the cache; the hit's trace shows the
   // lookup outcome and never reaches an evaluate phase.
-  const std::vector<Decision> again = service.SubmitBatch(handle, requests);
+  const std::vector<Decision> again = service.SubmitBatch(requests);
   for (const Decision& decision : again) EXPECT_TRUE(decision.from_cache);
   bool saw_hit_trace = false;
   for (const auto& entry : service.SlowDecisions()) {
@@ -690,15 +689,16 @@ TEST(ServiceObsTest, DumpMetricsExposesPerTenantLatencyAndOutcomes) {
   ASSERT_OK_AND_ASSIGN(handle_b, service.RegisterSetting(fx_b.setting));
 
   for (const AuditFixture* fx : {&fx_a, &fx_b}) {
-    std::vector<DecisionRequest> requests;
+    std::vector<ServiceRequest> requests;
     for (const Query* q : {&fx->by_patient, &fx->all_cities}) {
       DecisionRequest request;
       request.kind = ProblemKind::kRcdpStrong;
       request.query = *q;
       request.cinstance = fx->audited;
-      requests.push_back(std::move(request));
+      requests.push_back(ServiceRequest{fx == &fx_a ? handle_a : handle_b,
+                                        std::move(request)});
     }
-    service.SubmitBatch(fx == &fx_a ? handle_a : handle_b, requests);
+    service.SubmitBatch(requests);
   }
 
   const std::string prom = service.DumpMetrics();
@@ -749,7 +749,7 @@ TEST(ServiceObsTest, MetricsOffStillServesDerivedCounters) {
   request.kind = ProblemKind::kRcdpStrong;
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
-  service.SubmitBatch(handle, {request});
+  service.SubmitBatch({{handle, request}});
 
   const std::string prom = service.DumpMetrics();
   // Registry families are dark, but the EngineCounters-derived rows (the
@@ -769,7 +769,6 @@ TEST(ServiceObsTest, CoalescedWaiterTraceRecordsTheJoin) {
   SlowFixture slow = MakeSlowFixture(/*master_rows=*/6, /*vars=*/4);
   ServiceOptions options = ObsOptions(/*workers=*/1, /*trace_sample=*/1,
                                       /*slow_log=*/16);
-  options.coalesce = true;
   CompletenessService service(options);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 

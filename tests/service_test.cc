@@ -1,8 +1,10 @@
 // CompletenessService: multi-setting registration / dedup / release,
-// interleaved cross-setting batches vs independent engines, async futures
+// interleaved cross-setting batches vs direct evaluation, async futures
 // and completion callbacks vs the synchronous path, dedup-aware batch
-// coalescing (exactly one miss), and witness propagation through the
-// service on the known-incomplete Fig. 1 acquisition instance.
+// coalescing (exactly one miss), request-level cancellation and deadlines
+// as per-member interest, cache behavior and counters, and witness
+// propagation through the service on the known-incomplete Fig. 1
+// acquisition instance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "core/rcdp.h"
-#include "engine/engine.h"
 #include "reductions/examples_fig1.h"
 #include "service/service.h"
 #include "test_util.h"
@@ -42,14 +43,35 @@ std::vector<DecisionRequest> AuditWorkload(const AuditFixture& fx) {
   return requests;
 }
 
-ServiceOptions MakeOptions(size_t workers, size_t cache,
-                           bool coalesce = true) {
+ServiceOptions MakeOptions(size_t workers, size_t cache) {
   ServiceOptions options;
   options.num_workers = workers;
   options.cache_capacity = cache;
-  options.memoize = cache > 0;
-  options.coalesce = coalesce;
   return options;
+}
+
+/// `requests`, all routed to `handle`.
+std::vector<ServiceRequest> Routed(
+    SettingHandle handle, const std::vector<DecisionRequest>& requests) {
+  std::vector<ServiceRequest> routed;
+  for (const DecisionRequest& request : requests) {
+    routed.push_back(ServiceRequest{handle, request});
+  }
+  return routed;
+}
+
+/// The reference verdicts: every request evaluated directly against the
+/// prepared setting, with no service in between.
+std::vector<Decision> EvaluateDirectly(
+    const PartiallyClosedSetting& setting,
+    const std::vector<DecisionRequest>& requests) {
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(setting);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  std::vector<Decision> decisions;
+  for (const DecisionRequest& request : requests) {
+    decisions.push_back(EvaluateRequest(request, *prepared));
+  }
+  return decisions;
 }
 
 void ExpectSameDecisions(const std::vector<Decision>& a,
@@ -71,22 +93,9 @@ TEST(ServiceTest, InterleavedBatchesMatchIndependentEngines) {
   std::vector<DecisionRequest> workload_a = AuditWorkload(fx_a);
   std::vector<DecisionRequest> workload_b = AuditWorkload(fx_b);
 
-  // Reference: one independent engine per setting, computed inline.
-  EngineOptions engine_options;
-  engine_options.num_workers = 0;
-  engine_options.cache_capacity = 0;
-  engine_options.memoize = false;
-  ASSERT_OK_AND_ASSIGN(engine_a,
-                       CompletenessEngine::Create(fx_a.setting, engine_options));
-  ASSERT_OK_AND_ASSIGN(engine_b,
-                       CompletenessEngine::Create(fx_b.setting, engine_options));
-  std::vector<Decision> expected_a, expected_b;
-  for (const DecisionRequest& request : workload_a) {
-    expected_a.push_back(engine_a->Decide(request));
-  }
-  for (const DecisionRequest& request : workload_b) {
-    expected_b.push_back(engine_b->Decide(request));
-  }
+  // Reference: each setting's workload evaluated directly.
+  std::vector<Decision> expected_a = EvaluateDirectly(fx_a.setting, workload_a);
+  std::vector<Decision> expected_b = EvaluateDirectly(fx_b.setting, workload_b);
 
   // One service hosting both settings; the two workloads interleaved
   // request by request in a single batch.
@@ -145,9 +154,9 @@ TEST(ServiceTest, RegisteringIdenticalSettingReturnsSameHandle) {
   request.kind = ProblemKind::kRcdpStrong;
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
-  Decision miss = service.Decide(first, request);
+  Decision miss = service.Decide({first, request});
   ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
-  Decision hit = service.Decide(second, request);
+  Decision hit = service.Decide({second, request});
   EXPECT_TRUE(hit.from_cache);
 }
 
@@ -164,13 +173,13 @@ TEST(ServiceTest, ReleaseSettingRefcountsAndEvicts) {
   DecisionRequest request;
   request.kind = ProblemKind::kRcqpWeak;
   request.query = fx.by_patient;
-  EXPECT_TRUE(service.Decide(handle, request).status.ok());
+  EXPECT_TRUE(service.Decide({handle, request}).status.ok());
 
   // The second release evicts; the handle goes dark, errors are graceful.
   EXPECT_OK(service.ReleaseSetting(handle));
   EXPECT_EQ(service.num_settings(), 0u);
   EXPECT_EQ(service.ReleaseSetting(handle).code(), StatusCode::kNotFound);
-  Decision gone = service.Decide(handle, request);
+  Decision gone = service.Decide({handle, request});
   EXPECT_EQ(gone.status.code(), StatusCode::kNotFound);
   EXPECT_FALSE(service.counters(handle).ok());
 
@@ -184,7 +193,7 @@ TEST(ServiceTest, InvalidHandleYieldsErrorDecisions) {
   SettingHandle bogus{42};
   DecisionRequest request;
 
-  EXPECT_EQ(service.Decide(bogus, request).status.code(),
+  EXPECT_EQ(service.Decide({bogus, request}).status.code(),
             StatusCode::kNotFound);
   std::vector<Decision> batch =
       service.SubmitBatch({ServiceRequest{bogus, request},
@@ -204,8 +213,8 @@ TEST(ServiceTest, AsyncFuturesMatchSynchronousBatch) {
     CompletenessService service(MakeOptions(workers, /*cache=*/256));
     ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
-    // Submit everything async first, then the same workload synchronously
-    // on a second, cacheless service as the reference.
+    // Submit everything async first, then compare with the workload
+    // evaluated directly.
     std::vector<std::future<Decision>> futures;
     futures.reserve(workload.size());
     for (const DecisionRequest& request : workload) {
@@ -217,12 +226,8 @@ TEST(ServiceTest, AsyncFuturesMatchSynchronousBatch) {
       async_decisions.push_back(future.get());
     }
 
-    CompletenessService reference(MakeOptions(/*workers=*/0, /*cache=*/0,
-                                              /*coalesce=*/false));
-    ASSERT_OK_AND_ASSIGN(ref_handle, reference.RegisterSetting(fx.setting));
-    std::vector<Decision> sync_decisions =
-        reference.SubmitBatch(ref_handle, workload);
-    ExpectSameDecisions(sync_decisions, async_decisions);
+    ExpectSameDecisions(EvaluateDirectly(fx.setting, workload),
+                        async_decisions);
   }
 }
 
@@ -243,7 +248,7 @@ TEST(ServiceTest, AsyncCompletionCallbackDelivers) {
                       });
   Decision decision = delivered.get_future().get();
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
-  EXPECT_EQ(decision.answer, service.Decide(handle, request).answer);
+  EXPECT_EQ(decision.answer, service.Decide({handle, request}).answer);
 }
 
 TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
@@ -265,7 +270,8 @@ TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
   service.SubmitAsync(
       ServiceRequest{handle, first},
       [&service, &done, handle, second](Decision outer) {
-        std::vector<Decision> nested = service.SubmitBatch(handle, {second});
+        std::vector<Decision> nested =
+            service.SubmitBatch({ServiceRequest{handle, second}});
         done.set_value({std::move(outer), std::move(nested[0])});
       });
   std::future<std::pair<Decision, Decision>> future = done.get_future();
@@ -275,7 +281,7 @@ TEST(ServiceTest, ReentrantSubmissionFromCallbackDoesNotDeadlock) {
   auto [outer, nested] = future.get();
   ASSERT_TRUE(outer.status.ok()) << outer.status.ToString();
   ASSERT_TRUE(nested.status.ok()) << nested.status.ToString();
-  EXPECT_EQ(nested.answer, service.Decide(handle, second).answer);
+  EXPECT_EQ(nested.answer, service.Decide({handle, second}).answer);
 }
 
 TEST(ServiceTest, CoalescedDuplicateBatchRecordsOneMiss) {
@@ -289,8 +295,8 @@ TEST(ServiceTest, CoalescedDuplicateBatchRecordsOneMiss) {
     CompletenessService service(MakeOptions(workers, /*cache=*/64));
     ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
-    std::vector<DecisionRequest> batch(8, request);
-    std::vector<Decision> decisions = service.SubmitBatch(handle, batch);
+    std::vector<ServiceRequest> batch(8, ServiceRequest{handle, request});
+    std::vector<Decision> decisions = service.SubmitBatch(batch);
     ASSERT_EQ(decisions.size(), 8u);
     size_t coalesced = 0;
     for (size_t i = 0; i < decisions.size(); ++i) {
@@ -322,7 +328,7 @@ TEST(ServiceTest, CoalescingWorksWithMemoizationDisabled) {
   CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/0));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
   std::vector<Decision> decisions =
-      service.SubmitBatch(handle, std::vector<DecisionRequest>(4, request));
+      service.SubmitBatch(std::vector<ServiceRequest>(4, {handle, request}));
   ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
   // No LRU, but batch dedup still collapses the four to one computation.
   EXPECT_EQ(counters.cache_misses, 1u);
@@ -345,7 +351,7 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
   request.cinstance = CInstance::FromInstance(fx.ground);
   request.want_witness = true;
 
-  Decision decision = service.Decide(handle, request);
+  Decision decision = service.Decide({handle, request});
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
   EXPECT_FALSE(decision.answer);
   ASSERT_NE(decision.witness, nullptr);
@@ -360,14 +366,14 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
   EXPECT_EQ(decision.witness->note, direct.note);
 
   // Cached replays keep carrying the witness.
-  Decision cached = service.Decide(handle, request);
+  Decision cached = service.Decide({handle, request});
   EXPECT_TRUE(cached.from_cache);
   ASSERT_NE(cached.witness, nullptr);
   EXPECT_EQ(cached.witness->note, direct.note);
 
   // Witness-less runs are keyed separately and stay lean.
   request.want_witness = false;
-  Decision lean = service.Decide(handle, request);
+  Decision lean = service.Decide({handle, request});
   EXPECT_FALSE(lean.from_cache);
   EXPECT_EQ(lean.witness, nullptr);
 }
@@ -382,7 +388,7 @@ TEST(ServiceTest, ViableWitnessReportsCompleteWorld) {
   request.query = fx.by_patient;
   request.cinstance = fx.audited;
   request.want_witness = true;
-  Decision decision = service.Decide(handle, request);
+  Decision decision = service.Decide({handle, request});
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
   if (decision.answer) {
     ASSERT_NE(decision.witness, nullptr);
@@ -456,8 +462,8 @@ TEST(ServiceTest, PerSettingCacheCapacityOverride) {
     // first, second, first, second: with capacity 1 every access evicts
     // the other entry — four misses; with room for both, two hits.
     for (int round = 0; round < 2; ++round) {
-      service.Decide(handle, first);
-      service.Decide(handle, second);
+      service.Decide({handle, first});
+      service.Decide({handle, second});
     }
   };
   alternate(tiny_fx, tiny);
@@ -487,11 +493,11 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
   std::vector<DecisionRequest> workload_b = AuditWorkload(fx_b);
 
   // Sync + batch with duplicates.
-  service.Decide(handle_a, workload_a[0]);
-  std::vector<DecisionRequest> dup_batch = workload_a;
-  dup_batch.push_back(workload_a[0]);
-  dup_batch.push_back(workload_a[0]);
-  service.SubmitBatch(handle_a, dup_batch);
+  service.Decide({handle_a, workload_a[0]});
+  std::vector<ServiceRequest> dup_batch = Routed(handle_a, workload_a);
+  dup_batch.push_back(ServiceRequest{handle_a, workload_a[0]});
+  dup_batch.push_back(ServiceRequest{handle_a, workload_a[0]});
+  service.SubmitBatch(dup_batch);
 
   // Async futures on the other shard.
   std::vector<std::future<Decision>> futures;
@@ -553,10 +559,10 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   ASSERT_OK_AND_ASSIGN(plain, service.RegisterSetting(fx.setting));
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
-  Decision exhausted = service.Decide(plain, tiny);
+  Decision exhausted = service.Decide({plain, tiny});
   EXPECT_EQ(exhausted.status.code(), StatusCode::kResourceExhausted)
       << exhausted.status.ToString();
-  EXPECT_TRUE(service.Decide(plain, fx.Request()).status.ok());
+  EXPECT_TRUE(service.Decide({plain, fx.Request()}).status.ok());
 
   // Per shard: requests that leave max_steps at the built-in default
   // inherit the shard's default; an explicit per-request budget wins.
@@ -568,12 +574,12 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   ASSERT_OK_AND_ASSIGN(shard, service.RegisterSetting(fx_b.setting, starved));
   ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(shard));
   EXPECT_EQ(resolved.max_steps, 1u);
-  Decision shard_limited = service.Decide(shard, fx_b.Request());
+  Decision shard_limited = service.Decide({shard, fx_b.Request()});
   EXPECT_EQ(shard_limited.status.code(), StatusCode::kResourceExhausted)
       << "ShardOptions::max_steps never reached the decider";
   DecisionRequest explicit_budget = fx_b.Request();
   explicit_budget.options.max_steps = 500'000;
-  Decision roomy = service.Decide(shard, explicit_budget);
+  Decision roomy = service.Decide({shard, explicit_budget});
   EXPECT_TRUE(roomy.status.ok())
       << "an explicit per-request budget must override the shard default: "
       << roomy.status.ToString();
@@ -591,8 +597,8 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
 
-  Decision first = service.Decide(handle, tiny);
-  Decision second = service.Decide(handle, tiny);
+  Decision first = service.Decide({handle, tiny});
+  Decision second = service.Decide({handle, tiny});
   EXPECT_EQ(first.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(second.status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(first.from_cache);
@@ -613,18 +619,17 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   // caches normally afterwards.
   DecisionRequest roomy = tiny;
   roomy.options.max_steps = SearchOptions::kDefaultMaxSteps;
-  EXPECT_TRUE(service.Decide(handle, roomy).status.ok());
-  EXPECT_TRUE(service.Decide(handle, roomy).from_cache);
+  EXPECT_TRUE(service.Decide({handle, roomy}).status.ok());
+  EXPECT_TRUE(service.Decide({handle, roomy}).from_cache);
 }
 
 TEST(ServiceTest, RequestLevelCancelTokenSurvivesSchedMerge) {
-  // A DecisionRequest's own options.cancel must keep working on the
-  // non-coalesced path even when the submission also carries a (live)
-  // sched token — the two merge either-cancels, not last-writer-wins.
+  // A DecisionRequest's own options.cancel must keep working even when the
+  // submission also carries a (live) sched token — the two merge
+  // either-cancels, not last-writer-wins.
   testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
                                                      /*vars=*/3);
-  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0,
-                                          /*coalesce=*/false));
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
   sched::CancelSource poisoned;
@@ -647,32 +652,326 @@ TEST(ServiceTest, RequestLevelCancelTokenSurvivesSchedMerge) {
                 counters.expired + counters.cancelled);
 }
 
-TEST(ServiceTest, EngineAdapterMatchesService) {
-  // The deprecated single-setting engine is a shim over the service: same
-  // answers, same counters semantics.
+TEST(ServiceTest, CancelledRequestTokenShedsOnEveryFrontDoor) {
+  // A request's own already-cancelled options.cancel is its interest: it is
+  // shed at admission, with default options, whichever call submits it.
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  sched::CancelSource source;
+  source.Cancel();
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+  request.options.cancel = source.token();
+
+  EXPECT_EQ(service.Decide({handle, request}).status.code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(service.SubmitAsync({handle, request}).get().status.code(),
+            StatusCode::kCancelled);
+  std::vector<Decision> batch = service.SubmitBatch({{handle, request}});
+  EXPECT_EQ(batch[0].status.code(), StatusCode::kCancelled);
+
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.cancelled, 3u);
+  EXPECT_EQ(counters.cache_misses, 0u) << "a cancelled request was evaluated";
+}
+
+TEST(ServiceTest, RequestDeadlineBoundsOnlyItsOwnMember) {
+  // Two identical requests in one batch share one run; the one whose own
+  // options.deadline already passed is shed alone, and the deadline-less
+  // one still gets its verdict.
+  AuditFixture fx = MakeAuditFixture();
+  for (size_t workers : {0u, 2u}) {
+    CompletenessService service(MakeOptions(workers, /*cache=*/64));
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+    DecisionRequest open;
+    open.kind = ProblemKind::kRcdpStrong;
+    open.query = fx.by_patient;
+    open.cinstance = fx.audited;
+    DecisionRequest late = open;
+    late.options.deadline =
+        sched::Clock::now() - std::chrono::milliseconds(1);
+
+    std::vector<Decision> decisions =
+        service.SubmitBatch({{handle, late}, {handle, open}});
+    ASSERT_EQ(decisions.size(), 2u);
+    EXPECT_EQ(decisions[0].status.code(), StatusCode::kDeadlineExceeded)
+        << decisions[0].status.ToString();
+    ASSERT_TRUE(decisions[1].status.ok()) << decisions[1].status.ToString();
+    EXPECT_EQ(decisions[1].answer,
+              EvaluateDirectly(fx.setting, {open})[0].answer);
+
+    ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+    EXPECT_EQ(counters.expired, 1u);
+    EXPECT_EQ(counters.cache_misses, 1u);
+  }
+}
+
+TEST(ServiceTest, BatchAgreesWithDirectDeciderCalls) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/4, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest strong;
+  strong.kind = ProblemKind::kRcdpStrong;
+  strong.query = fx.by_patient;
+  strong.cinstance = fx.audited;
+  DecisionRequest weak = strong;
+  weak.kind = ProblemKind::kRcdpWeak;
+  weak.query = fx.all_cities;
+  std::vector<Decision> decisions =
+      service.SubmitBatch({{handle, strong}, {handle, weak}});
+
+  ASSERT_OK_AND_ASSIGN(direct_strong,
+                       RcdpStrong(fx.by_patient, fx.audited, fx.setting));
+  ASSERT_OK_AND_ASSIGN(direct_weak,
+                       RcdpWeak(fx.all_cities, fx.audited, fx.setting));
+  ASSERT_TRUE(decisions[0].status.ok()) << decisions[0].status.ToString();
+  ASSERT_TRUE(decisions[1].status.ok()) << decisions[1].status.ToString();
+  EXPECT_EQ(decisions[0].answer, direct_strong);
+  EXPECT_EQ(decisions[1].answer, direct_weak);
+}
+
+TEST(ServiceTest, RepeatedQueriesHitTheCache) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+
+  Decision first = service.Decide({handle, request});
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.from_cache);
+  Decision second = service.Decide({handle, request});
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(second.answer, first.answer);
+
+  // ClearCache drops the memoized result: the next request recomputes.
+  EXPECT_OK(service.ClearCache(handle));
+  Decision after_clear = service.Decide({handle, request});
+  EXPECT_FALSE(after_clear.from_cache);
+  EXPECT_EQ(after_clear.answer, first.answer);
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.cache_hits, 1u);
+  EXPECT_EQ(counters.cache_misses, 2u);
+}
+
+TEST(ServiceTest, DeterministicAcrossWorkerCounts) {
   AuditFixture fx = MakeAuditFixture();
   std::vector<DecisionRequest> workload = AuditWorkload(fx);
+  // Duplicate the workload so races between identical requests are
+  // exercised too.
+  std::vector<DecisionRequest> doubled = workload;
+  doubled.insert(doubled.end(), workload.begin(), workload.end());
 
-  EngineOptions engine_options;
-  engine_options.num_workers = 2;
-  engine_options.cache_capacity = 128;
-  ASSERT_OK_AND_ASSIGN(engine,
-                       CompletenessEngine::Create(fx.setting, engine_options));
-  std::vector<Decision> via_engine = engine->SubmitBatch(workload);
-
-  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/128));
-  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
-  std::vector<Decision> via_service = service.SubmitBatch(handle, workload);
-  ExpectSameDecisions(via_engine, via_service);
-
-  // The adapter exposes its backing registration.
-  EXPECT_TRUE(engine->handle().valid());
-  EXPECT_EQ(engine->service().num_settings(), 1u);
-  Decision async = engine->SubmitAsync(workload[0]).get();
-  EXPECT_EQ(async.status.code(), via_engine[0].status.code());
-  if (async.status.ok()) {
-    EXPECT_EQ(async.answer, via_engine[0].answer);
+  std::vector<Decision> with_one;
+  for (size_t workers : {1u, 4u, 8u}) {
+    CompletenessService service(MakeOptions(workers, /*cache=*/128));
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+    std::vector<Decision> decisions =
+        service.SubmitBatch(Routed(handle, doubled));
+    if (workers == 1) {
+      with_one = decisions;
+    } else {
+      ExpectSameDecisions(with_one, decisions);
+    }
   }
+}
+
+TEST(ServiceTest, RcqpKindsShareVerdictAcrossInstances) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest with_table;
+  with_table.kind = ProblemKind::kRcqpWeak;
+  with_table.query = fx.by_patient;
+  with_table.cinstance = fx.audited;
+  DecisionRequest with_empty = with_table;
+  with_empty.cinstance = CInstance(fx.setting.schema);
+
+  // RCQP quantifies over all instances, so the audited instance is not part
+  // of the memoization key.
+  ASSERT_OK_AND_ASSIGN(table_key,
+                       service.FingerprintRequest(handle, with_table));
+  ASSERT_OK_AND_ASSIGN(empty_key,
+                       service.FingerprintRequest(handle, with_empty));
+  EXPECT_EQ(table_key, empty_key);
+  Decision first = service.Decide({handle, with_table});
+  Decision second = service.Decide({handle, with_empty});
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_TRUE(first.answer);  // Theorem 5.4: monotone ⇒ always true
+  EXPECT_TRUE(second.from_cache);
+}
+
+TEST(ServiceTest, UndecidableKindsReportErrorsInCounters) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/2, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  // An FO query with negation: RCDP weak is undecidable (Theorem 5.1).
+  FoPtr formula = FoFormula::Not(FoFormula::Atom(
+      RelAtom{"Visit", {CTerm(VarId{0}), CTerm(VarId{1})}}));
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpWeak;
+  request.query = Query::Fo(FoQuery({VarId{0}}, std::move(formula)));
+  request.cinstance = fx.audited;
+
+  Decision decision = service.Decide({handle, request});
+  EXPECT_EQ(decision.status.code(), StatusCode::kUndecidable);
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.errors, 1u);
+}
+
+TEST(ServiceTest, ProblemKindNamesRoundTrip) {
+  EXPECT_EQ(AllProblemKinds().size(), 8u);
+  for (ProblemKind kind : AllProblemKinds()) {
+    ASSERT_OK_AND_ASSIGN(parsed, ParseProblemKind(ProblemKindName(kind)));
+    EXPECT_EQ(parsed, kind);
+  }
+  Result<ProblemKind> bogus = ParseProblemKind("rcdp-bogus");
+  ASSERT_FALSE(bogus.ok());
+  // The error names every valid kind, so CLI users see their options.
+  for (ProblemKind kind : AllProblemKinds()) {
+    EXPECT_NE(bogus.status().message().find(ProblemKindName(kind)),
+              std::string::npos)
+        << bogus.status().message();
+  }
+}
+
+TEST(ServiceTest, AdmissionFilterAtCapacityOneProtectsTheHotEntry) {
+  // The shard cache's frequency-sketch admission at capacity 1: a ONE-SHOT
+  // candidate does not flush a hot resident entry — it must first be seen
+  // as often as the victim it would displace.
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/1));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+  auto decide = [&](const DecisionRequest& request) {
+    return service.Decide({handle, request});
+  };
+
+  DecisionRequest a;
+  a.kind = ProblemKind::kRcdpStrong;
+  a.query = fx.by_patient;
+  a.cinstance = fx.audited;
+  DecisionRequest b = a;
+  b.query = fx.all_cities;
+
+  EXPECT_FALSE(decide(a).from_cache);  // miss: cache = {A}
+  EXPECT_TRUE(decide(a).from_cache);   // hit: A is now hot
+  // B computes but is refused admission: it has been seen less often than
+  // the resident A it would evict.
+  EXPECT_FALSE(decide(b).from_cache);  // miss; not cached
+  EXPECT_TRUE(decide(a).from_cache);   // A survived the one-shot B
+  // A second B matches A's frequency: admitted, displacing A.
+  EXPECT_FALSE(decide(b).from_cache);  // miss: evicts A, cache = {B}
+  EXPECT_TRUE(decide(b).from_cache);   // hit
+  EXPECT_FALSE(decide(a).from_cache);  // miss: A was evicted
+
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 7u);
+  EXPECT_EQ(counters.cache_hits, 3u);
+  EXPECT_EQ(counters.cache_misses, 4u);
+  EXPECT_EQ(counters.admission_rejects, 1u);  // B's refused first insert
+  EXPECT_GE(counters.evictions, 1u);          // A displaced by the hot B
+  EXPECT_GT(counters.cache_bytes, 0u);
+
+  // ClearCache drops the memoized results but preserves the counters.
+  EXPECT_OK(service.ClearCache(handle));
+  EXPECT_FALSE(decide(a).from_cache);
+  ASSERT_OK_AND_ASSIGN(after, service.counters(handle));
+  EXPECT_EQ(after.requests, 8u);
+  EXPECT_EQ(after.cache_hits, 3u);
+  EXPECT_EQ(after.cache_misses, 5u);
+}
+
+TEST(ServiceTest, CapacityZeroNeverHitsAndStillCountsWork) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+  EXPECT_OK(service.ClearCache(handle));  // no-op with no cache, stays safe
+  EXPECT_FALSE(service.Decide({handle, request}).from_cache);
+
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.requests, 3u);
+  EXPECT_EQ(counters.cache_hits, 0u);
+  // Misses count real evaluations even with memoization off.
+  EXPECT_EQ(counters.cache_misses, 3u);
+}
+
+TEST(ServiceTest, WitnessRunsAreKeyedSeparately) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest lean;
+  lean.kind = ProblemKind::kRcdpStrong;
+  lean.query = fx.by_patient;
+  lean.cinstance = fx.audited;
+  DecisionRequest with = lean;
+  with.want_witness = true;
+  ASSERT_OK_AND_ASSIGN(lean_key, service.FingerprintRequest(handle, lean));
+  ASSERT_OK_AND_ASSIGN(with_key, service.FingerprintRequest(handle, with));
+  EXPECT_NE(lean_key, with_key);
+}
+
+TEST(ServiceTest, SearchStatsMergeAccumulatesFieldWise) {
+  SearchStats a;
+  a.valuations = 1;
+  a.worlds = 2;
+  a.extensions = 3;
+  a.cc_checks = 4;
+  a.query_evals = 5;
+  SearchStats b = a;
+  b.Merge(a);
+  EXPECT_EQ(b.valuations, 2u);
+  EXPECT_EQ(b.worlds, 4u);
+  EXPECT_EQ(b.extensions, 6u);
+  EXPECT_EQ(b.cc_checks, 8u);
+  EXPECT_EQ(b.query_evals, 10u);
+  b += a;
+  EXPECT_EQ(b.valuations, 3u);
+  EXPECT_EQ(b.query_evals, 15u);
+}
+
+TEST(ServiceTest, CountersAggregatePerRequestStats) {
+  AuditFixture fx = MakeAuditFixture();
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+  Decision first = service.Decide({handle, request});
+  Decision second = service.Decide({handle, request});
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_TRUE(second.status.ok());
+
+  // With memoization off both runs do real work; the shard counters are
+  // the field-wise sum of the per-request stats.
+  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
+  EXPECT_EQ(counters.search.valuations,
+            first.stats.valuations + second.stats.valuations);
+  EXPECT_EQ(counters.search.query_evals,
+            first.stats.query_evals + second.stats.query_evals);
+  EXPECT_GT(counters.search.valuations, 0u);
 }
 
 }  // namespace

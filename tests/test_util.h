@@ -35,7 +35,7 @@ inline PartiallyClosedSetting OpenSetting(DatabaseSchema schema) {
   return setting;
 }
 
-/// A narrow MDM-audit fixture shared by the engine and service tests:
+/// A narrow MDM-audit fixture shared by the service-level tests:
 /// IND-bounded visits over a 4-patient master, where every problem kind —
 /// including RCQP strong and the weak models — is cheap. `city_offset`
 /// varies the finite city domain so two fixtures give

@@ -503,7 +503,6 @@ int main(int argc, char** argv) {
   service_options.num_workers = cli.workers;
   service_options.cache_capacity = cli.cache;
   service_options.cache_budget_bytes = cli.cache_budget_bytes;
-  service_options.memoize = cli.cache > 0;
   service_options.policy = cli.policy;
   service_options.overload = cli.overload;
   service_options.default_max_queue = cli.default_max_queue;

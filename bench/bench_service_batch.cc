@@ -152,12 +152,14 @@ void RunServiceBatch(benchmark::State& state, size_t cache_capacity,
 void BM_Service_WarmBatch(benchmark::State& state) {
   RunServiceBatch(state, /*cache_capacity=*/0);
 }
-BENCHMARK(BM_Service_WarmBatch)->Arg(256)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_Service_WarmBatch)->Arg(256)->Arg(2048)->Arg(8192)
+    ->UseRealTime();
 
 void BM_Service_MemoizedBatch(benchmark::State& state) {
   RunServiceBatch(state, /*cache_capacity=*/1024);
 }
-BENCHMARK(BM_Service_MemoizedBatch)->Arg(256)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_Service_MemoizedBatch)->Arg(256)->Arg(2048)->Arg(8192)
+    ->UseRealTime();
 
 /// The A/B baseline for instrumentation overhead: identical to
 /// BM_Service_WarmBatch but with every metric instrument stripped
@@ -166,7 +168,8 @@ BENCHMARK(BM_Service_MemoizedBatch)->Arg(256)->Arg(2048)->Arg(8192);
 void BM_Service_WarmBatch_NoObs(benchmark::State& state) {
   RunServiceBatch(state, /*cache_capacity=*/0, /*metrics=*/false);
 }
-BENCHMARK(BM_Service_WarmBatch_NoObs)->Arg(256)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_Service_WarmBatch_NoObs)->Arg(256)->Arg(2048)->Arg(8192)
+    ->UseRealTime();
 
 /// The async front door, memoized: submit the whole workload as futures and
 /// drain them — the per-request promise/queue overhead on top of memo.
@@ -198,7 +201,8 @@ void BM_Service_AsyncFutures(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.size()));
 }
-BENCHMARK(BM_Service_AsyncFutures)->Arg(2048);
+BENCHMARK(BM_Service_AsyncFutures)->Arg(2048)
+    ->UseRealTime();
 
 /// Two fingerprint-distinct settings interleaved in one batch: routing and
 /// per-shard caching must not tax the single-setting path.
@@ -232,7 +236,8 @@ void BM_Service_TwoSettingsInterleaved(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
 }
-BENCHMARK(BM_Service_TwoSettingsInterleaved)->Arg(2048);
+BENCHMARK(BM_Service_TwoSettingsInterleaved)->Arg(2048)
+    ->UseRealTime();
 
 /// Experiment SCHED-C: two-tenant contention — the scheduler's reason to
 /// exist. An expensive tenant (|Dm| = 8192) floods the single worker with

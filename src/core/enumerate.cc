@@ -369,7 +369,15 @@ Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
     Result<bool> closed = prepared_.SatisfiesCCs(*candidate);
     if (!closed.ok()) return closed.status();
     if (!*closed) continue;
-    std::string key = candidate->ToString();
+    // Structural key: the sorted rows of every relation. A rendered key
+    // would take the symbol interner's lock per value and merge Int(1)
+    // with Sym("1").
+    WorldKey key;
+    key.reserve(candidate->relations().size());
+    // LINT:waive(checkpoint-coverage, one row vector per relation)
+    for (const Relation& rel : candidate->relations()) {
+      key.push_back(rel.rows());
+    }
     if (!seen_.insert(std::move(key)).second) continue;
     if (stats_ != nullptr) ++stats_->worlds;
     if (world != nullptr) *world = std::move(candidate).value();

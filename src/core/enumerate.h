@@ -123,8 +123,9 @@ CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
     const AdomContext& adom, const Instance& around);
 
 /// Enumerates the worlds of ModAdom(T, Dm, V): valuations µ over Adom whose
-/// µ(T) satisfies the CCs. Deduplicates worlds (different valuations can
-/// yield the same ground instance).
+/// µ(T) satisfies the CCs. Deduplicates worlds structurally, by their
+/// relations' sorted rows (different valuations can yield the same ground
+/// instance).
 class ModEnumerator {
  public:
   ModEnumerator(const CInstance& cinstance, const PreparedSetting& prepared,
@@ -147,7 +148,8 @@ class ModEnumerator {
   SearchOptions options_;
   SearchStats* stats_;
   ValuationEnumerator valuations_;
-  std::set<std::string> seen_;
+  using WorldKey = std::vector<std::vector<Tuple>>;
+  std::set<WorldKey> seen_;  // worlds returned so far
   SearchCheckpoint checkpoint_;
 };
 

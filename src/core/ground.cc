@@ -1,6 +1,38 @@
 #include "core/ground.h"
 
 namespace relcomp {
+namespace {
+
+// ν(T_Q) as delta rows, reusing `delta`'s storage; fails like
+// ConjunctiveQuery::InstantiateTableau on an unbound variable or an unknown
+// relation.
+Status InstantiateDelta(const ConjunctiveQuery& q, const DatabaseSchema& schema,
+                        const Valuation& nu, std::vector<DeltaRow>* delta) {
+  delta->resize(q.atoms().size());
+  // LINT:waive(checkpoint-coverage, one row per tableau atom)
+  for (size_t a = 0; a < q.atoms().size(); ++a) {
+    const RelAtom& atom = q.atoms()[a];
+    DeltaRow& row = (*delta)[a];
+    row.tuple.clear();
+    for (const CTerm& term : atom.args) {
+      std::optional<Value> v = nu.Resolve(term);
+      if (!v.has_value()) {
+        return Status::InvalidArgument("unbound variable in tableau atom " +
+                                       atom.ToString());
+      }
+      row.tuple.push_back(*v);
+    }
+    const int rel = schema.IndexOf(atom.rel);
+    if (rel < 0) {
+      return Status::NotFound("tableau atom over unknown relation '" +
+                              atom.rel + "'");
+    }
+    row.rel = static_cast<size_t>(rel);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<bool> IsPartiallyClosed(const PreparedSetting& prepared,
                                const Instance& instance) {
@@ -43,6 +75,7 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   if (!disjuncts.ok()) return disjuncts.status();
 
   SearchCheckpoint checkpoint(options, "ground completeness search", "ground");
+  std::vector<DeltaRow> delta;  // ν(T_Q), refilled per candidate
   for (const ConjunctiveQuery& disjunct : *disjuncts) {
     // Fresh constants are interchangeable in this existential search, so a
     // symmetry-broken enumeration suffices (values of I stay pinned).
@@ -61,21 +94,21 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
       Result<Tuple> head = disjunct.InstantiateHead(nu);
       if (!head.ok()) return head.status();
       if (answers->Contains(*head)) continue;
-      // Build I ∪ ν(T_Q) and check partial closure.
-      Result<Instance> tableau =
-          disjunct.InstantiateTableau(nu, prepared.schema());
-      if (!tableau.ok()) return tableau.status();
-      Instance extended = instance.Union(*tableau);
+      // Is I ∪ ν(T_Q) partially closed? I is, so only ν(T_Q) can break V.
+      RELCOMP_RETURN_IF_ERROR(
+          InstantiateDelta(disjunct, prepared.schema(), nu, &delta));
       if (stats != nullptr) {
         ++stats->extensions;
         ++stats->cc_checks;
       }
-      Result<bool> ext_closed = prepared.SatisfiesCCs(extended);
+      Result<bool> ext_closed = prepared.SatisfiesCCsDelta(instance, delta);
       if (!ext_closed.ok()) return ext_closed.status();
       if (!*ext_closed) continue;
       if (witness != nullptr) {
+        Result<Instance> extended = prepared.WithDelta(instance, delta);
+        if (!extended.ok()) return extended.status();
         witness->world = instance;
-        witness->extension = std::move(extended);
+        witness->extension = std::move(extended).value();
         witness->answer = *head;
         witness->note =
             "partially closed extension adds answer " + TupleToString(*head);

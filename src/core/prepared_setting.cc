@@ -1,30 +1,283 @@
 #include "core/prepared_setting.h"
 
+#include <algorithm>
+
 #include "core/fingerprint.h"
 #include "query/containment.h"
 
 namespace relcomp {
+namespace {
+
+// A term fixed at compile time: a variable slot, or a constant (slot < 0).
+struct SlotTerm {
+  int32_t slot = -1;
+  Value constant;
+
+  const Value& Get(const std::vector<Value>& slots) const {
+    return slot < 0 ? constant : slots[static_cast<size_t>(slot)];
+  }
+};
+
+struct CompiledBuiltin {
+  SlotTerm lhs;
+  SlotTerm rhs;
+  bool neq = false;
+};
+
+// What one atom argument does with the tuple value at its position: match a
+// constant, bind the variable's slot (its first occurrence in atom order),
+// or compare against the slot an earlier position bound.
+struct CompiledArg {
+  enum class Op : uint8_t { kConstant, kBind, kCompare };
+  Op op = Op::kConstant;
+  uint32_t slot = 0;
+  Value constant;
+};
+
+struct CompiledAtom {
+  size_t rel = 0;  // index into the setting's schema
+  std::vector<CompiledArg> args;
+  // The builtins whose sides are first both bound by this atom.
+  std::vector<CompiledBuiltin> builtins;
+};
+
+// One CC q(R) ⊆ π_cols(Rm), compiled against the setting's schema. A CC
+// that does not validate there (possible only in a borrowed setting) stays
+// uncompiled and runs through ContainmentConstraint::Satisfied, so its
+// error — and the order errors surface in — is the legacy one.
+struct CompiledCc {
+  bool compiled = false;
+  bool never_fires = false;  // a constant-only builtin is false
+  std::vector<CompiledAtom> atoms;
+  std::vector<SlotTerm> head;
+  size_t num_slots = 0;
+  Relation master;  // π_cols(Dm[Rm]), sorted: the head probe
+};
+
+CompiledCc Compile(const ContainmentConstraint& cc,
+                   const PartiallyClosedSetting& setting) {
+  CompiledCc out;
+  const ConjunctiveQuery& q = cc.q();
+  if (!q.Validate(setting.schema).ok()) return out;
+  const Relation* master = setting.dm.Find(cc.master_rel());
+  if (master == nullptr || cc.master_cols().size() != q.OutputArity()) {
+    return out;
+  }
+  for (int c : cc.master_cols()) {
+    if (c < 0 || static_cast<size_t>(c) >= master->arity()) return out;
+  }
+  out.master = master->Project(cc.master_cols());
+
+  // Slots in order of first occurrence; `bound_at` is the atom that binds.
+  std::vector<std::pair<VarId, size_t>> bound_at;
+  auto slot_of = [&bound_at](VarId var) -> int32_t {
+    for (size_t s = 0; s < bound_at.size(); ++s) {
+      if (bound_at[s].first == var) return static_cast<int32_t>(s);
+    }
+    return -1;
+  };
+  for (size_t a = 0; a < q.atoms().size(); ++a) {
+    const RelAtom& atom = q.atoms()[a];
+    CompiledAtom compiled;
+    compiled.rel = static_cast<size_t>(setting.schema.IndexOf(atom.rel));
+    for (const CTerm& term : atom.args) {
+      CompiledArg arg;
+      if (std::holds_alternative<Value>(term)) {
+        arg.constant = std::get<Value>(term);
+      } else {
+        const VarId var = std::get<VarId>(term);
+        const int32_t slot = slot_of(var);
+        if (slot >= 0) {
+          arg.op = CompiledArg::Op::kCompare;
+          arg.slot = static_cast<uint32_t>(slot);
+        } else {
+          arg.op = CompiledArg::Op::kBind;
+          arg.slot = static_cast<uint32_t>(bound_at.size());
+          bound_at.emplace_back(var, a);
+        }
+      }
+      compiled.args.push_back(std::move(arg));
+    }
+    out.atoms.push_back(std::move(compiled));
+  }
+  out.num_slots = bound_at.size();
+
+  // Validate() guarantees every variable below is bound by some atom.
+  auto term_of = [&slot_of](const CTerm& term) {
+    SlotTerm out_term;
+    if (std::holds_alternative<Value>(term)) {
+      out_term.constant = std::get<Value>(term);
+    } else {
+      out_term.slot = slot_of(std::get<VarId>(term));
+    }
+    return out_term;
+  };
+  for (const CondAtom& b : q.builtins()) {
+    CompiledBuiltin compiled{term_of(b.lhs), term_of(b.rhs), b.neq};
+    if (compiled.lhs.slot < 0 && compiled.rhs.slot < 0) {
+      // Constant-only: decided now, for every binding at once.
+      if ((compiled.lhs.constant == compiled.rhs.constant) == b.neq) {
+        out.never_fires = true;
+      }
+      continue;
+    }
+    size_t at = 0;
+    for (const SlotTerm& side : {compiled.lhs, compiled.rhs}) {
+      if (side.slot >= 0) {
+        at = std::max(at, bound_at[static_cast<size_t>(side.slot)].second);
+      }
+    }
+    out.atoms[at].builtins.push_back(std::move(compiled));
+  }
+  for (const CTerm& term : q.head()) out.head.push_back(term_of(term));
+  out.compiled = true;
+  return out;
+}
+
+// Per-call scratch: the variable slots and the head buffer. Lives on the
+// caller's stack, so one plan serves any number of concurrent checks.
+struct Scratch {
+  std::vector<Value> slots;
+  Tuple head;
+};
+
+bool Matches(const CompiledAtom& atom, const Tuple& tuple,
+             std::vector<Value>& slots) {
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    const CompiledArg& arg = atom.args[i];
+    switch (arg.op) {
+      case CompiledArg::Op::kConstant:
+        if (tuple[i] != arg.constant) return false;
+        break;
+      case CompiledArg::Op::kBind:
+        slots[arg.slot] = tuple[i];
+        break;
+      case CompiledArg::Op::kCompare:
+        if (tuple[i] != slots[arg.slot]) return false;
+        break;
+    }
+  }
+  for (const CompiledBuiltin& b : atom.builtins) {
+    if ((b.lhs.Get(slots) == b.rhs.Get(slots)) == b.neq) return false;
+  }
+  return true;
+}
+
+// Backtracking join over a fixed atom order that stops at the first binding
+// whose head falls outside the master projection. Without a delta every
+// atom reads `base`. With one, this is semi-naive pass `delta_atom`: atoms
+// before it read `base`, it reads Δ, and atoms after it read base ∪ Δ — so
+// the passes together visit exactly the bindings that use a row of Δ.
+class ViolationSearch {
+ public:
+  ViolationSearch(const CompiledCc& cc, const Instance& base,
+                  const std::vector<DeltaRow>* delta, size_t delta_atom,
+                  Scratch* scratch)
+      : cc_(cc),
+        base_(base),
+        delta_(delta),
+        delta_atom_(delta_atom),
+        s_(*scratch) {}
+
+  bool Found() { return Visit(0); }
+
+ private:
+  bool Visit(size_t a) {
+    if (a == cc_.atoms.size()) {
+      s_.head.resize(cc_.head.size());
+      for (size_t i = 0; i < cc_.head.size(); ++i) {
+        s_.head[i] = cc_.head[i].Get(s_.slots);
+      }
+      return !cc_.master.Contains(s_.head);
+    }
+    const CompiledAtom& atom = cc_.atoms[a];
+    if (delta_ == nullptr || a != delta_atom_) {
+      for (const Tuple& tuple : base_.relations()[atom.rel].rows()) {
+        if (Matches(atom, tuple, s_.slots) && Visit(a + 1)) return true;
+      }
+    }
+    if (delta_ != nullptr && a >= delta_atom_) {
+      for (const DeltaRow& row : *delta_) {
+        if (row.rel == atom.rel && Matches(atom, row.tuple, s_.slots) &&
+            Visit(a + 1)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  const CompiledCc& cc_;
+  const Instance& base_;
+  const std::vector<DeltaRow>* delta_;
+  size_t delta_atom_;
+  Scratch& s_;
+};
+
+}  // namespace
+
+struct PreparedSetting::CcPlan {
+  struct Read {
+    size_t rel;
+    std::string name;
+    size_t arity;
+  };
+
+  explicit CcPlan(const PartiallyClosedSetting& setting) {
+    for (const ContainmentConstraint& cc : setting.ccs) {
+      ccs.push_back(Compile(cc, setting));
+      const CompiledCc& compiled = ccs.back();
+      all_compiled = all_compiled && compiled.compiled;
+      max_slots = std::max(max_slots, compiled.num_slots);
+      max_head = std::max(max_head, compiled.head.size());
+      for (const CompiledAtom& atom : compiled.atoms) {
+        const bool known =
+            std::any_of(reads.begin(), reads.end(),
+                        [&atom](const Read& r) { return r.rel == atom.rel; });
+        if (known) continue;
+        const RelationSchema& rel = setting.schema.relations()[atom.rel];
+        reads.push_back(Read{atom.rel, rel.name(), rel.arity()});
+      }
+    }
+  }
+
+  // An instance runs on the plan only when every relation a compiled CC
+  // reads sits at the index, under the name and arity, it was compiled
+  // against; any other instance takes the legacy path, which looks
+  // relations up by name and reports the legacy errors.
+  bool Fits(const Instance& instance) const {
+    const std::vector<Relation>& rels = instance.relations();
+    for (const Read& read : reads) {
+      if (read.rel >= rels.size()) return false;
+      const RelationSchema& have = rels[read.rel].schema();
+      if (have.arity() != read.arity || have.name() != read.name) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  Scratch MakeScratch() const {
+    Scratch scratch;
+    scratch.slots.resize(max_slots);
+    scratch.head.reserve(max_head);
+    return scratch;
+  }
+
+  std::vector<CompiledCc> ccs;  // parallel to the setting's CCs
+  std::vector<Read> reads;      // each relation the compiled CCs read, once
+  bool all_compiled = true;
+  size_t max_slots = 0;
+  size_t max_head = 0;
+};
+
+PreparedSetting::Artifacts::~Artifacts() = default;
 
 std::shared_ptr<PreparedSetting::Artifacts> PreparedSetting::Derive(
     const PartiallyClosedSetting& setting) {
   auto a = std::make_shared<Artifacts>();
   a->setting = &setting;
   a->all_inds = AllInds(setting.ccs);
-  a->cc_projections.reserve(setting.ccs.size());
-  a->cc_projection_ok.reserve(setting.ccs.size());
-  for (const ContainmentConstraint& cc : setting.ccs) {
-    Result<Relation> projected = cc.ProjectMaster(setting.dm);
-    if (!projected.ok()) {
-      // Unknown master in an unvalidated (borrowed) setting: fall back to
-      // the unprepared check at use time so legacy error ordering — later
-      // CCs untouched once an earlier one fails — is preserved exactly.
-      a->cc_projections.emplace_back();
-      a->cc_projection_ok.push_back(0);
-      continue;
-    }
-    a->cc_projections.push_back(std::move(projected).value());
-    a->cc_projection_ok.push_back(1);
-  }
   return a;
 }
 
@@ -39,14 +292,14 @@ Result<PreparedSetting> PreparedSetting::Prepare(PartiallyClosedSetting setting,
   auto owned =
       std::make_shared<const PartiallyClosedSetting>(std::move(setting));
   RELCOMP_RETURN_IF_ERROR(owned->Validate());
-  std::shared_ptr<Artifacts> a = Derive(*owned);
-  for (size_t i = 0; i < owned->ccs.size(); ++i) {
-    // Validate() checks master relations exist, so projections succeed on
-    // this path; re-surface the status if that invariant ever breaks.
-    if (!a->cc_projection_ok[i]) {
-      return owned->ccs[i].ProjectMaster(owned->dm).status();
+  for (const ContainmentConstraint& cc : owned->ccs) {
+    // Validate() checks masters against the master schema; the CC checks
+    // read them from Dm, so a Dm that lacks one is refused here.
+    if (owned->dm.Find(cc.master_rel()) == nullptr) {
+      return cc.ProjectMaster(owned->dm).status();
     }
   }
+  std::shared_ptr<Artifacts> a = Derive(*owned);
   a->owned = owned;
   a->fingerprint = fingerprint;
   a->fingerprinted = true;
@@ -67,22 +320,80 @@ const AdomSeed& PreparedSetting::adom_seed() const {
   return a_->adom_seed;
 }
 
+const PreparedSetting::CcPlan& PreparedSetting::plan() const {
+  std::call_once(a_->plan_once, [this] {
+    a_->plan = std::make_unique<const CcPlan>(*a_->setting);
+  });
+  return *a_->plan;
+}
+
 uint64_t PreparedSetting::fingerprint() const {
   if (a_->fingerprinted) return a_->fingerprint;
   return FingerprintSetting(*a_->setting);
 }
 
 Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
+  const CcPlan& plan = this->plan();
   const CCSet& ccs = a_->setting->ccs;
+  const bool fits = plan.Fits(instance);
+  Scratch scratch = plan.MakeScratch();
   for (size_t i = 0; i < ccs.size(); ++i) {
-    Result<bool> sat =
-        a_->cc_projection_ok[i]
-            ? ccs[i].SatisfiedAgainst(instance, a_->cc_projections[i])
-            : ccs[i].Satisfied(instance, a_->setting->dm);
-    if (!sat.ok()) return sat.status();
-    if (!*sat) return false;
+    const CompiledCc& cc = plan.ccs[i];
+    if (!cc.compiled || !fits) {
+      Result<bool> sat = ccs[i].Satisfied(instance, a_->setting->dm);
+      if (!sat.ok()) return sat.status();
+      if (!*sat) return false;
+      continue;
+    }
+    if (cc.never_fires) continue;
+    if (ViolationSearch(cc, instance, nullptr, 0, &scratch).Found()) {
+      return false;
+    }
   }
   return true;
+}
+
+Result<bool> PreparedSetting::SatisfiesCCsDelta(
+    const Instance& closed, const std::vector<DeltaRow>& delta) const {
+  const CcPlan& plan = this->plan();
+  if (!plan.all_compiled || !plan.Fits(closed)) {
+    // Off the plan: materialize I ∪ Δ and check it in full.
+    Result<Instance> extended = WithDelta(closed, delta);
+    if (!extended.ok()) return extended.status();
+    return SatisfiesCCs(*extended);
+  }
+  Scratch scratch = plan.MakeScratch();
+  for (const CompiledCc& cc : plan.ccs) {
+    if (cc.never_fires) continue;
+    for (size_t d = 0; d < cc.atoms.size(); ++d) {
+      const size_t rel = cc.atoms[d].rel;
+      const bool touched =
+          std::any_of(delta.begin(), delta.end(),
+                      [rel](const DeltaRow& row) { return row.rel == rel; });
+      if (touched &&
+          ViolationSearch(cc, closed, &delta, d, &scratch).Found()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Result<Instance> PreparedSetting::WithDelta(
+    const Instance& base, const std::vector<DeltaRow>& delta) const {
+  Instance out = base;
+  for (const DeltaRow& row : delta) {
+    const std::string* name = row.rel < schema().size()
+                                  ? &schema().relations()[row.rel].name()
+                                  : nullptr;
+    if (name == nullptr || out.Find(*name) == nullptr) {
+      return Status::NotFound("delta row for relation #" +
+                              std::to_string(row.rel) +
+                              ", which the instance lacks");
+    }
+    out.AddTuple(*name, row.tuple);
+  }
+  return out;
 }
 
 AdomContext PreparedSetting::BuildAdomForGround(const Instance& instance,

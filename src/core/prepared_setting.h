@@ -1,12 +1,12 @@
 // PreparedSetting: a partially closed setting (Dm, V) validated once, with
-// every derived artifact the deciders otherwise recompute per call cached up
-// front — the setting-level Adom seed, the IND classification of the CCs
-// (Corollary 7.2), and the projected master relations π_cols(Dm[Rm]) used on
-// the hot path of every CC check. The core deciders accept a PreparedSetting
-// directly; the legacy PartiallyClosedSetting entry points wrap their
-// argument in a borrowed (unvalidated) PreparedSetting, so both APIs share
-// one implementation. The service (src/service/) serves many requests
-// over one PreparedSetting.
+// every derived artifact the deciders otherwise recompute per call cached —
+// the setting-level Adom seed, the IND classification of the CCs
+// (Corollary 7.2), and the compiled CC plans that run every CC check on the
+// deciders' hot path. The core deciders accept a PreparedSetting directly;
+// the legacy PartiallyClosedSetting entry points wrap their argument in a
+// borrowed (unvalidated) PreparedSetting, so both APIs share one
+// implementation. The service (src/service/) serves many requests over one
+// PreparedSetting.
 //
 // A PreparedSetting is a cheap, shareable handle (copying copies one
 // shared_ptr); it is immutable after construction and safe to use from many
@@ -22,6 +22,13 @@
 #include "core/types.h"
 
 namespace relcomp {
+
+/// One tuple of a delta Δ: a row for the relation at index `rel` of the
+/// setting's schema.
+struct DeltaRow {
+  size_t rel = 0;
+  Tuple tuple;
+};
 
 class PreparedSetting {
  public:
@@ -60,19 +67,25 @@ class PreparedSetting {
   /// the O(|Dm| log |Dm|) constant scan. Thread-safe.
   const AdomSeed& adom_seed() const;
 
-  /// Cached π_cols(Dm[Rm]) per CC, parallel to ccs(). Entries whose
-  /// projection failed (unknown master in a borrowed, unvalidated setting)
-  /// are empty; SatisfiesCCs falls back to the unprepared check for those.
-  const std::vector<Relation>& cc_projections() const {
-    return a_->cc_projections;
-  }
-
   /// Stable fingerprint of (R, Rm, Dm, V); memoization key component.
   uint64_t fingerprint() const;
 
-  /// (I, Dm) ⊨ V using the cached master projections — the prepared
-  /// replacement for SatisfiesCCs(I, dm(), ccs()).
+  /// (I, Dm) ⊨ V through the compiled CC plans — the prepared replacement
+  /// for SatisfiesCCs(I, dm(), ccs()), with the same verdicts and errors.
   Result<bool> SatisfiesCCs(const Instance& instance) const;
+
+  /// (I ∪ Δ, Dm) ⊨ V, for an instance I that is ALREADY partially closed:
+  /// semi-naive evaluation only visits CC bindings that use a row of Δ, so
+  /// a closed I gives the verdict of SatisfiesCCs(I ∪ Δ) at the cost of
+  /// the delta. On an I that is not closed the result is unspecified.
+  /// Rows of Δ may repeat or already be in I.
+  Result<bool> SatisfiesCCsDelta(const Instance& closed,
+                                 const std::vector<DeltaRow>& delta) const;
+
+  /// I ∪ Δ as an instance: built only for the candidates a delta check
+  /// accepted (a returned witness, a query evaluation).
+  Result<Instance> WithDelta(const Instance& base,
+                             const std::vector<DeltaRow>& delta) const;
 
   /// Adom builds reusing the cached seed.
   AdomContext BuildAdom(const CInstance& cinstance, const Query* query,
@@ -83,13 +96,20 @@ class PreparedSetting {
                                  AdomOptions options = {}) const;
 
  private:
+  struct CcPlan;  // compiled CCs, defined in prepared_setting.cc
+
   struct Artifacts {
+    ~Artifacts();  // out of line: CcPlan is incomplete here
+
     std::shared_ptr<const PartiallyClosedSetting> owned;  // null when borrowed
     const PartiallyClosedSetting* setting = nullptr;
     mutable std::once_flag seed_once;  // lazy: many one-shot users skip it
     mutable AdomSeed adom_seed;
-    std::vector<Relation> cc_projections;
-    std::vector<char> cc_projection_ok;  // parallel; false → fall back
+    // Compiled on the first CC check, not in Prepare: registering a setting
+    // does not pay for it, and one-shot users that never check a CC never
+    // build it. Read-only once built, so every thread shares it.
+    mutable std::once_flag plan_once;
+    mutable std::unique_ptr<const CcPlan> plan;
     bool all_inds = false;
     uint64_t fingerprint = 0;
     bool fingerprinted = false;
@@ -100,6 +120,8 @@ class PreparedSetting {
 
   static std::shared_ptr<Artifacts> Derive(
       const PartiallyClosedSetting& setting);
+
+  const CcPlan& plan() const;
 
   std::shared_ptr<const Artifacts> a_;
 };

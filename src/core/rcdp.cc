@@ -122,28 +122,30 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
   SearchCheckpoint checkpoint(options, "weak-model extension enumeration", "weak-ext");
 
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
-  Valuation mu;
+  const std::vector<RelationSchema>& rels = prepared.schema().relations();
+  std::vector<DeltaRow> delta(1);  // the one added tuple
   Instance world;
   while (true) {
-    Result<bool> got = worlds.Next(&mu, &world);
+    Result<bool> got = worlds.Next(nullptr, &world);
     if (!got.ok()) return got.status();
     if (!*got) break;
-    for (const RelationSchema& rel : prepared.schema().relations()) {
-      const Relation& existing = world.at(rel.name());
-      TupleEnumerator tuples(rel, adom);
-      Tuple t;
-      while (tuples.Next(&t)) {
+    for (size_t r = 0; r < rels.size(); ++r) {
+      const Relation& existing = world.at(rels[r].name());
+      TupleEnumerator tuples(rels[r], adom);
+      delta[0].rel = r;
+      while (tuples.Next(&delta[0].tuple)) {
         RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
         if (stats != nullptr) ++stats->extensions;
-        if (existing.Contains(t)) continue;
-        Instance extended = world;
-        extended.AddTuple(rel.name(), t);
+        if (existing.Contains(delta[0].tuple)) continue;
+        // The world is closed, so only the added tuple can break V.
         if (stats != nullptr) ++stats->cc_checks;
-        Result<bool> closed = prepared.SatisfiesCCs(extended);
+        Result<bool> closed = prepared.SatisfiesCCsDelta(world, delta);
         if (!closed.ok()) return closed.status();
         if (!*closed) continue;
+        Result<Instance> extended = prepared.WithDelta(world, delta);
+        if (!extended.ok()) return extended.status();
         if (stats != nullptr) ++stats->query_evals;
-        Result<Relation> answers = q.Eval(extended, adom.values());
+        Result<Relation> answers = q.Eval(*extended, adom.values());
         if (!answers.ok()) return answers.status();
         if (!any_extension) {
           any_extension = true;

@@ -29,10 +29,15 @@ void DatabaseSchema::AddRelation(RelationSchema schema) {
 }
 
 const RelationSchema* DatabaseSchema::Find(const std::string& name) const {
-  for (const auto& rel : relations_) {
-    if (rel.name() == name) return &rel;
+  const int index = IndexOf(name);
+  return index < 0 ? nullptr : &relations_[static_cast<size_t>(index)];
+}
+
+int DatabaseSchema::IndexOf(const std::string& name) const {
+  for (size_t i = 0; i < relations_.size(); ++i) {
+    if (relations_[i].name() == name) return static_cast<int>(i);
   }
-  return nullptr;
+  return -1;
 }
 
 Result<RelationSchema> DatabaseSchema::Get(const std::string& name) const {

@@ -55,6 +55,8 @@ class DatabaseSchema {
 
   /// Lookup by name; nullptr if absent.
   const RelationSchema* Find(const std::string& name) const;
+  /// Position of the relation named `name` in relations(), or -1 if absent.
+  int IndexOf(const std::string& name) const;
   /// Lookup by name; error status if absent.
   Result<RelationSchema> Get(const std::string& name) const;
   bool Contains(const std::string& name) const { return Find(name) != nullptr; }

@@ -98,7 +98,9 @@ void HttpServer::AcceptLoop() {
       const std::string wire = SerializeResponse(
           ErrorResponse(503, "connection queue full"), /*head_only=*/false,
           /*keep_alive=*/false);
-      conn->WriteAll(wire.data(), wire.size());
+      // Discarded: the connection closes next either way, and there is no
+      // one left to report a failed 503 to.
+      (void)conn->WriteAll(wire.data(), wire.size());
       continue;
     }
     pending_cv_.NotifyOne();
@@ -154,7 +156,9 @@ void HttpServer::ServeConnection(Socket conn) {
       const std::string wire = SerializeResponse(
           ErrorResponse(parser.error_code(), parser.error_message()),
           /*head_only=*/false, /*keep_alive=*/false);
-      conn.WriteAll(wire.data(), wire.size());
+      // Discarded: best-effort, like the 503 above — the connection closes
+      // right after, whether or not the error response got through.
+      (void)conn.WriteAll(wire.data(), wire.size());
       return;
     }
   }

@@ -23,13 +23,6 @@ Result<Relation> ContainmentConstraint::ProjectMaster(
   return master->Project(master_cols_);
 }
 
-Result<bool> ContainmentConstraint::SatisfiedAgainst(
-    const Instance& instance, const Relation& projected_master) const {
-  Result<Relation> lhs = q_.Eval(instance);
-  if (!lhs.ok()) return lhs.status();
-  return lhs->IsSubsetOf(projected_master);
-}
-
 Status ContainmentConstraint::Validate(
     const DatabaseSchema& schema, const DatabaseSchema& master_schema) const {
   RELCOMP_RETURN_IF_ERROR(q_.Validate(schema));

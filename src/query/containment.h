@@ -32,14 +32,10 @@ class ContainmentConstraint {
   /// (I, Dm) ⊨ φ.
   Result<bool> Satisfied(const Instance& instance, const Instance& dm) const;
 
-  /// π_cols(Dm[master]) — the closed-world side of the constraint. Deciders
-  /// recompute this on every CC check; a prepared setting caches it once.
+  /// π_cols(Dm[master]) — the closed-world side of the constraint.
+  /// Satisfied() recomputes it per call; a PreparedSetting's compiled plan
+  /// projects it once.
   Result<Relation> ProjectMaster(const Instance& dm) const;
-
-  /// (I, Dm) ⊨ φ with the master projection already computed; the hot path
-  /// of every decider's extension/world enumeration.
-  Result<bool> SatisfiedAgainst(const Instance& instance,
-                                const Relation& projected_master) const;
 
   /// Validates the CC against database and master schemas (arity of head
   /// matches projection width, relations exist).

@@ -43,8 +43,10 @@ enum class StatusCode {
 /// Human-readable name of a StatusCode.
 const char* StatusCodeName(StatusCode code);
 
-/// A success-or-error outcome carrying a code and a message.
-class Status {
+/// A success-or-error outcome carrying a code and a message. [[nodiscard]]:
+/// an error value can never be dropped silently; discard one explicitly,
+/// with `(void)`, where ignoring it is the design.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -94,7 +96,7 @@ class Status {
 
 /// A value-or-error outcome. On success holds a T, otherwise a non-OK Status.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : value_(std::move(value)) {}          // NOLINT(runtime/explicit)
   Result(Status status) : status_(std::move(status)) {}  // NOLINT(runtime/explicit)

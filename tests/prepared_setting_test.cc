@@ -20,7 +20,6 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
   PatientsFixture fx = MakePatientsFixture();
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
   EXPECT_EQ(prepared.ccs().size(), fx.setting.ccs.size());
-  EXPECT_EQ(prepared.cc_projections().size(), fx.setting.ccs.size());
 
   // A CC whose projection width disagrees with its head arity must fail.
   PartiallyClosedSetting broken = fx.setting;
@@ -105,6 +104,38 @@ TEST(PreparedSettingTest, SearchStatsIdenticalAcrossEntryPoints) {
   EXPECT_EQ(legacy_stats.extensions, prep_stats.extensions);
   EXPECT_EQ(legacy_stats.cc_checks, prep_stats.cc_checks);
   EXPECT_EQ(legacy_stats.query_evals, prep_stats.query_evals);
+}
+
+TEST(PreparedSettingTest, StrongSearchCountersArePinned) {
+  // Counts measured with the reference CC checks (one Eval per CC): the
+  // compiled and semi-naive checks must reach the verdict by the same work.
+  struct Case {
+    const char* name;
+    PatientsFixture fx;
+    uint64_t valuations, worlds, extensions, cc_checks, query_evals;
+  };
+  // The Fig. 1 c-table plus one closed London visit: a strong-audit call.
+  PatientsFixture audit = MakePatientsFixture();
+  audit.ctable.at("MVisit").AddRow(
+      {S("7c0ffee01"), S("Nc0ffee01"), S("LON"), Value::Int(2001), S("F"),
+       S("16/03/2015"), S("Diabetes"), S("02")});
+  const Case cases[] = {
+      {"audit", std::move(audit), 25812, 21, 22680, 25056, 21},
+      {"scaled(2, 2)", MakeScaledPatientsFixture(2, 2), 282852, 189, 251748,
+       276048, 189},
+  };
+  for (const Case& c : cases) {
+    ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(c.fx.setting));
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        complete, RcdpStrong(c.fx.q1, c.fx.ctable, prepared, {}, &stats));
+    EXPECT_TRUE(complete) << c.name;
+    EXPECT_EQ(stats.valuations, c.valuations) << c.name;
+    EXPECT_EQ(stats.worlds, c.worlds) << c.name;
+    EXPECT_EQ(stats.extensions, c.extensions) << c.name;
+    EXPECT_EQ(stats.cc_checks, c.cc_checks) << c.name;
+    EXPECT_EQ(stats.query_evals, c.query_evals) << c.name;
+  }
 }
 
 TEST(PreparedSettingTest, FingerprintsAreStableAndDiscriminating) {

@@ -1,8 +1,11 @@
 // Property tests over randomized instances: the model relationships of
 // Section 2.2 (strong ⇒ weak ∧ viable; ground strong ⇔ viable), query
-// monotonicity, and CC subset closure (Lemma 4.7(a)).
+// monotonicity, CC subset closure (Lemma 4.7(a)), and the compiled and
+// semi-naive CC checks of PreparedSetting against the reference
+// SatisfiesCCs (ConjunctiveQuery::Eval per CC).
 #include <gtest/gtest.h>
 
+#include "core/prepared_setting.h"
 #include "core/rcdp.h"
 #include "test_util.h"
 
@@ -150,6 +153,323 @@ TEST_P(ModelRelations, WeakHoldsWheneverViableAndCertainIsWorldAnswer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelRelations,
                          ::testing::Range<uint64_t>(0, 24));
+
+// --------------------------------------------------------------------------
+// Compiled CC plans = reference path.
+// --------------------------------------------------------------------------
+
+// A random setting over R(a, b), P(a), T(a, b, c) and masters M1(a),
+// M2(a, b), Empty1(w), with every value drawn from a four-constant pool
+// that includes both Int 1 and Sym "1".
+struct RandomCcSetting {
+  PartiallyClosedSetting setting;
+  Rng rng{0};
+
+  Value Pick() {
+    static const Value kPool[] = {I(0), I(1), I(2), testing::S("1")};
+    return kPool[rng.Int(4)];
+  }
+  Tuple RandomTuple(size_t arity) {
+    Tuple t;
+    for (size_t i = 0; i < arity; ++i) t.push_back(Pick());
+    return t;
+  }
+  const RelationSchema& RandomRelation() {
+    return setting.schema.relations()[static_cast<size_t>(rng.Int(3))];
+  }
+
+  // A CQ of 1-3 atoms over a four-variable pool: variables repeat within
+  // and across atoms; constants appear in atoms, builtins and the head;
+  // a builtin may compare two constants.
+  ContainmentConstraint RandomCq(int index) {
+    std::vector<RelAtom> atoms;
+    std::vector<VarId> bound;
+    const int num_atoms = 1 + rng.Int(3);
+    for (int a = 0; a < num_atoms; ++a) {
+      const RelationSchema& rel = RandomRelation();
+      RelAtom atom{rel.name(), {}};
+      for (size_t i = 0; i < rel.arity(); ++i) {
+        if (rng.Int(4) == 0) {
+          atom.args.push_back(Pick());
+        } else {
+          VarId v = V(rng.Int(4));
+          atom.args.push_back(v);
+          bound.push_back(v);
+        }
+      }
+      atoms.push_back(std::move(atom));
+    }
+    auto term = [&]() -> CTerm {
+      if (bound.empty() || rng.Int(3) == 0) return Pick();
+      const int pick = rng.Int(static_cast<int>(bound.size()));
+      return bound[static_cast<size_t>(pick)];
+    };
+    std::vector<CondAtom> builtins;
+    const int num_builtins = rng.Int(3);
+    for (int b = 0; b < num_builtins; ++b) {
+      CondAtom builtin;
+      builtin.lhs = term();
+      builtin.neq = rng.Int(2) == 0;
+      builtin.rhs = term();
+      builtins.push_back(std::move(builtin));
+    }
+    const size_t width = 1 + static_cast<size_t>(rng.Int(2));
+    std::vector<CTerm> head;
+    for (size_t i = 0; i < width; ++i) head.push_back(term());
+    std::vector<int> cols = {0};
+    if (width == 2) {
+      cols = rng.Int(2) == 0 ? std::vector<int>{0, 1} : std::vector<int>{1, 0};
+    }
+    return ContainmentConstraint(
+        "cc" + std::to_string(index),
+        ConjunctiveQuery(std::move(head), std::move(atoms),
+                         std::move(builtins)),
+        width == 1 ? "M1" : "M2", std::move(cols));
+  }
+
+  explicit RandomCcSetting(uint64_t seed) : rng{seed} {
+    const Domain inf = Domain::Infinite();
+    setting.schema.AddRelation(
+        RelationSchema("R", {Attribute{"a", inf}, Attribute{"b", inf}}));
+    setting.schema.AddRelation(RelationSchema("P", {Attribute{"a", inf}}));
+    setting.schema.AddRelation(RelationSchema(
+        "T", {Attribute{"a", inf}, Attribute{"b", inf}, Attribute{"c", inf}}));
+    setting.master_schema.AddRelation(
+        RelationSchema("M1", {Attribute{"a", inf}}));
+    setting.master_schema.AddRelation(
+        RelationSchema("M2", {Attribute{"a", inf}, Attribute{"b", inf}}));
+    setting.master_schema.AddRelation(
+        RelationSchema("Empty1", {Attribute{"w", inf}}));
+    setting.dm = Instance(setting.master_schema);
+    for (int i = rng.Int(4); i > 0; --i) {
+      setting.dm.AddTuple("M1", RandomTuple(1));
+    }
+    for (int i = rng.Int(8); i > 0; --i) {
+      setting.dm.AddTuple("M2", RandomTuple(2));
+    }
+    const int num_ccs = 1 + rng.Int(3);
+    for (int c = 0; c < num_ccs; ++c) {
+      if (rng.Int(4) == 0) {
+        // An Example 2.1 FD as a self-join over R or T.
+        const RelationSchema& rel =
+            setting.schema.relations()[rng.Int(2) == 0 ? 0 : 2];
+        const int n = static_cast<int>(rel.arity());
+        const int lhs = rng.Int(n);
+        const int rhs = rng.Int(n);
+        Result<ContainmentConstraint> fd =
+            EncodeFdAsCc(rel, {lhs}, rhs, "Empty1");
+        if (fd.ok()) setting.ccs.push_back(std::move(fd).value());
+      } else {
+        setting.ccs.push_back(RandomCq(c));
+      }
+    }
+  }
+
+  Instance RandomInstance(int max_rows) {
+    Instance out(setting.schema);
+    for (const RelationSchema& rel : setting.schema.relations()) {
+      for (int i = rng.Int(max_rows + 1); i > 0; --i) {
+        out.AddTuple(rel.name(), RandomTuple(rel.arity()));
+      }
+    }
+    return out;
+  }
+
+  // 1-3 rows; some repeat a row of `base` or an earlier delta row.
+  std::vector<DeltaRow> RandomDelta(const Instance& base) {
+    std::vector<DeltaRow> delta;
+    const int n = 1 + rng.Int(3);
+    for (int i = 0; i < n; ++i) {
+      DeltaRow row;
+      row.rel = static_cast<size_t>(rng.Int(3));
+      const Relation& existing = base.relations()[row.rel];
+      if (rng.Int(3) == 0 && !existing.empty()) {
+        row.tuple = existing.rows()[static_cast<size_t>(
+            rng.Int(static_cast<int>(existing.size())))];
+      } else if (rng.Int(4) == 0 && !delta.empty()) {
+        row = delta.back();
+      } else {
+        row.tuple = RandomTuple(setting.schema.relations()[row.rel].arity());
+      }
+      delta.push_back(std::move(row));
+    }
+    return delta;
+  }
+};
+
+Instance UnionOf(const Instance& base, const std::vector<DeltaRow>& delta,
+                 const DatabaseSchema& schema) {
+  Instance out = base;
+  for (const DeltaRow& row : delta) {
+    out.AddTuple(schema.relations()[row.rel].name(), row.tuple);
+  }
+  return out;
+}
+
+std::string Describe(const PartiallyClosedSetting& setting,
+                     const Instance& instance) {
+  std::string out = "Dm:\n" + setting.dm.ToString() + "\nV:";
+  for (const ContainmentConstraint& cc : setting.ccs) {
+    out += "\n" + cc.ToString();
+  }
+  return out + "\nI:\n" + instance.ToString();
+}
+
+class CompiledCcOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompiledCcOracle, CompiledAndDeltaChecksMatchTheReference) {
+  RandomCcSetting gen(GetParam() * 7919 + 1);
+  ASSERT_TRUE(gen.setting.Validate().ok());
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(gen.setting));
+  const PreparedSetting borrowed = PreparedSetting::Borrow(gen.setting);
+  const PartiallyClosedSetting& s = gen.setting;
+  int closed_bases = 0;
+  for (int round = 0; round < 12; ++round) {
+    Instance instance = gen.RandomInstance(4);
+    ASSERT_OK_AND_ASSIGN(want, SatisfiesCCs(instance, s.dm, s.ccs));
+    ASSERT_OK_AND_ASSIGN(got, prepared.SatisfiesCCs(instance));
+    ASSERT_OK_AND_ASSIGN(got_borrowed, borrowed.SatisfiesCCs(instance));
+    EXPECT_EQ(got, want) << Describe(s, instance);
+    EXPECT_EQ(got_borrowed, want) << Describe(s, instance);
+
+    // Shrink to a closed base (CCs are closed under subsets), then grow it
+    // by random deltas.
+    bool closed = want;
+    while (!closed) {
+      for (Relation& rel : instance.relations()) {
+        if (!rel.empty()) {
+          rel.Erase(rel.rows()[static_cast<size_t>(
+              gen.rng.Int(static_cast<int>(rel.size())))]);
+          break;
+        }
+      }
+      ASSERT_OK_AND_ASSIGN(now, SatisfiesCCs(instance, s.dm, s.ccs));
+      closed = now;
+    }
+    ++closed_bases;
+    for (int d = 0; d < 4; ++d) {
+      std::vector<DeltaRow> delta = gen.RandomDelta(instance);
+      Instance extended = UnionOf(instance, delta, s.schema);
+      ASSERT_OK_AND_ASSIGN(want_ext, SatisfiesCCs(extended, s.dm, s.ccs));
+      ASSERT_OK_AND_ASSIGN(got_ext,
+                           prepared.SatisfiesCCsDelta(instance, delta));
+      EXPECT_EQ(got_ext, want_ext)
+          << Describe(s, instance) << "\nI ∪ Δ:\n" << extended.ToString();
+      ASSERT_OK_AND_ASSIGN(got_full, prepared.SatisfiesCCs(extended));
+      EXPECT_EQ(got_full, want_ext) << Describe(s, extended);
+      ASSERT_OK_AND_ASSIGN(with_delta, prepared.WithDelta(instance, delta));
+      EXPECT_EQ(with_delta, extended);
+    }
+  }
+  EXPECT_GT(closed_bases, 0);
+}
+
+TEST_P(CompiledCcOracle, InstancesOffThePlanTakeTheReferencePath) {
+  // Relations in another order than the setting's schema: the plan's
+  // relation indices do not apply, so both checks fall back — by name.
+  RandomCcSetting gen(GetParam() * 104729 + 3);
+  const PartiallyClosedSetting& s = gen.setting;
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(s));
+  DatabaseSchema reversed;
+  for (auto it = s.schema.relations().rbegin();
+       it != s.schema.relations().rend(); ++it) {
+    reversed.AddRelation(*it);
+  }
+  Instance instance(reversed);
+  const Instance source = gen.RandomInstance(3);
+  for (const Relation& rel : source.relations()) {
+    for (const Tuple& t : rel.rows()) instance.AddTuple(rel.schema().name(), t);
+  }
+  ASSERT_OK_AND_ASSIGN(want, SatisfiesCCs(instance, s.dm, s.ccs));
+  ASSERT_OK_AND_ASSIGN(got, prepared.SatisfiesCCs(instance));
+  EXPECT_EQ(got, want) << Describe(s, instance);
+  if (!want) return;
+  std::vector<DeltaRow> delta = gen.RandomDelta(source);
+  Instance extended = UnionOf(instance, delta, s.schema);
+  ASSERT_OK_AND_ASSIGN(want_ext, SatisfiesCCs(extended, s.dm, s.ccs));
+  ASSERT_OK_AND_ASSIGN(got_ext, prepared.SatisfiesCCsDelta(instance, delta));
+  EXPECT_EQ(got_ext, want_ext) << Describe(s, extended);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledCcOracle,
+                         ::testing::Range<uint64_t>(0, 64));
+
+// Borrowed settings are not validated: a CC that does not compile keeps the
+// reference check, so the error — and which CC reports first — is the
+// reference path's.
+TEST(CompiledCcErrors, BorrowedSettingsKeepTheReferenceErrors) {
+  RandomCcSetting gen(11);
+  PartiallyClosedSetting base = gen.setting;
+  base.ccs.clear();
+  base.ccs.emplace_back(
+      "p_in_m1", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}),
+      "M1", std::vector<int>{0});
+  base.dm.at("M1").Erase({I(2)});
+
+  struct Broken {
+    const char* what;
+    ContainmentConstraint cc;
+    StatusCode code;
+    std::string message;
+  };
+  const std::vector<Broken> broken = {
+      {"unknown master",
+       ContainmentConstraint(
+           "nomaster",
+           ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}), "Nope",
+           {0}),
+       StatusCode::kNotFound,
+       "CC 'nomaster' references unknown master 'Nope'"},
+      {"unknown relation",
+       ContainmentConstraint(
+           "norel", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Q", {V(0)}}}),
+           "M1", {0}),
+       StatusCode::kNotFound, "query references unknown relation 'Q'"},
+      {"unsafe head",
+       ContainmentConstraint(
+           "unsafe", ConjunctiveQuery({CTerm(V(3))}, {RelAtom{"P", {V(0)}}}),
+           "M1", {0}),
+       StatusCode::kInvalidArgument,
+       "unsafe head term x3 in query (x3) :- P(x0)"},
+  };
+  Instance satisfied(base.schema);
+  Instance violated(base.schema);
+  violated.AddTuple("P", {I(2)});
+  for (const Broken& b : broken) {
+    // Alone, and after a CC that passes: the error surfaces.
+    for (int position = 0; position < 2; ++position) {
+      PartiallyClosedSetting setting = base;
+      if (position == 0) setting.ccs.clear();
+      setting.ccs.push_back(b.cc);
+      const PreparedSetting borrowed = PreparedSetting::Borrow(setting);
+      Result<bool> got = borrowed.SatisfiesCCs(satisfied);
+      Result<bool> want = SatisfiesCCs(satisfied, setting.dm, setting.ccs);
+      ASSERT_FALSE(got.ok()) << b.what;
+      EXPECT_EQ(got.status().code(), b.code) << b.what;
+      EXPECT_EQ(got.status().message(), b.message) << b.what;
+      EXPECT_EQ(got.status().code(), want.status().code()) << b.what;
+      EXPECT_EQ(got.status().message(), want.status().message()) << b.what;
+      // The delta check answers for I ∪ Δ exactly as the reference does.
+      const std::vector<DeltaRow> delta = {DeltaRow{1, {I(0)}}};
+      Result<bool> got_delta = borrowed.SatisfiesCCsDelta(satisfied, delta);
+      Result<bool> want_delta = SatisfiesCCs(
+          UnionOf(satisfied, delta, setting.schema), setting.dm, setting.ccs);
+      ASSERT_EQ(got_delta.ok(), want_delta.ok()) << b.what;
+      if (want_delta.ok()) {
+        EXPECT_EQ(*got_delta, *want_delta) << b.what;
+      } else {
+        EXPECT_EQ(got_delta.status().code(), want_delta.status().code());
+        EXPECT_EQ(got_delta.status().message(), want_delta.status().message());
+      }
+    }
+    // After a CC that already fails: the verdict wins, as before.
+    PartiallyClosedSetting setting = base;
+    setting.ccs.push_back(b.cc);
+    ASSERT_OK_AND_ASSIGN(
+        verdict, PreparedSetting::Borrow(setting).SatisfiesCCs(violated));
+    EXPECT_FALSE(verdict) << b.what;
+  }
+}
 
 }  // namespace
 }  // namespace relcomp

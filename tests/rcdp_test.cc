@@ -203,6 +203,52 @@ TEST(RcdpTest, GroundStrongEqualsGroundViable) {
   EXPECT_EQ(strong2, viable2);
 }
 
+TEST(RcdpStrongTest, WorldsThatPrintAlikeAreStillDistinct) {
+  // R holds at most one tuple, drawn from {Int 1, Sym "1"}; S is bounded
+  // by Sm = {("1", "a")}. Both worlds of T = {R(x)} render as R{(1)}, but
+  // only R(Sym "1") joins with the admissible S("1", "a"), so only the
+  // world R(Int 1) is complete for Q(y) :- R(x), S(x, y).
+  PartiallyClosedSetting setting;
+  setting.schema.AddRelation(RelationSchema(
+      "R", {Attribute{"a", Domain::Finite({I(1), S("1")})}}));
+  setting.schema.AddRelation(RelationSchema(
+      "S", {Attribute{"a", Domain::Infinite()},
+            Attribute{"b", Domain::Infinite()}}));
+  setting.master_schema.AddRelation(
+      RelationSchema("Empty1", {Attribute{"w", Domain::Infinite()}}));
+  setting.master_schema.AddRelation(RelationSchema(
+      "Sm", {Attribute{"a", Domain::Infinite()},
+             Attribute{"b", Domain::Infinite()}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.dm.AddTuple("Sm", {S("1"), S("a")});
+  setting.ccs.emplace_back(
+      "r_at_most_one",
+      ConjunctiveQuery({CTerm(V(0))},
+                       {RelAtom{"R", {V(0)}}, RelAtom{"R", {V(1)}}},
+                       {CondAtom{V(0), true, V(1)}}),
+      "Empty1", std::vector<int>{0});
+  setting.ccs.emplace_back(
+      "s_bounded",
+      ConjunctiveQuery({CTerm(V(0)), CTerm(V(1))},
+                       {RelAtom{"S", {V(0), V(1)}}}),
+      "Sm", std::vector<int>{0, 1});
+  ASSERT_TRUE(setting.Validate().ok());
+
+  CInstance t(setting.schema);
+  t.at("R").AddRow({Cell(V(0))});
+  Query q = Query::Cq(ConjunctiveQuery(
+      {CTerm(V(1))}, {RelAtom{"R", {V(0)}}, RelAtom{"S", {V(0), V(1)}}}));
+
+  SearchStats stats;
+  CompletenessWitness witness;
+  ASSERT_OK_AND_ASSIGN(complete,
+                       RcdpStrong(q, t, setting, {}, &stats, &witness));
+  EXPECT_FALSE(complete);
+  EXPECT_EQ(stats.worlds, 2u);
+  EXPECT_EQ(witness.world.at("R").rows(), std::vector<Tuple>{{S("1")}});
+  EXPECT_EQ(witness.answer, Tuple({S("a")}));
+}
+
 // ---------------------------------------------------------------------------
 // Thm 5.1(3): ∃∀∃3SAT ⇔ ¬ weakly complete, swept against the QBF oracle.
 // ---------------------------------------------------------------------------

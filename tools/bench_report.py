@@ -14,7 +14,7 @@ across commits:
 Usage:
     tools/bench_report.py --build-dir build [--out BENCH_trajectory.json]
         [--filter REGEX] [--repetitions N] [--bench NAME ...]
-        [--compare] [--compare-threshold 0.25] [--compare-filter ^BM_Service_]
+        [--compare] [--compare-threshold 0.25] [--compare-filter REGEX]
 
 By default every bench_* executable found in the build directory runs with
 --benchmark_repetitions=N (default 3) and the per-benchmark median of
@@ -23,7 +23,8 @@ nonzero if any benchmark binary fails.
 
 --compare diffs the new snapshot against the PREVIOUS trajectory entry
 and warns (never fails: shared CI runners are noisy) about key
-benchmarks whose median regressed by more than the threshold. Under
+benchmarks whose median regressed by more than the threshold (by
+default the service benches and the strong-model decider benches). Under
 GITHUB_ACTIONS the warnings use the ::warning annotation format so they
 surface on the workflow run page.
 """
@@ -35,6 +36,11 @@ import os
 import statistics
 import subprocess
 import sys
+
+# The key benchmarks --compare watches: the service front door and the
+# strong-model deciders, whose CC-check hot path dominates their medians.
+DEFAULT_COMPARE_FILTER = (
+    "^BM_(Service_|RcdpStrong_|Fig1_|RcdpStrongTractable_)")
 
 
 def find_benches(build_dir, names):
@@ -130,9 +136,9 @@ def main():
     parser.add_argument("--compare-threshold", type=float, default=0.25,
                         help="relative regression that triggers a warning "
                              "(default 0.25 = 25%%)")
-    parser.add_argument("--compare-filter", default="^BM_Service_",
+    parser.add_argument("--compare-filter", default=DEFAULT_COMPARE_FILTER,
                         help="regex selecting the key benchmarks to compare "
-                             "(default ^BM_Service_)")
+                             "(default %s)" % DEFAULT_COMPARE_FILTER)
     args = parser.parse_args()
 
     # Median over repetitions, keyed by benchmark name with the

@@ -7,15 +7,17 @@
 // answered several ways:
 //   cold    — independent decider calls on the raw setting (the pre-service
 //             call pattern): every request re-derives the Adom seed (a scan
-//             and sort of all |Dm| constants) and re-projects the masters;
+//             and sort of all |Dm| constants) and recompiles the CCs;
 //   warm    — SubmitBatch through the CompletenessService over a
-//             PreparedSetting built once, memoization off: the prepared-
-//             artifact savings;
+//             PreparedSetting built once, caching off. Each request adds
+//             only its own constants and fresh names to the setting's
+//             shared Adom seed, and these deciders never enumerate the
+//             full Adom, so a request costs O(|T| + |Q|) whatever |Dm|;
 //   memo    — the same with the shard cache on: repeated queries collapse
 //             to fingerprint lookups (the serving-traffic regime);
 //   async   — the same workload through SubmitAsync futures.
-// warm must beat cold at every master size, and the gap must widen with
-// |Dm|; memo sits another order of magnitude above.
+// cold grows with |Dm| and warm stays flat in it, so warm's gap over cold
+// widens with |Dm|; memo sits another order of magnitude above warm.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -71,8 +73,8 @@ std::vector<DecisionRequest> MakeWorkload(const CInstance& audited,
   for (int r = 0; r < repeat; ++r) {
     for (int i = 0; i < distinct; ++i) {
       // q_i(c) :- Visit("nhs-i", c, y): which cities has patient i visited?
-      // Head and join variables sit in finite-domain columns, so the
-      // decision itself is cheap — per-request setup is the dominant cost.
+      // Head and join variables sit in finite-domain columns, so no
+      // decider enumerates the full Adom and the decision stays cheap.
       ConjunctiveQuery cq(
           {CTerm(VarId{0})},
           {RelAtom{"Visit",
@@ -152,7 +154,7 @@ void RunServiceBatch(benchmark::State& state, size_t cache_capacity,
 void BM_Service_WarmBatch(benchmark::State& state) {
   RunServiceBatch(state, /*cache_capacity=*/0);
 }
-BENCHMARK(BM_Service_WarmBatch)->Arg(256)->Arg(2048)->Arg(8192)
+BENCHMARK(BM_Service_WarmBatch)->Arg(256)->Arg(2048)->Arg(8192)->Arg(24576)
     ->UseRealTime();
 
 void BM_Service_MemoizedBatch(benchmark::State& state) {

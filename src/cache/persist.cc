@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string_view>
 
 #include "util/hash.h"
 
@@ -28,7 +29,7 @@ class Writer {
     for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
+  void Str(std::string_view s) {
     U64(s.size());
     out_.append(s);
   }

@@ -1,6 +1,8 @@
 #include "core/adom.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 namespace relcomp {
 namespace {
@@ -12,6 +14,19 @@ void AddAll(std::vector<Value>* dst, const std::vector<Value>& src) {
 void SortUnique(std::vector<Value>* values) {
   std::sort(values->begin(), values->end());
   values->erase(std::unique(values->begin(), values->end()), values->end());
+}
+
+bool Contains(const std::vector<Value>& sorted, const Value& v) {
+  return std::binary_search(sorted.begin(), sorted.end(), v);
+}
+
+// Merges two disjoint sorted runs into one sorted vector.
+std::vector<Value> Merge(const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+  std::vector<Value> out;
+  out.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  return out;
 }
 
 }  // namespace
@@ -48,48 +63,75 @@ AdomSeed AdomContext::SeedFor(const PartiallyClosedSetting& setting) {
 AdomContext AdomContext::Build(const PartiallyClosedSetting& setting,
                                const CInstance& cinstance, const Query* query,
                                AdomOptions options) {
-  return BuildFromSeed(SeedFor(setting), cinstance, query, options);
+  return BuildFromSeed(std::make_shared<const AdomSeed>(SeedFor(setting)),
+                       cinstance, query, options);
 }
 
-AdomContext AdomContext::BuildFromSeed(const AdomSeed& seed,
+AdomContext AdomContext::BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
                                        const CInstance& cinstance,
                                        const Query* query,
                                        AdomOptions options) {
-  AdomContext ctx;
-
-  // S: constants of T (plus the query's, per the Thm 4.1 Adom) on top of the
-  // cached setting constants.
-  std::vector<Value> base = cinstance.Constants();
-  AddAll(&base, seed.base);
-  if (query != nullptr) AddAll(&base, query->Constants());
-  SortUnique(&base);
-  ctx.base_ = base;
+  // S: constants of T (plus the query's, per the Thm 4.1 Adom) that the
+  // shared setting constants lack. Both lists come sorted and unique.
+  const std::vector<Value> t_constants = cinstance.Constants();
+  const std::vector<Value> q_constants =
+      query != nullptr ? query->Constants() : std::vector<Value>();
+  std::vector<Value> overlay;
+  std::set_union(t_constants.begin(), t_constants.end(), q_constants.begin(),
+                 q_constants.end(), std::back_inserter(overlay));
+  auto in_seed = [&seed](const Value& v) { return Contains(seed->base, v); };
+  overlay.erase(std::remove_if(overlay.begin(), overlay.end(), in_seed),
+                overlay.end());
 
   // New: one fresh constant per variable of T and the query, plus the
-  // requested extras, on top of the cached setting budget.
-  size_t num_fresh = cinstance.Vars().size() + options.extra_fresh + seed.fresh;
+  // requested extras, on top of the setting budget; a name in S ∪ df is
+  // skipped.
+  size_t num_fresh =
+      cinstance.Vars().size() + options.extra_fresh + seed->fresh;
   if (query != nullptr) {
     num_fresh += static_cast<size_t>(query->MaxVarId() + 1);
   }
-
-  size_t counter = 0;
-  while (ctx.fresh_.size() < num_fresh) {
-    Value candidate = Value::Sym("@new" + std::to_string(counter++));
-    if (!std::binary_search(base.begin(), base.end(), candidate)) {
-      ctx.fresh_.push_back(candidate);
+  std::vector<Value> fresh;
+  fresh.reserve(num_fresh);
+  for (size_t counter = 0; fresh.size() < num_fresh; ++counter) {
+    Value candidate = Value::Sym("@new" + std::to_string(counter));
+    if (!Contains(seed->base, candidate) && !Contains(overlay, candidate)) {
+      fresh.push_back(candidate);
     }
   }
-
-  ctx.values_ = base;
-  AddAll(&ctx.values_, ctx.fresh_);
-  SortUnique(&ctx.values_);
-  return ctx;
+  return AdomContext(std::move(seed), std::move(overlay), std::move(fresh));
 }
 
 AdomContext AdomContext::BuildForGround(const PartiallyClosedSetting& setting,
                                         const Instance& instance,
                                         const Query* query, AdomOptions options) {
   return Build(setting, CInstance::FromInstance(instance), query, options);
+}
+
+const std::vector<Value>& AdomContext::base() const {
+  std::call_once(base_once_, [this] { base_ = Merge(seed_->base, overlay_); });
+  return base_;
+}
+
+const std::vector<Value>& AdomContext::values() const {
+  std::call_once(values_once_, [this] {
+    // The request's runs are small: merge them first, then the seed once.
+    std::vector<Value> fresh = fresh_;
+    std::sort(fresh.begin(), fresh.end());
+    values_ = Merge(seed_->base, Merge(overlay_, fresh));
+  });
+  return values_;
+}
+
+Result<Relation> EvalOverAdom(const Query& q, const Instance& instance,
+                              const AdomContext& adom) {
+  switch (q.language()) {
+    case QueryLanguage::kEFOPlus:
+    case QueryLanguage::kFO:
+      return q.Eval(instance, adom.values());
+    default:
+      return q.Eval(instance);
+  }
 }
 
 }  // namespace relcomp

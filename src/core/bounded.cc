@@ -29,7 +29,7 @@ class ExtensionSearcher {
   Result<BoundedSearchResult> Run(const Instance& base) {
     BoundedSearchResult result;
     if (stats_ != nullptr) ++stats_->query_evals;
-    Result<Relation> base_answers = q_.Eval(base, adom_.values());
+    Result<Relation> base_answers = EvalOverAdom(q_, base, adom_);
     if (!base_answers.ok()) return base_answers.status();
     Instance current = base;
     Status st = Explore(base, *base_answers, &current, 0, 0, 0, &result);
@@ -53,7 +53,7 @@ class ExtensionSearcher {
       if (!closed.ok()) return closed.status();
       if (!*closed) return Status::OK();  // prune: supersets stay violated
       if (stats_ != nullptr) ++stats_->query_evals;
-      Result<Relation> answers = q_.Eval(*current, adom_.values());
+      Result<Relation> answers = EvalOverAdom(q_, *current, adom_);
       if (!answers.ok()) return answers.status();
       if (*answers != base_answers) {
         result->witness_found = true;

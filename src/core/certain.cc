@@ -14,7 +14,7 @@ Result<CertainAnswersResult> CertainAnswers(
     if (!got.ok()) return got.status();
     if (!*got) break;
     if (stats != nullptr) ++stats->query_evals;
-    Result<Relation> answers = q.Eval(world, adom.values());
+    Result<Relation> answers = EvalOverAdom(q, world, adom);
     if (!answers.ok()) return answers.status();
     if (!result.mod_nonempty) {
       result.mod_nonempty = true;

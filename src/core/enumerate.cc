@@ -18,8 +18,6 @@ std::vector<Value> IntersectSorted(const std::vector<Value>& acc,
 // Accumulates a variable-to-finite-domain constraint map.
 class DomainCollector {
  public:
-  explicit DomainCollector(const AdomContext& adom) : adom_(adom) {}
-
   void Constrain(VarId var, const Domain& domain) {
     Touch(var);
     if (!domain.is_finite()) return;
@@ -33,51 +31,38 @@ class DomainCollector {
 
   void Touch(VarId var) { all_vars_.insert(var.id); }
 
-  VarCandidateList Build() const {
-    VarCandidateList out;
+  // Calls `emit(var, finite)` for every variable in id order, where
+  // `finite` is the intersection of the finite domains of its columns, or
+  // null when no finite domain constrains it (it ranges over all of Adom).
+  template <typename Emit>
+  void ForEach(Emit emit) {
+    // LINT:waive(checkpoint-coverage, one pass over the collected variables)
     for (int32_t id : all_vars_) {
       auto it = finite_.find(id);
-      if (it != finite_.end()) {
-        out.emplace_back(VarId{id}, it->second);
-      } else {
-        out.emplace_back(VarId{id}, adom_.values());
-      }
+      emit(VarId{id}, it == finite_.end() ? nullptr : &it->second);
     }
+  }
+
+  VarCandidateList Build(const AdomContext& adom) {
+    VarCandidateList out;
+    ForEach([&](VarId var, std::vector<Value>* finite) {
+      if (finite != nullptr) {
+        out.emplace_back(var, std::move(*finite));
+      } else {
+        out.emplace_back(var, adom.values());
+      }
+    });
     return out;
   }
 
  private:
-  const AdomContext& adom_;
   std::set<int32_t> all_vars_;
   std::map<int32_t, std::vector<Value>> finite_;
 };
 
-}  // namespace
-
-VarCandidateList CInstanceVarCandidates(const CInstance& cinstance,
-                                        const AdomContext& adom) {
-  DomainCollector collector(adom);
-  // LINT:waive(checkpoint-coverage, scans the input c-instance once)
-  for (const CTable& table : cinstance.tables()) {
-    for (const CRow& row : table.rows()) {
-      for (size_t i = 0; i < row.cells.size(); ++i) {
-        if (std::holds_alternative<VarId>(row.cells[i])) {
-          collector.Constrain(std::get<VarId>(row.cells[i]),
-                              table.schema().attribute(i).domain);
-        }
-      }
-      std::vector<VarId> cond_vars;
-      row.condition.CollectVars(&cond_vars);
-      for (VarId v : cond_vars) collector.Touch(v);
-    }
-  }
-  return collector.Build();
-}
-
-VarCandidateList CqVarCandidates(const ConjunctiveQuery& q,
-                                 const DatabaseSchema& schema,
-                                 const AdomContext& adom) {
-  DomainCollector collector(adom);
+DomainCollector CollectCqDomains(const ConjunctiveQuery& q,
+                                 const DatabaseSchema& schema) {
+  DomainCollector collector;
   // LINT:waive(checkpoint-coverage, scans the query atoms once)
   for (const RelAtom& atom : q.atoms()) {
     const RelationSchema* rel = schema.Find(atom.rel);
@@ -107,24 +92,48 @@ VarCandidateList CqVarCandidates(const ConjunctiveQuery& q,
       collector.Touch(std::get<VarId>(t));
     }
   }
-  return collector.Build();
+  return collector;
+}
+
+}  // namespace
+
+VarCandidateList CInstanceVarCandidates(const CInstance& cinstance,
+                                        const AdomContext& adom) {
+  DomainCollector collector;
+  // LINT:waive(checkpoint-coverage, scans the input c-instance once)
+  for (const CTable& table : cinstance.tables()) {
+    for (const CRow& row : table.rows()) {
+      for (size_t i = 0; i < row.cells.size(); ++i) {
+        if (std::holds_alternative<VarId>(row.cells[i])) {
+          collector.Constrain(std::get<VarId>(row.cells[i]),
+                              table.schema().attribute(i).domain);
+        }
+      }
+      std::vector<VarId> cond_vars;
+      row.condition.CollectVars(&cond_vars);
+      for (VarId v : cond_vars) collector.Touch(v);
+    }
+  }
+  return collector.Build(adom);
+}
+
+VarCandidateList CqVarCandidates(const ConjunctiveQuery& q,
+                                 const DatabaseSchema& schema,
+                                 const AdomContext& adom) {
+  return CollectCqDomains(q, schema).Build(adom);
 }
 
 std::vector<OpenVarCandidate> CqVarCandidatesOpen(
-    const ConjunctiveQuery& q, const DatabaseSchema& schema,
-    const AdomContext& adom) {
-  // Reuse the closed computation, then mark full-Adom lists as open.
-  VarCandidateList closed = CqVarCandidates(q, schema, adom);
+    const ConjunctiveQuery& q, const DatabaseSchema& schema) {
   std::vector<OpenVarCandidate> out;
-  out.reserve(closed.size());
-  // LINT:waive(checkpoint-coverage, one pass over the var candidates)
-  for (auto& [var, values] : closed) {
-    OpenVarCandidate entry;
-    entry.var = var;
-    entry.open = (values == adom.values());
-    if (!entry.open) entry.values = std::move(values);
-    out.push_back(std::move(entry));
-  }
+  CollectCqDomains(q, schema).ForEach(
+      [&out](VarId var, std::vector<Value>* finite) {
+        OpenVarCandidate entry;
+        entry.var = var;
+        entry.open = finite == nullptr;
+        if (!entry.open) entry.values = std::move(*finite);
+        out.push_back(std::move(entry));
+      });
   return out;
 }
 
@@ -227,20 +236,29 @@ bool CanonicalValuationEnumerator::Next(Valuation* mu) {
 CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
     const ConjunctiveQuery& q, const DatabaseSchema& schema,
     const AdomContext& adom, const Instance& around) {
+  std::vector<OpenVarCandidate> vars = CqVarCandidatesOpen(q, schema);
+  const bool any_open =
+      std::any_of(vars.begin(), vars.end(),
+                  [](const OpenVarCandidate& v) { return v.open; });
+  if (!any_open) {
+    // Closed lists only: neither the base nor the fresh pool is read.
+    return CanonicalValuationEnumerator(std::move(vars), {}, {});
+  }
   // Values of `around` are pinned (they occur in the instance), so they
   // join the base; the remaining fresh constants stay interchangeable.
-  std::vector<Value> base = adom.base();
-  std::vector<Value> instance_values = around.ActiveDomain();
-  base.insert(base.end(), instance_values.begin(), instance_values.end());
-  std::sort(base.begin(), base.end());
-  base.erase(std::unique(base.begin(), base.end()), base.end());
+  const std::vector<Value> instance_values = around.ActiveDomain();
+  std::vector<Value> base;
+  base.reserve(adom.base().size() + instance_values.size());
+  std::set_union(adom.base().begin(), adom.base().end(),
+                 instance_values.begin(), instance_values.end(),
+                 std::back_inserter(base));
   std::vector<Value> fresh;
   // LINT:waive(checkpoint-coverage, filters the fresh constants once)
   for (const Value& f : adom.fresh()) {
     if (!std::binary_search(base.begin(), base.end(), f)) fresh.push_back(f);
   }
-  return CanonicalValuationEnumerator(CqVarCandidatesOpen(q, schema, adom),
-                                      std::move(base), std::move(fresh));
+  return CanonicalValuationEnumerator(std::move(vars), std::move(base),
+                                      std::move(fresh));
 }
 
 ValuationEnumerator::ValuationEnumerator(VarCandidateList vars)
@@ -296,8 +314,8 @@ TupleEnumerator::TupleEnumerator(const RelationSchema& schema,
     : indices_(schema.arity(), 0) {
   // LINT:waive(checkpoint-coverage, constructor scan over the schema arity)
   for (const Attribute& attr : schema.attributes()) {
-    candidates_.push_back(adom.Candidates(attr.domain));
-    if (candidates_.back().empty()) exhausted_ = true;
+    candidates_.push_back(&adom.Candidates(attr.domain));
+    if (candidates_.back()->empty()) exhausted_ = true;
   }
 }
 
@@ -308,7 +326,7 @@ bool TupleEnumerator::Next(Tuple* t) {
     t->resize(candidates_.size());
     // LINT:waive(checkpoint-coverage, writes each tuple position once)
     for (size_t i = 0; i < candidates_.size(); ++i) {
-      (*t)[i] = candidates_[i][0];
+      (*t)[i] = (*candidates_[i])[0];
     }
     if (candidates_.empty()) exhausted_ = true;  // nullary: single tuple
     return true;
@@ -316,7 +334,7 @@ bool TupleEnumerator::Next(Tuple* t) {
   size_t pos = 0;
   // LINT:waive(checkpoint-coverage, radix carry bounded by the arity)
   while (pos < indices_.size()) {
-    if (++indices_[pos] < candidates_[pos].size()) break;
+    if (++indices_[pos] < candidates_[pos]->size()) break;
     indices_[pos] = 0;
     ++pos;
   }
@@ -327,7 +345,7 @@ bool TupleEnumerator::Next(Tuple* t) {
   t->resize(candidates_.size());
   // LINT:waive(checkpoint-coverage, writes each tuple position once)
   for (size_t i = 0; i < candidates_.size(); ++i) {
-    (*t)[i] = candidates_[i][indices_[i]];
+    (*t)[i] = (*candidates_[i])[indices_[i]];
   }
   return true;
 }
@@ -335,7 +353,7 @@ bool TupleEnumerator::Next(Tuple* t) {
 uint64_t TupleEnumerator::TotalCount() const {
   uint64_t total = 1;
   // LINT:waive(checkpoint-coverage, product over the arity)
-  for (const auto& c : candidates_) total *= c.size();
+  for (const std::vector<Value>* c : candidates_) total *= c->size();
   return total;
 }
 

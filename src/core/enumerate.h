@@ -52,7 +52,8 @@ class ValuationEnumerator {
   bool exhausted_ = false;
 };
 
-/// Enumerates all tuples of a relation schema over Adom candidates.
+/// Enumerates all tuples of a relation schema over Adom candidates. Holds
+/// references into `schema` and `adom`, which must outlive it.
 class TupleEnumerator {
  public:
   TupleEnumerator(const RelationSchema& schema, const AdomContext& adom);
@@ -64,7 +65,7 @@ class TupleEnumerator {
   uint64_t TotalCount() const;
 
  private:
-  std::vector<std::vector<Value>> candidates_;  // per position
+  std::vector<const std::vector<Value>*> candidates_;  // per position
   std::vector<size_t> indices_;
   bool started_ = false;
   bool exhausted_ = false;
@@ -78,11 +79,11 @@ struct OpenVarCandidate {
   bool open = false;
 };
 
-/// Open-variable candidates for a CQ tableau (closed lists for finite-domain
-/// columns, open otherwise).
+/// Open-variable candidates for a CQ tableau: a variable is open when no
+/// finite-domain column constrains it, and otherwise gets the intersection
+/// of its columns' finite domains. Needs no Adom.
 std::vector<OpenVarCandidate> CqVarCandidatesOpen(
-    const ConjunctiveQuery& q, const DatabaseSchema& schema,
-    const AdomContext& adom);
+    const ConjunctiveQuery& q, const DatabaseSchema& schema);
 
 /// Symmetry-broken valuation enumerator for *existential* searches over
 /// Adom: fresh ("New") constants are interchangeable — they appear nowhere
@@ -118,6 +119,7 @@ class CanonicalValuationEnumerator {
 /// Builds a canonical enumerator for a CQ's variables around a concrete
 /// instance: values appearing in `around` are part of the base (they are
 /// not interchangeable), remaining fresh constants form the symmetric pool.
+/// Reads Adom (materializing base()) only when some variable is open.
 CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
     const ConjunctiveQuery& q, const DatabaseSchema& schema,
     const AdomContext& adom, const Instance& around);

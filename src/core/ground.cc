@@ -68,7 +68,7 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   }
 
   if (stats != nullptr) ++stats->query_evals;
-  Result<Relation> answers = q.Eval(instance, adom.values());
+  Result<Relation> answers = EvalOverAdom(q, instance, adom);
   if (!answers.ok()) return answers.status();
 
   Result<std::vector<ConjunctiveQuery>> disjuncts = q.Disjuncts();

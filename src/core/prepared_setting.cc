@@ -313,9 +313,10 @@ PreparedSetting PreparedSetting::Borrow(
   return PreparedSetting(Derive(setting));
 }
 
-const AdomSeed& PreparedSetting::adom_seed() const {
+const std::shared_ptr<const AdomSeed>& PreparedSetting::adom_seed() const {
   std::call_once(a_->seed_once, [this] {
-    a_->adom_seed = AdomContext::SeedFor(*a_->setting);
+    a_->adom_seed =
+        std::make_shared<const AdomSeed>(AdomContext::SeedFor(*a_->setting));
   });
   return a_->adom_seed;
 }

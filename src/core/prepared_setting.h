@@ -61,11 +61,12 @@ class PreparedSetting {
   /// True iff every CC in V is an IND (enables the PTIME RCQP of Cor 7.2).
   bool all_inds() const { return a_->all_inds; }
 
-  /// Cached setting-level Adom contribution. Computed on first use (and
-  /// eagerly by Prepare): legacy one-shot paths that only need CC checks —
-  /// e.g. a ModEnumerator built around an existing AdomContext — never pay
-  /// the O(|Dm| log |Dm|) constant scan. Thread-safe.
-  const AdomSeed& adom_seed() const;
+  /// Cached setting-level Adom contribution, shared by every AdomContext
+  /// built over this setting. Computed on first use (and eagerly by
+  /// Prepare): legacy one-shot paths that only need CC checks — e.g. a
+  /// ModEnumerator built around an existing AdomContext — never pay the
+  /// O(|Dm| log |Dm|) constant scan. Thread-safe.
+  const std::shared_ptr<const AdomSeed>& adom_seed() const;
 
   /// Stable fingerprint of (R, Rm, Dm, V); memoization key component.
   uint64_t fingerprint() const;
@@ -87,7 +88,7 @@ class PreparedSetting {
   Result<Instance> WithDelta(const Instance& base,
                              const std::vector<DeltaRow>& delta) const;
 
-  /// Adom builds reusing the cached seed.
+  /// Adom builds over the shared seed: O(|T| + |Q|) each.
   AdomContext BuildAdom(const CInstance& cinstance, const Query* query,
                         AdomOptions options = {}) const {
     return AdomContext::BuildFromSeed(adom_seed(), cinstance, query, options);
@@ -104,7 +105,7 @@ class PreparedSetting {
     std::shared_ptr<const PartiallyClosedSetting> owned;  // null when borrowed
     const PartiallyClosedSetting* setting = nullptr;
     mutable std::once_flag seed_once;  // lazy: many one-shot users skip it
-    mutable AdomSeed adom_seed;
+    mutable std::shared_ptr<const AdomSeed> adom_seed;
     // Compiled on the first CC check, not in Prepare: registering a setting
     // does not pay for it, and one-shot users that never check a CC never
     // build it. Read-only once built, so every thread shares it.

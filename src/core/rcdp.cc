@@ -145,7 +145,7 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
         Result<Instance> extended = prepared.WithDelta(world, delta);
         if (!extended.ok()) return extended.status();
         if (stats != nullptr) ++stats->query_evals;
-        Result<Relation> answers = q.Eval(*extended, adom.values());
+        Result<Relation> answers = EvalOverAdom(q, *extended, adom);
         if (!answers.ok()) return answers.status();
         if (!any_extension) {
           any_extension = true;

@@ -4,7 +4,7 @@ namespace relcomp {
 
 std::string Value::ToString() const {
   if (is_int()) return std::to_string(as_int());
-  return sym_name();
+  return std::string(sym_name());
 }
 
 }  // namespace relcomp

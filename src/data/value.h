@@ -38,7 +38,7 @@ class Value {
   /// Symbol id; requires is_sym().
   SymbolId sym_id() const { return static_cast<SymbolId>(payload_); }
   /// Symbol text; requires is_sym().
-  const std::string& sym_name() const { return SymbolName(sym_id()); }
+  std::string_view sym_name() const { return SymbolName(sym_id()); }
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.kind_ == b.kind_ && a.payload_ == b.payload_;

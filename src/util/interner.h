@@ -1,11 +1,17 @@
 // Global symbol interner: maps strings to dense 32-bit ids so that Value can
 // be a cheap, trivially-copyable 64-bit word. Database constants (patient
 // names, city names, ...) are interned once and compared by id thereafter.
+//
+// Interned names are never freed. Each costs its bytes plus about 24 B of
+// bookkeeping: a 4-byte length in an append-only arena of 64 KiB chunks, an
+// 8-byte record pointer, and its share of an open-addressing index of
+// 4-byte ids kept at most half full. Over 200k 16-character names that
+// measured 40 B a name.
 #ifndef RELCOMP_UTIL_INTERNER_H_
 #define RELCOMP_UTIL_INTERNER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace relcomp {
@@ -16,8 +22,9 @@ using SymbolId = uint32_t;
 /// Interns `name`, returning its stable id. Idempotent.
 SymbolId InternSymbol(std::string_view name);
 
-/// Returns the string for an id previously returned by InternSymbol.
-const std::string& SymbolName(SymbolId id);
+/// Returns the text of an id previously returned by InternSymbol. The view
+/// stays valid for the life of the process.
+std::string_view SymbolName(SymbolId id);
 
 /// Number of symbols interned so far (monotone; used by tests).
 size_t InternedSymbolCount();

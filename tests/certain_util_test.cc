@@ -2,6 +2,12 @@
 // interner utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/certain.h"
 #include "test_util.h"
 #include "util/interner.h"
@@ -12,6 +18,8 @@ namespace {
 using testing::I;
 using testing::S;
 using testing::V;
+
+constexpr SymbolId kNoId = ~SymbolId{0};
 
 struct BoolFixture {
   PartiallyClosedSetting setting;
@@ -124,6 +132,116 @@ TEST(InternerTest, StableIdsAndNames) {
   EXPECT_EQ(SymbolName(a), "alpha-test-symbol");
   SymbolId c = InternSymbol("beta-test-symbol");
   EXPECT_NE(a, c);
+}
+
+std::string NumberedName(const char* prefix, int i) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s-%06d", prefix, i);
+  return buf;
+}
+
+TEST(InternerTest, IdsStayDenseAndStableAcrossArenaAndIndexGrowth) {
+  // 40k names of ~30 bytes fill many 64 KiB arena chunks and grow the
+  // index from its first 1024 slots several times.
+  constexpr int kNames = 40000;
+  const size_t before = InternedSymbolCount();
+  std::vector<SymbolId> ids;
+  for (int i = 0; i < kNames; ++i) {
+    const size_t count = InternedSymbolCount();
+    ids.push_back(InternSymbol(NumberedName("interner-growth-name", i)));
+    EXPECT_EQ(InternedSymbolCount(), count + 1);
+  }
+  for (int i = 0; i < kNames; ++i) {
+    ASSERT_EQ(ids[static_cast<size_t>(i)], before + static_cast<size_t>(i));
+  }
+  // Interning again returns the same ids and adds nothing.
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = NumberedName("interner-growth-name", i);
+    ASSERT_EQ(InternSymbol(name), ids[static_cast<size_t>(i)]);
+    ASSERT_EQ(SymbolName(ids[static_cast<size_t>(i)]), name);
+  }
+  EXPECT_EQ(InternedSymbolCount(), before + kNames);
+}
+
+TEST(InternerTest, EmptyLongAndPrefixSharingNames) {
+  const SymbolId empty = InternSymbol("");
+  EXPECT_EQ(SymbolName(empty), "");
+  EXPECT_EQ(InternSymbol(std::string()), empty);
+
+  // Longer than an arena chunk: stored on its own, next to the chunk in use.
+  const std::string huge(70000, 'q');
+  const SymbolId huge_id = InternSymbol(huge);
+  const SymbolId after = InternSymbol("interner-after-the-huge-name");
+  EXPECT_EQ(SymbolName(huge_id), huge);
+  EXPECT_EQ(SymbolName(after), "interner-after-the-huge-name");
+  EXPECT_EQ(InternSymbol(huge), huge_id);
+  EXPECT_NE(InternSymbol(huge + "q"), huge_id);
+
+  // Names that share long prefixes, and names that are prefixes of others.
+  const std::string prefix(200, 'p');
+  std::vector<SymbolId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(InternSymbol(prefix + std::to_string(i)));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(SymbolName(ids[static_cast<size_t>(i)]),
+              prefix + std::to_string(i));
+  }
+  const SymbolId ab = InternSymbol("interner-ab");
+  const SymbolId abc = InternSymbol("interner-abc");
+  const SymbolId a = InternSymbol("interner-a");
+  EXPECT_NE(ab, abc);
+  EXPECT_NE(ab, a);
+  EXPECT_EQ(SymbolName(ab), "interner-ab");
+  EXPECT_EQ(SymbolName(abc), "interner-abc");
+  EXPECT_EQ(SymbolName(a), "interner-a");
+}
+
+TEST(InternerTest, ConcurrentInternsGetOneIdPerName) {
+  // Four threads intern overlapping ranges of new names in different orders
+  // and read names back while the others grow the table.
+  constexpr int kThreads = 4;
+  constexpr int kSpan = 6000;
+  constexpr int kStride = 2000;
+  const size_t before = InternedSymbolCount();
+  std::vector<std::vector<SymbolId>> seen(kThreads);
+  std::vector<int> names_ok(kThreads, 0);  // not vector<bool>: one word each
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<SymbolId>& ids = seen[static_cast<size_t>(t)];
+      ids.resize(kSpan);
+      bool ok = true;
+      for (int k = 0; k < kSpan; ++k) {
+        const int j = t % 2 == 0 ? k : kSpan - 1 - k;
+        const std::string name =
+            NumberedName("interner-concurrent", t * kStride + j);
+        const SymbolId id = InternSymbol(name);
+        ids[static_cast<size_t>(j)] = id;
+        ok = ok && SymbolName(id) == name;
+      }
+      names_ok[static_cast<size_t>(t)] = ok ? 1 : 0;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // Names t·kStride + j; every name is seen by up to three threads.
+  const int distinct = (kThreads - 1) * kStride + kSpan;
+  std::vector<SymbolId> by_name(static_cast<size_t>(distinct), kNoId);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(names_ok[static_cast<size_t>(t)], 1) << "thread " << t;
+    for (int j = 0; j < kSpan; ++j) {
+      const SymbolId id = seen[static_cast<size_t>(t)][static_cast<size_t>(j)];
+      SymbolId& first = by_name[static_cast<size_t>(t * kStride + j)];
+      if (first == kNoId) first = id;
+      ASSERT_EQ(id, first) << "name " << t * kStride + j;
+    }
+  }
+  EXPECT_EQ(InternedSymbolCount(), before + static_cast<size_t>(distinct));
+  std::vector<SymbolId> sorted = by_name;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(sorted.front(), before);
+  EXPECT_EQ(sorted.back(), before + static_cast<size_t>(distinct) - 1);
 }
 
 TEST(StatsTest, ToStringListsCounters) {

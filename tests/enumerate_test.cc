@@ -203,12 +203,10 @@ TEST(CanonicalEnumeratorTest, CqHelperMarksFiniteDomainsClosed) {
       "R", {Attribute{"a", Domain::Boolean()},
             Attribute{"b", Domain::Infinite()}}));
   setting.dm = Instance(setting.master_schema);
-  CInstance empty(setting.schema);
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(V(0)), CTerm(V(1))}, {RelAtom{"R", {V(0), V(1)}}}));
-  AdomContext adom = AdomContext::Build(setting, empty, &q);
   std::vector<OpenVarCandidate> vars =
-      CqVarCandidatesOpen(q.cq(), setting.schema, adom);
+      CqVarCandidatesOpen(q.cq(), setting.schema);
   ASSERT_EQ(vars.size(), 2u);
   EXPECT_FALSE(vars[0].open);  // Boolean column
   EXPECT_EQ(vars[0].values.size(), 2u);

@@ -16,6 +16,88 @@ namespace {
 
 using testing::S;
 
+TEST(PreparedSettingTest, LargeMasterCountersArePinned) {
+  // A 24,576-row master: the deciders build each Adom over the shared seed
+  // and materialize it only to enumerate it. The counts pin the size and
+  // the order of the materialized domain. Symbols order by interning order,
+  // and the weak-model early exit depends on that order, so this test comes
+  // first in its binary: no earlier test has interned a fresh ("@new")
+  // name before the master's constants.
+  struct Counts {
+    uint64_t valuations, worlds, extensions, cc_checks, query_evals;
+  };
+  auto expect_counts = [](const SearchStats& got, const Counts& want,
+                          const std::string& what) {
+    EXPECT_EQ(got.valuations, want.valuations) << what;
+    EXPECT_EQ(got.worlds, want.worlds) << what;
+    EXPECT_EQ(got.extensions, want.extensions) << what;
+    EXPECT_EQ(got.cc_checks, want.cc_checks) << what;
+    EXPECT_EQ(got.query_evals, want.query_evals) << what;
+  };
+  const testing::SlowFixture slow = testing::MakeSlowFixture(24576, 1);
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(slow.setting));
+  {
+    // One variable over all of Adom: one valuation per Adom value, and the
+    // ghost row empties Mod(T, Dm, V).
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        complete, RcdpStrong(slow.query, slow.audited, prepared, {}, &stats));
+    EXPECT_FALSE(complete);
+    expect_counts(stats, {24606, 0, 0, 24606, 0}, "slow fixture");
+  }
+
+  // The audit shape: a ground instance and q(c) :- Visit(P, c).
+  Instance db(slow.setting.schema);
+  db.AddTuple("Visit", {S("nhs-0"), S("EDI")});
+  db.AddTuple("Visit", {S("nhs-0"), S("LON")});
+  db.AddTuple("Visit", {S("nhs-1"), S("LON")});
+  const CInstance audited = CInstance::FromInstance(db);
+  enum class Kind { kRcdpStrong, kMinpStrong, kRcdpWeak, kRcqpStrong };
+  struct Case {
+    const char* patient;
+    Kind kind;
+    bool answer;
+    Counts counts;
+  };
+  const Case cases[] = {
+      {"nhs-0", Kind::kRcdpStrong, true, {3, 1, 0, 1, 1}},
+      {"nhs-0", Kind::kMinpStrong, false, {8, 1, 2, 3, 4}},
+      {"nhs-0", Kind::kRcdpWeak, true, {2, 2, 4, 5, 2}},
+      {"nhs-1", Kind::kRcdpStrong, false, {2, 1, 1, 2, 1}},
+      {"outsider", Kind::kRcdpStrong, true, {3, 1, 2, 3, 1}},
+      {"outsider", Kind::kMinpStrong, false, {5, 1, 4, 5, 2}},
+      {"nhs-0", Kind::kRcqpStrong, true, {0, 0, 0, 0, 0}},
+      {"nhs-1", Kind::kRcqpStrong, true, {0, 0, 0, 0, 0}},
+      {"outsider", Kind::kRcqpStrong, true, {0, 0, 0, 0, 0}},
+  };
+  for (const Case& c : cases) {
+    const Query q = Query::Cq(ConjunctiveQuery(
+        {CTerm(VarId{0})},
+        {RelAtom{"Visit", {CTerm(S(c.patient)), CTerm(VarId{0})}}}));
+    SearchStats stats;
+    Result<bool> answer = false;
+    switch (c.kind) {
+      case Kind::kRcdpStrong:
+        answer = RcdpStrong(q, audited, prepared, {}, &stats);
+        break;
+      case Kind::kMinpStrong:
+        answer = MinpStrong(q, audited, prepared, {}, &stats);
+        break;
+      case Kind::kRcdpWeak:
+        answer = RcdpWeak(q, audited, prepared, {}, &stats);
+        break;
+      case Kind::kRcqpStrong:
+        answer = RcqpStrongInd(q, prepared, {}, &stats);
+        break;
+    }
+    const std::string what = std::string(c.patient) + " kind " +
+                             std::to_string(static_cast<int>(c.kind));
+    ASSERT_TRUE(answer.ok()) << what << ": " << answer.status().ToString();
+    EXPECT_EQ(*answer, c.answer) << what;
+    expect_counts(stats, c.counts, what);
+  }
+}
+
 TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
   PatientsFixture fx = MakePatientsFixture();
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
@@ -30,21 +112,23 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
   EXPECT_FALSE(PreparedSetting::Prepare(broken).ok());
 }
 
-TEST(PreparedSettingTest, AdomFromSeedMatchesDirectBuild) {
+TEST(PreparedSettingTest, CachedAdomSeedMatchesTheSetting) {
+  // Every Adom built over a prepared setting shares its one cached seed;
+  // property_test's AdomOracle checks the Adom against its definition.
   PatientsFixture fx = MakePatientsFixture();
-  AdomSeed seed = AdomContext::SeedFor(fx.setting);
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
+  const AdomSeed fresh_seed = AdomContext::SeedFor(fx.setting);
+  EXPECT_EQ(prepared.adom_seed()->base, fresh_seed.base);
+  EXPECT_EQ(prepared.adom_seed()->fresh, fresh_seed.fresh);
+  const long owners = prepared.adom_seed().use_count();
   for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
     AdomContext direct = AdomContext::Build(fx.setting, fx.ctable, q);
-    AdomContext seeded = AdomContext::BuildFromSeed(seed, fx.ctable, q);
-    EXPECT_EQ(direct.values(), seeded.values());
-    EXPECT_EQ(direct.base(), seeded.base());
-    EXPECT_EQ(direct.fresh(), seeded.fresh());
+    AdomContext via_prepared = prepared.BuildAdom(fx.ctable, q);
+    EXPECT_EQ(prepared.adom_seed().use_count(), owners + 1);  // shared
+    EXPECT_EQ(direct.values(), via_prepared.values());
+    EXPECT_EQ(direct.base(), via_prepared.base());
+    EXPECT_EQ(direct.fresh(), via_prepared.fresh());
   }
-  // And through the PreparedSetting convenience.
-  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
-  AdomContext via_prepared = prepared.BuildAdom(fx.ctable, &fx.q1);
-  AdomContext direct = AdomContext::Build(fx.setting, fx.ctable, &fx.q1);
-  EXPECT_EQ(direct.values(), via_prepared.values());
 }
 
 TEST(PreparedSettingTest, CachedProjectionsMatchDirectCcChecks) {

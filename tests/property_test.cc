@@ -1,10 +1,18 @@
 // Property tests over randomized instances: the model relationships of
 // Section 2.2 (strong ⇒ weak ∧ viable; ground strong ⇔ viable), query
-// monotonicity, CC subset closure (Lemma 4.7(a)), and the compiled and
+// monotonicity, CC subset closure (Lemma 4.7(a)), the compiled and
 // semi-naive CC checks of PreparedSetting against the reference
-// SatisfiesCCs (ConjunctiveQuery::Eval per CC).
+// SatisfiesCCs (ConjunctiveQuery::Eval per CC), and the request-sized Adom
+// against its definition S ∪ New ∪ df.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
+
+#include "core/adom.h"
+#include "core/enumerate.h"
 #include "core/prepared_setting.h"
 #include "core/rcdp.h"
 #include "test_util.h"
@@ -469,6 +477,281 @@ TEST(CompiledCcErrors, BorrowedSettingsKeepTheReferenceErrors) {
         verdict, PreparedSetting::Borrow(setting).SatisfiesCCs(violated));
     EXPECT_FALSE(verdict) << b.what;
   }
+}
+
+// --------------------------------------------------------------------------
+// Request-sized Adom = the definition S ∪ New ∪ df.
+// --------------------------------------------------------------------------
+
+// A random setting over R(a, b ∈ {x, Int 1, Sym "1"}), U(c ∈ [0, 2]) and
+// W(d, e), with a master M(a, b) that holds Int 1 next to Sym "1", an IND
+// and sometimes a CC with a constant; a c-instance and a CQ whose constants
+// fall inside and outside Dm, including names that look fresh.
+struct RandomAdomProblem {
+  PartiallyClosedSetting setting;
+  CInstance cinstance;
+  Query query;
+  bool with_query = false;
+  AdomOptions options;
+  Instance around;  // a ground instance for the canonical enumerator
+  Rng rng{0};
+
+  Value Pick(bool inside) {
+    static const Value kMaster[] = {I(1), testing::S("1"), testing::S("m0"),
+                                    testing::S("m1"), testing::S("m2"), I(7)};
+    static const Value kOutside[] = {
+        testing::S("o0"),    testing::S("o1"),    I(42),
+        testing::S("@new0"), testing::S("@new1"), testing::S("@new23"),
+        testing::S("x")};
+    return inside ? kMaster[rng.Int(6)] : kOutside[rng.Int(7)];
+  }
+  Value Pick() { return Pick(rng.Int(2) == 0); }
+  Cell RandomCell(const Domain& domain, int vars) {
+    if (rng.Int(3) == 0) return V(rng.Int(vars));
+    if (domain.is_finite()) {
+      return domain.values()[static_cast<size_t>(
+          rng.Int(static_cast<int>(domain.values().size())))];
+    }
+    return Pick();
+  }
+
+  explicit RandomAdomProblem(uint64_t seed) : rng{seed} {
+    const Domain inf = Domain::Infinite();
+    setting.schema.AddRelation(RelationSchema(
+        "R", {Attribute{"a", inf},
+              Attribute{"b", Domain::Finite({testing::S("x"), I(1),
+                                             testing::S("1")})}}));
+    setting.schema.AddRelation(
+        RelationSchema("U", {Attribute{"c", Domain::IntRange(0, 2)}}));
+    setting.schema.AddRelation(
+        RelationSchema("W", {Attribute{"d", inf}, Attribute{"e", inf}}));
+    setting.master_schema.AddRelation(
+        RelationSchema("M", {Attribute{"a", inf}, Attribute{"b", inf}}));
+    setting.dm = Instance(setting.master_schema);
+    setting.dm.AddTuple("M", {I(1), testing::S("1")});
+    for (int i = rng.Int(6); i > 0; --i) {
+      setting.dm.AddTuple("M", {Pick(true), Pick(true)});
+    }
+    if (rng.Int(3) == 0) setting.dm.AddTuple("M", {testing::S("@new0"), I(1)});
+    // π_a(R) ⊆ M[a], over a random variable universe.
+    const int x = rng.Int(4);
+    const int y = x + 1 + rng.Int(3);
+    setting.ccs.emplace_back(
+        "ind", ConjunctiveQuery({CTerm(V(x))}, {RelAtom{"R", {V(x), V(y)}}}),
+        "M", std::vector<int>{0});
+    if (rng.Int(2) == 0) {
+      setting.ccs.emplace_back(
+          "pinned",
+          ConjunctiveQuery({CTerm(V(0))},
+                           {RelAtom{"W", {V(0), CTerm(testing::S("vconst"))}}}),
+          "M", std::vector<int>{0});
+    }
+
+    cinstance = CInstance(setting.schema);
+    const int t_vars = 1 + rng.Int(5);
+    for (const RelationSchema& rel : setting.schema.relations()) {
+      for (int i = rng.Int(4); i > 0; --i) {
+        std::vector<Cell> cells;
+        for (const Attribute& attr : rel.attributes()) {
+          cells.push_back(RandomCell(attr.domain, t_vars));
+        }
+        cinstance.at(rel.name()).AddRow(std::move(cells));
+      }
+    }
+    if (rng.Int(4) == 0) {
+      // Many variables: the fresh names run past "@new23", a T/Q constant.
+      for (int v = 0; v < 24; ++v) {
+        cinstance.at("W").AddRow({Cell(V(100 + v)), Cell(Pick())});
+      }
+    }
+
+    // A CQ over at most two variables (so the canonical enumeration stays
+    // small), with constants in atoms and sometimes in the head.
+    with_query = rng.Int(4) != 0;
+    std::vector<RelAtom> atoms;
+    std::vector<CTerm> head;
+    for (int a = 1 + rng.Int(2); a > 0; --a) {
+      const RelationSchema& rel =
+          setting.schema.relations()[static_cast<size_t>(rng.Int(3))];
+      RelAtom atom{rel.name(), {}};
+      for (size_t i = 0; i < rel.arity(); ++i) {
+        if (rng.Int(3) == 0) {
+          atom.args.push_back(Pick());
+        } else {
+          const VarId v = V(rng.Int(2));
+          atom.args.push_back(v);
+          if (head.size() < 2 && rng.Int(2) == 0) head.push_back(v);
+        }
+      }
+      atoms.push_back(std::move(atom));
+    }
+    if (rng.Int(3) == 0) head.push_back(Pick());
+    query = Query::Cq(ConjunctiveQuery(std::move(head), std::move(atoms)));
+    options.extra_fresh = static_cast<size_t>(rng.Int(3));
+
+    around = Instance(setting.schema);
+    for (int i = rng.Int(4); i > 0; --i) {
+      around.AddTuple("W", {Pick(), Pick()});
+    }
+  }
+};
+
+// Adom by sort, straight from the definition.
+struct ReferenceAdom {
+  std::vector<Value> base;
+  std::vector<Value> fresh;
+  std::vector<Value> values;
+};
+
+void SortUnique(std::vector<Value>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
+}
+
+ReferenceAdom ReferenceAdomOf(const RandomAdomProblem& p) {
+  const PartiallyClosedSetting& s = p.setting;
+  ReferenceAdom ref;
+  // S: the constants of Dm, V, T and Q; df: every finite-domain constant.
+  ref.base = s.dm.ActiveDomain();
+  const std::vector<Value> cc_constants = CcConstants(s.ccs);
+  const std::vector<Value> t_constants = p.cinstance.Constants();
+  ref.base.insert(ref.base.end(), cc_constants.begin(), cc_constants.end());
+  ref.base.insert(ref.base.end(), t_constants.begin(), t_constants.end());
+  if (p.with_query) {
+    const std::vector<Value> q_constants = p.query.Constants();
+    ref.base.insert(ref.base.end(), q_constants.begin(), q_constants.end());
+  }
+  size_t max_arity = 0;
+  for (const DatabaseSchema* schema : {&s.schema, &s.master_schema}) {
+    for (const RelationSchema& rel : schema->relations()) {
+      if (schema == &s.schema) max_arity = std::max(max_arity, rel.arity());
+      for (const Attribute& attr : rel.attributes()) {
+        if (!attr.domain.is_finite()) continue;
+        ref.base.insert(ref.base.end(), attr.domain.values().begin(),
+                        attr.domain.values().end());
+      }
+    }
+  }
+  SortUnique(&ref.base);
+  // New: "@new0", "@new1", ... minus S ∪ df, one per variable of T, V and
+  // Q, per column of the widest relation, and per requested extra.
+  size_t wanted = p.cinstance.Vars().size() + p.options.extra_fresh +
+                 static_cast<size_t>(CcMaxVarId(s.ccs) + 1) + max_arity;
+  if (p.with_query) wanted += static_cast<size_t>(p.query.MaxVarId() + 1);
+  for (size_t counter = 0; ref.fresh.size() < wanted; ++counter) {
+    const Value name = Value::Sym("@new" + std::to_string(counter));
+    if (!std::binary_search(ref.base.begin(), ref.base.end(), name)) {
+      ref.fresh.push_back(name);
+    }
+  }
+  ref.values = ref.base;
+  ref.values.insert(ref.values.end(), ref.fresh.begin(), ref.fresh.end());
+  SortUnique(&ref.values);
+  return ref;
+}
+
+class AdomOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AdomOracle, MatchesTheDefinition) {
+  RandomAdomProblem p(GetParam() * 6007 + 11);
+  const ReferenceAdom want = ReferenceAdomOf(p);
+  const Query* q = p.with_query ? &p.query : nullptr;
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(p.setting));
+  const AdomContext direct =
+      AdomContext::Build(p.setting, p.cinstance, q, p.options);
+  const AdomContext shared = prepared.BuildAdom(p.cinstance, q, p.options);
+  for (const AdomContext* adom : {&direct, &shared}) {
+    EXPECT_EQ(adom->values(), want.values);
+    EXPECT_EQ(adom->base(), want.base);
+    EXPECT_EQ(adom->fresh(), want.fresh);
+  }
+}
+
+TEST_P(AdomOracle, OpenFlagsAndCanonicalEnumerationKeepTheOldRule) {
+  RandomAdomProblem p(GetParam() * 7727 + 13);
+  p.with_query = true;
+  const ReferenceAdom want = ReferenceAdomOf(p);
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(p.setting));
+  const AdomContext adom =
+      prepared.BuildAdom(p.cinstance, &p.query, p.options);
+  ASSERT_EQ(adom.fresh(), want.fresh);
+  ASSERT_EQ(adom.values(), want.values);
+  const ConjunctiveQuery& cq = p.query.cq();
+  const DatabaseSchema& schema = p.setting.schema;
+
+  // The old rule: a variable is open iff its candidate list is all of Adom.
+  const std::vector<OpenVarCandidate> open = CqVarCandidatesOpen(cq, schema);
+  const VarCandidateList closed = CqVarCandidates(cq, schema, adom);
+  ASSERT_EQ(open.size(), closed.size());
+  std::vector<OpenVarCandidate> old_rule;
+  for (size_t i = 0; i < open.size(); ++i) {
+    EXPECT_EQ(open[i].var, closed[i].first);
+    OpenVarCandidate entry;
+    entry.var = closed[i].first;
+    entry.open = closed[i].second == want.values;
+    if (!entry.open) entry.values = closed[i].second;
+    EXPECT_EQ(open[i].open, entry.open) << cq.ToString();
+    EXPECT_EQ(open[i].values, entry.values) << cq.ToString();
+    old_rule.push_back(std::move(entry));
+  }
+
+  // The old canonical enumerator: base ∪ adom(around) by sort, the fresh
+  // constants outside it. Both must yield the same valuations in order.
+  std::vector<Value> old_base = want.base;
+  const std::vector<Value> pinned = p.around.ActiveDomain();
+  old_base.insert(old_base.end(), pinned.begin(), pinned.end());
+  SortUnique(&old_base);
+  std::vector<Value> old_fresh;
+  for (const Value& f : want.fresh) {
+    if (!std::binary_search(old_base.begin(), old_base.end(), f)) {
+      old_fresh.push_back(f);
+    }
+  }
+  CanonicalValuationEnumerator reference(std::move(old_rule),
+                                         std::move(old_base),
+                                         std::move(old_fresh));
+  CanonicalValuationEnumerator got =
+      MakeCanonicalCqEnumerator(cq, schema, adom, p.around);
+  Valuation want_nu;
+  Valuation got_nu;
+  size_t steps = 0;
+  while (true) {
+    const bool more = reference.Next(&want_nu);
+    ASSERT_EQ(got.Next(&got_nu), more) << "after " << steps << " valuations";
+    if (!more) break;
+    ASSERT_EQ(got_nu.ToString(), want_nu.ToString()) << "at " << steps;
+    ++steps;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdomOracle, ::testing::Range<uint64_t>(0, 64));
+
+// values() and base() are built on first use; two threads asking at once
+// get one vector each, equal to the definition.
+TEST(AdomLazyBuild, ConcurrentFirstCallsBuildOnce) {
+  RandomAdomProblem p(424242);
+  const ReferenceAdom want = ReferenceAdomOf(p);
+  const Query* q = p.with_query ? &p.query : nullptr;
+  const AdomContext adom =
+      AdomContext::Build(p.setting, p.cinstance, q, p.options);
+  std::atomic<bool> go{false};
+  const std::vector<Value>* values[2] = {nullptr, nullptr};
+  const std::vector<Value>* base[2] = {nullptr, nullptr};
+  auto reader = [&](int i) {
+    while (!go.load()) {
+    }
+    values[i] = &adom.values();
+    base[i] = &adom.base();
+  };
+  std::thread a(reader, 0);
+  std::thread b(reader, 1);
+  go.store(true);
+  a.join();
+  b.join();
+  EXPECT_EQ(values[0], values[1]);
+  EXPECT_EQ(base[0], base[1]);
+  EXPECT_EQ(*values[0], want.values);
+  EXPECT_EQ(*base[0], want.base);
 }
 
 }  // namespace

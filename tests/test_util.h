@@ -2,6 +2,7 @@
 #ifndef RELCOMP_TESTS_TEST_UTIL_H_
 #define RELCOMP_TESTS_TEST_UTIL_H_
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,17 @@
 #include "service/decision.h"
 
 namespace relcomp {
+
+/// Prints values in test failures as `Int 1` / `Sym "1"`, which the default
+/// byte dump cannot tell apart.
+inline void PrintTo(const Value& v, std::ostream* os) {
+  if (v.is_int()) {
+    *os << "Int " << v.as_int();
+  } else {
+    *os << "Sym \"" << v.sym_name() << "\"";
+  }
+}
+
 namespace testing {
 
 inline Value I(int64_t v) { return Value::Int(v); }

@@ -8,8 +8,14 @@ across commits:
     {
       "git": "<short rev or 'unknown'>",
       "timestamp": "<UTC ISO-8601>",
+      "host": {"nproc": N, "cpu_model": "...", "compiler": "...",
+               "build_type": "..."},
       "benchmarks": { "<name>": {"real_time_ns": <median>, "runs": N}, ... }
     }
+
+The host names the machine and the build the medians came from (the
+compiler and build type are read from the build directory's CMake files);
+medians from different hosts are not comparable.
 
 Usage:
     tools/bench_report.py --build-dir build [--out BENCH_trajectory.json]
@@ -21,7 +27,8 @@ By default every bench_* executable found in the build directory runs with
 real_time is kept. Only the standard library is used; the script exits
 nonzero if any benchmark binary fails.
 
---compare diffs the new snapshot against the PREVIOUS trajectory entry
+--compare diffs the new snapshot against the latest trajectory entry from
+the same host (the latest entry of all when none matches, with a note)
 and warns (never fails: shared CI runners are noisy) about key
 benchmarks whose median regressed by more than the threshold (by
 default the service benches and the strong-model decider benches). Under
@@ -31,8 +38,11 @@ surface on the workflow run page.
 
 import argparse
 import datetime
+import glob
 import json
 import os
+import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -88,9 +98,59 @@ def git_rev():
         return "unknown"
 
 
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def cmake_value(pattern, paths):
+    """The first capture of `pattern` in any of `paths`, or None."""
+    for path in paths:
+        try:
+            with open(path) as f:
+                match = re.search(pattern, f.read(), re.MULTILINE)
+        except OSError:
+            continue
+        if match:
+            return match.group(1)
+    return None
+
+
+def host_info(build_dir):
+    """The machine and the build the benchmarks ran on."""
+    compiler_files = glob.glob(
+        os.path.join(build_dir, "CMakeFiles", "*", "CMakeCXXCompiler.cmake"))
+    compiler_id = cmake_value(r'^set\(CMAKE_CXX_COMPILER_ID "([^"]*)"\)',
+                              compiler_files)
+    version = cmake_value(r'^set\(CMAKE_CXX_COMPILER_VERSION "([^"]*)"\)',
+                          compiler_files)
+    cache = [os.path.join(build_dir, "CMakeCache.txt")]
+    build_type = cmake_value(r"^CMAKE_BUILD_TYPE:STRING=(.*)$", cache)
+    return {
+        "nproc": os.cpu_count() or 0,
+        "cpu_model": cpu_model(),
+        "compiler": " ".join(p for p in (compiler_id, version) if p)
+                    or "unknown",
+        "build_type": build_type or "unknown",
+    }
+
+
+def baseline_for(trajectory, host):
+    """The latest entry recorded on `host`, else the latest entry."""
+    for entry in reversed(trajectory):
+        if entry.get("host") == host:
+            return entry, True
+    return trajectory[-1], False
+
+
 def compare_snapshots(previous, current, threshold, name_filter):
     """Prints per-benchmark regressions beyond `threshold`; returns count."""
-    import re
     pattern = re.compile(name_filter)
     github = os.environ.get("GITHUB_ACTIONS") == "true"
     regressions = 0
@@ -105,7 +165,7 @@ def compare_snapshots(previous, current, threshold, name_filter):
         if ratio > 1.0 + threshold:
             regressions += 1
             message = (
-                "%s regressed %.0f%% vs previous snapshot (%s): "
+                "%s regressed %.0f%% vs snapshot %s: "
                 "%.0f ns -> %.0f ns median"
                 % (name, (ratio - 1.0) * 100.0, previous.get("git", "?"),
                    base["real_time_ns"], row["real_time_ns"]))
@@ -132,7 +192,7 @@ def main():
                              "every bench_* in the build dir)")
     parser.add_argument("--compare", action="store_true",
                         help="warn when a key benchmark's median regressed "
-                             "vs the previous trajectory entry")
+                             "vs the latest trajectory entry from this host")
     parser.add_argument("--compare-threshold", type=float, default=0.25,
                         help="relative regression that triggers a warning "
                              "(default 0.25 = 25%%)")
@@ -158,6 +218,7 @@ def main():
         "git": git_rev(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
                      .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "host": host_info(args.build_dir),
         "benchmarks": {
             name: {"real_time_ns": statistics.median(times),
                    "runs": len(times)}
@@ -173,7 +234,12 @@ def main():
             sys.exit("bench_report: %r is not a JSON array" % args.out)
     if args.compare:
         if trajectory:
-            compare_snapshots(trajectory[-1], snapshot,
+            baseline, same_host = baseline_for(trajectory, snapshot["host"])
+            if not same_host:
+                print("bench_report: no snapshot from this host; comparing "
+                      "with the latest entry (%s), whose medians may not be "
+                      "comparable" % baseline.get("git", "?"))
+            compare_snapshots(baseline, snapshot,
                               args.compare_threshold, args.compare_filter)
         else:
             print("bench_report: compare skipped (no previous snapshot)")

@@ -19,8 +19,13 @@ SearchOptions BigBudget() {
 void BM_Fig1_Consistency(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = IsConsistent(fx.setting, fx.ctable, BigBudget());
+    auto r = IsConsistent(*prepared, fx.ctable, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -29,8 +34,13 @@ BENCHMARK(BM_Fig1_Consistency)->Range(2, 64);
 void BM_Fig1_Q1Strong(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget());
+    auto r = RcdpStrong(fx.q1, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -39,8 +49,13 @@ BENCHMARK(BM_Fig1_Q1Strong)->Range(2, 16);
 void BM_Fig1_Q4Weak(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 0);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpWeak(fx.q4, fx.ctable, fx.setting, BigBudget());
+    auto r = RcdpWeak(fx.q4, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -49,8 +64,13 @@ BENCHMARK(BM_Fig1_Q4Weak)->Range(2, 8);
 void BM_Fig1_Q4Viable(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpViable(fx.q4, fx.ctable, fx.setting, BigBudget());
+    auto r = RcdpViable(fx.q4, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -70,8 +90,14 @@ BENCHMARK(BM_Fig1_QueryEvalOnly)->Range(8, 1024)->Complexity();
 void BM_Fig1_GroundQ2Completeness(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 0);
+  Result<PreparedSetting> acquisition =
+      PreparedSetting::Prepare(fx.acquisition);
+  if (!acquisition.ok()) {
+    state.SkipWithError(acquisition.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpStrongGround(fx.q2, fx.ground, fx.acquisition, BigBudget());
+    auto r = RcdpStrongGround(fx.q2, fx.ground, *acquisition, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

@@ -17,9 +17,14 @@ void BM_ConsistencyVsQuantifiedVars(benchmark::State& state) {
   GadgetProblem gadget = BuildConsistencyGadget(qbf);
   SearchOptions options;
   options.max_steps = 1ull << 40;
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = IsConsistent(gadget.setting, gadget.cinstance, options, &stats);
+    auto r = IsConsistent(*prepared, gadget.cinstance, options, &stats);
     benchmark::DoNotOptimize(r);
     state.counters["valuations"] = static_cast<double>(stats.valuations);
   }
@@ -30,9 +35,14 @@ void BM_ExtensibilityVsQuantifiedVars(benchmark::State& state) {
   int nx = static_cast<int>(state.range(0));
   Qbf qbf = MakeForallExists(nx, 2, RandomCnf3(nx + 2, 3, 7));
   GadgetProblem gadget = BuildExtensibilityGadget(qbf);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = IsExtensible(gadget.setting, gadget.ground, {}, &stats);
+    auto r = IsExtensible(*prepared, gadget.ground, {}, &stats);
     benchmark::DoNotOptimize(r);
     state.counters["extensions"] = static_cast<double>(stats.extensions);
   }
@@ -44,8 +54,13 @@ void BM_ConsistencyVsExistsBlock(benchmark::State& state) {
   int ny = static_cast<int>(state.range(0));
   Qbf qbf = MakeForallExists(2, ny, RandomCnf3(2 + ny, 3, 11));
   GadgetProblem gadget = BuildConsistencyGadget(qbf);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = IsConsistent(gadget.setting, gadget.cinstance);
+    auto r = IsConsistent(*prepared, gadget.cinstance);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -67,8 +82,13 @@ void BM_ConsistencyDataComplexity(benchmark::State& state) {
     padded.AddTuple("PadM", {Value::Sym("pad" + std::to_string(i))});
   }
   gadget.setting.dm = std::move(padded);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = IsConsistent(gadget.setting, gadget.cinstance);
+    auto r = IsConsistent(*prepared, gadget.cinstance);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));

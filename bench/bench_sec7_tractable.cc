@@ -1,7 +1,8 @@
 // Experiment S7 (Section 7, Corollaries 7.1–7.3): with Q and V fixed and a
 // constant number of variables, RCDP / MINP scale polynomially in the data
 // size (|T| rows and |Dm|), in contrast to the exponential variable sweeps
-// of the combined-complexity benchmarks.
+// of the combined-complexity benchmarks (BM_RcdpStrong_PatientsVsVars in
+// bench_table1_strong runs the same decider outside the regime).
 #include <benchmark/benchmark.h>
 
 #include "core/tractable.h"
@@ -19,8 +20,13 @@ SearchOptions BigBudget() {
 void BM_RcdpStrongTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpStrongTractable(fx.q1, fx.ctable, fx.setting, 8, BigBudget());
+    auto r = RcdpStrongTractable(fx.q1, fx.ctable, *prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -30,8 +36,13 @@ BENCHMARK(BM_RcdpStrongTractable_VsRows)->Range(2, 16)->Complexity();
 void BM_RcdpWeakTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpWeakTractable(fx.q1, fx.ctable, fx.setting, 8, BigBudget());
+    auto r = RcdpWeakTractable(fx.q1, fx.ctable, *prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -41,8 +52,13 @@ BENCHMARK(BM_RcdpWeakTractable_VsRows)->Range(2, 16)->Complexity();
 void BM_RcdpViableTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpViableTractable(fx.q4, fx.ctable, fx.setting, 8, BigBudget());
+    auto r = RcdpViableTractable(fx.q4, fx.ctable, *prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -58,27 +74,18 @@ void BM_MinpWeakCqTractable_VsMaster(benchmark::State& state) {
                      Value::Int(1999), Value::Sym("Z"), Value::Sym("M")});
   }
   CInstance empty(fx.setting.schema);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpWeakCqTractable(fx.q1, empty, fx.setting, 8, BigBudget());
+    auto r = MinpWeakCqTractable(fx.q1, empty, *prepared, 8, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MinpWeakCqTractable_VsMaster)->Range(4, 64)->Complexity();
-
-void BM_Contrast_ExponentialInVars(benchmark::State& state) {
-  // The same decider outside the constant-variable regime: each missing
-  // value multiplies the world count (finite DrID domain, factor 3).
-  PatientsFixture fx =
-      MakeScaledPatientsFixture(2, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    SearchStats stats;
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget(), &stats);
-    benchmark::DoNotOptimize(r);
-    state.counters["worlds"] = static_cast<double>(stats.worlds);
-  }
-}
-BENCHMARK(BM_Contrast_ExponentialInVars)->DenseRange(0, 3, 1);
 
 }  // namespace
 }  // namespace relcomp

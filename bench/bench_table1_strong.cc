@@ -26,9 +26,14 @@ void BM_RcdpStrong_PatientsVsVars(benchmark::State& state) {
   // Fig. 1 family: each extra missing value multiplies the world count.
   PatientsFixture fx =
       MakeScaledPatientsFixture(2, static_cast<int>(state.range(0)));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget(), &stats);
+    auto r = RcdpStrong(fx.q1, fx.ctable, *prepared, BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["worlds"] = static_cast<double>(stats.worlds);
   }
@@ -39,8 +44,13 @@ void BM_RcdpStrong_PatientsVsRows(benchmark::State& state) {
   // Data-size growth at a fixed number of variables: the polynomial regime.
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpStrong(fx.q1, fx.ctable, fx.setting, BigBudget());
+    auto r = RcdpStrong(fx.q1, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -52,10 +62,15 @@ void BM_MinpStrong_CInstance(benchmark::State& state) {
   int nx = static_cast<int>(state.range(0));
   Qbf qbf = MakeExistsForallExists(nx, 1, 1, RandomCnf3(nx + 2, 1, 5));
   GadgetProblem gadget = BuildSigma3Gadget(qbf, /*full_rs=*/true);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = MinpStrong(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget(), &stats);
+    auto r = MinpStrong(gadget.query, gadget.cinstance, *prepared, BigBudget(),
+                        &stats);
     benchmark::DoNotOptimize(r);
     state.counters["valuations"] = static_cast<double>(stats.valuations);
   }
@@ -71,9 +86,13 @@ void BM_MinpStrong_Ground(benchmark::State& state) {
   Valuation mu;
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    auto r = MinpStrongGround(gadget.query, ground, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -89,8 +108,13 @@ void BM_RcqpStrong_BoundedSearch(benchmark::State& state) {
   Query q = Query::Cq(
       ConjunctiveQuery({CTerm(VarId{0})}, {RelAtom{"B", {VarId{0}}}}));
   size_t bound = static_cast<size_t>(state.range(0));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcqpStrongBounded(q, setting, bound, BigBudget());
+    auto r = RcqpStrongBounded(q, *prepared, bound, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -112,8 +136,13 @@ void BM_RcqpStrong_IndPtime(benchmark::State& state) {
                            std::vector<int>{0});
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(VarId{0})}, {RelAtom{"Visit", {VarId{0}, VarId{1}}}}));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcqpStrongInd(q, setting);
+    auto r = RcqpStrongInd(q, *prepared);
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));

@@ -25,9 +25,14 @@ GadgetProblem MakeGadget(int nx) {
 
 void BM_RcdpViable_CInstance(benchmark::State& state) {
   GadgetProblem gadget = MakeGadget(static_cast<int>(state.range(0)));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpViable(gadget.query, gadget.cinstance, gadget.setting,
+    auto r = RcdpViable(gadget.query, gadget.cinstance, *prepared,
                         BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["worlds"] = static_cast<double>(stats.worlds);
@@ -40,9 +45,13 @@ void BM_RcdpViable_Ground(benchmark::State& state) {
   Valuation mu;
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    auto r = RcdpStrongGround(gadget.query, ground, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -50,9 +59,13 @@ BENCHMARK(BM_RcdpViable_Ground)->DenseRange(1, 3, 1);
 
 void BM_MinpViable_CInstance(benchmark::State& state) {
   GadgetProblem gadget = MakeGadget(static_cast<int>(state.range(0)));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpViable(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget());
+    auto r = MinpViable(gadget.query, gadget.cinstance, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -63,9 +76,13 @@ void BM_MinpViable_Ground(benchmark::State& state) {
   Valuation mu;
   for (VarId v : gadget.cinstance.Vars()) mu.Bind(v, Value::Int(1));
   Instance ground = *gadget.cinstance.Apply(mu);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpStrongGround(gadget.query, ground, gadget.setting,
-                              BigBudget());
+    auto r = MinpStrongGround(gadget.query, ground, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

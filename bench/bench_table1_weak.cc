@@ -26,9 +26,14 @@ void BM_RcdpWeak_Sigma3Gadget(benchmark::State& state) {
   int ny = static_cast<int>(state.range(0));
   Qbf qbf = MakeExistsForallExists(1, ny, 1, RandomCnf3(ny + 2, 2, 13));
   GadgetProblem gadget = BuildRcdpWeakGadget(qbf);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, gadget.setting,
+    auto r = RcdpWeakGround(gadget.query, gadget.ground, *prepared,
                             BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["extensions"] = static_cast<double>(stats.extensions);
@@ -41,8 +46,13 @@ void BM_RcdpWeak_FpCircuit(benchmark::State& state) {
   int inputs = static_cast<int>(state.range(0));
   Circuit c = RandomCircuit(inputs, 5, 17, /*force_taut=*/true);
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, gadget.setting,
+    auto r = RcdpWeakGround(gadget.query, gadget.ground, *prepared,
                             BigBudget());
     benchmark::DoNotOptimize(r);
   }
@@ -71,9 +81,13 @@ void BM_MinpWeak_CqDichotomy(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   GadgetProblem gadget = BuildSatUnsatGadget(RandomCnf3(n, 2, 19),
                                              RandomCnf3(n, 2, 23), n);
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpWeakCq(gadget.query, gadget.cinstance, gadget.setting,
-                        BigBudget());
+    auto r = MinpWeakCq(gadget.query, gadget.cinstance, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }
@@ -109,8 +123,13 @@ void BM_MinpWeak_SubsetRemoval(benchmark::State& state) {
   for (int i = 0; i < rows; ++i) {
     t.at("B").AddRow({Cell(Value::Int(i % 2)), Cell(Value::Int((i / 2) % 2))});
   }
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto r = MinpWeak(q, t, setting, BigBudget());
+    auto r = MinpWeak(q, t, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

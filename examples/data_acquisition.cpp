@@ -12,7 +12,11 @@ using namespace relcomp;
 
 int main() {
   PatientsFixture fx = MakePatientsFixture();
-  const PartiallyClosedSetting& setting = fx.acquisition;
+  Result<PreparedSetting> setting = PreparedSetting::Prepare(fx.acquisition);
+  if (!setting.ok()) {
+    std::fprintf(stderr, "error: %s\n", setting.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("Query Q2: %s\n\n", fx.q2.ToString().c_str());
   Instance db = fx.ground;
@@ -21,7 +25,7 @@ int main() {
   for (int round = 0; round < 5; ++round) {
     CompletenessWitness witness;
     Result<bool> complete =
-        RcdpStrongGround(fx.q2, db, setting, {}, nullptr, &witness);
+        RcdpStrongGround(fx.q2, db, *setting, {}, nullptr, &witness);
     if (!complete.ok()) {
       std::fprintf(stderr, "error: %s\n", complete.status().ToString().c_str());
       return 1;
@@ -53,19 +57,19 @@ int main() {
 
   // Minimality check: is the whole database minimal for Q2? (No: the
   // unrelated London visits are removable.)
-  Result<bool> minimal = MinpStrongGround(fx.q2, db, setting);
+  Result<bool> minimal = MinpStrongGround(fx.q2, db, *setting);
   if (minimal.ok()) {
     std::printf("full database minimal for Q2? %s\n", *minimal ? "yes" : "no");
   }
 
   // A minimal complete database for Q2: just the acquired tuple.
-  Instance minimal_db(setting.schema);
+  Instance minimal_db(setting->schema());
   minimal_db.AddTuple(
       "MVisit", {Value::Sym("915-15-321"), Value::Sym("Alice"),
                  Value::Sym("EDI"), Value::Int(2000), Value::Sym("F"),
                  Value::Sym("15/03/2015"), Value::Sym("Flu"),
                  Value::Sym("01")});
-  Result<bool> min2 = MinpStrongGround(fx.q2, minimal_db, setting);
+  Result<bool> min2 = MinpStrongGround(fx.q2, minimal_db, *setting);
   if (min2.ok()) {
     std::printf("single-tuple database minimal for Q2? %s\n",
                 *min2 ? "yes" : "no");

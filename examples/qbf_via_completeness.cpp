@@ -19,7 +19,12 @@ int main() {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Qbf pi2 = MakeForallExists(2, 2, RandomCnf3(4, 3, seed));
     GadgetProblem gadget = BuildConsistencyGadget(pi2);
-    Result<bool> consistent = IsConsistent(gadget.setting, gadget.cinstance);
+    Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "error: %s\n", prepared.status().ToString().c_str());
+      return 1;
+    }
+    Result<bool> consistent = IsConsistent(*prepared, gadget.cinstance);
     if (!consistent.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    consistent.status().ToString().c_str());
@@ -38,8 +43,12 @@ int main() {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Qbf sigma3 = MakeExistsForallExists(1, 1, 1, RandomCnf3(3, 1, seed));
     GadgetProblem gadget = BuildViableGadget(sigma3);
-    Result<bool> viable =
-        RcdpViable(gadget.query, gadget.cinstance, gadget.setting);
+    Result<PreparedSetting> prepared = PreparedSetting::Prepare(gadget.setting);
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "error: %s\n", prepared.status().ToString().c_str());
+      return 1;
+    }
+    Result<bool> viable = RcdpViable(gadget.query, gadget.cinstance, *prepared);
     if (!viable.ok()) {
       std::fprintf(stderr, "error: %s\n", viable.status().ToString().c_str());
       return 1;

@@ -32,7 +32,15 @@ int main() {
   std::printf("== Master data ==\n%s\n",
               FormatRelation(fx.setting.dm.at("Patientm")).c_str());
 
-  Result<bool> consistent = IsConsistent(fx.setting, fx.ctable);
+  // Every decider takes the setting prepared once: validated, with its
+  // derived artifacts cached.
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "error: %s\n", prepared.status().ToString().c_str());
+    return 1;
+  }
+
+  Result<bool> consistent = IsConsistent(*prepared, fx.ctable);
   std::printf("c-instance consistent (Mod nonempty)?  %s\n\n",
               Verdict(consistent));
 
@@ -44,9 +52,9 @@ int main() {
 
   for (const Row& row : queries) {
     std::printf("-- %s\n   %s\n", row.name, row.q->ToString().c_str());
-    Result<bool> strong = RcdpStrong(*row.q, fx.ctable, fx.setting);
-    Result<bool> weak = RcdpWeak(*row.q, fx.ctable, fx.setting);
-    Result<bool> viable = RcdpViable(*row.q, fx.ctable, fx.setting);
+    Result<bool> strong = RcdpStrong(*row.q, fx.ctable, *prepared);
+    Result<bool> weak = RcdpWeak(*row.q, fx.ctable, *prepared);
+    Result<bool> viable = RcdpViable(*row.q, fx.ctable, *prepared);
     std::printf("   strongly complete: %s\n", Verdict(strong));
     std::printf("   weakly complete:   %s\n", Verdict(weak));
     std::printf("   viably complete:   %s\n\n", Verdict(viable));
@@ -55,7 +63,7 @@ int main() {
   // A strong-model counterexample, explained.
   CompletenessWitness witness;
   Result<bool> q4_strong =
-      RcdpStrong(fx.q4, fx.ctable, fx.setting, {}, nullptr, &witness);
+      RcdpStrong(fx.q4, fx.ctable, *prepared, {}, nullptr, &witness);
   if (q4_strong.ok() && !*q4_strong) {
     std::printf("Why Q4 is not strongly complete:\n%s\n",
                 witness.ToString().c_str());

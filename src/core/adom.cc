@@ -60,13 +60,6 @@ AdomSeed AdomContext::SeedFor(const PartiallyClosedSetting& setting) {
   return seed;
 }
 
-AdomContext AdomContext::Build(const PartiallyClosedSetting& setting,
-                               const CInstance& cinstance, const Query* query,
-                               AdomOptions options) {
-  return BuildFromSeed(std::make_shared<const AdomSeed>(SeedFor(setting)),
-                       cinstance, query, options);
-}
-
 AdomContext AdomContext::BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
                                        const CInstance& cinstance,
                                        const Query* query,
@@ -100,12 +93,6 @@ AdomContext AdomContext::BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
     }
   }
   return AdomContext(std::move(seed), std::move(overlay), std::move(fresh));
-}
-
-AdomContext AdomContext::BuildForGround(const PartiallyClosedSetting& setting,
-                                        const Instance& instance,
-                                        const Query* query, AdomOptions options) {
-  return Build(setting, CInstance::FromInstance(instance), query, options);
 }
 
 const std::vector<Value>& AdomContext::base() const {

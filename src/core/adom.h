@@ -45,28 +45,17 @@ struct AdomSeed {
 /// copyable nor movable, and it is safe to read from many threads.
 class AdomContext {
  public:
-  /// Builds Adom for c-instance `T` in `setting`, optionally folding in the
-  /// constants and variables of `query`.
-  static AdomContext Build(const PartiallyClosedSetting& setting,
-                           const CInstance& cinstance, const Query* query,
-                           AdomOptions options = {});
-
-  /// Computes the setting-level seed used by BuildFromSeed.
+  /// Computes the setting-level seed used by BuildFromSeed. A
+  /// PreparedSetting computes it once, in Prepare.
   static AdomSeed SeedFor(const PartiallyClosedSetting& setting);
 
-  /// Builds Adom over a shared seed plus the per-call contributions of the
-  /// c-instance and query. Equivalent to Build when the seed matches the
-  /// setting.
+  /// Builds Adom for c-instance `T` over a shared seed, optionally folding
+  /// in the constants and variables of `query`. Deciders call it through
+  /// PreparedSetting::BuildAdom.
   static AdomContext BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
                                    const CInstance& cinstance,
                                    const Query* query,
                                    AdomOptions options = {});
-
-  /// Convenience overload for ground instances.
-  static AdomContext BuildForGround(const PartiallyClosedSetting& setting,
-                                    const Instance& instance,
-                                    const Query* query,
-                                    AdomOptions options = {});
 
   AdomContext(const AdomContext&) = delete;
   AdomContext& operator=(const AdomContext&) = delete;

@@ -7,17 +7,17 @@ namespace {
 // their subtree (CC bodies are monotone CQs, so violations persist).
 class ExtensionSearcher {
  public:
-  ExtensionSearcher(const Query& q, const PartiallyClosedSetting& setting,
+  ExtensionSearcher(const Query& q, const PreparedSetting& prepared,
                     const AdomContext& adom, size_t max_added,
                     const SearchOptions& options, SearchStats* stats)
       : q_(q),
-        setting_(setting),
+        prepared_(prepared),
         adom_(adom),
         max_added_(max_added),
         options_(options),
         stats_(stats),
         checkpoint_(options_, "bounded incompleteness search", "bounded-dfs") {
-    for (const RelationSchema& rel : setting.schema.relations()) {
+    for (const RelationSchema& rel : prepared.schema().relations()) {
       std::vector<Tuple> tuples;
       TupleEnumerator it(rel, adom);
       Tuple t;
@@ -49,7 +49,7 @@ class ExtensionSearcher {
         ++stats_->extensions;
         ++stats_->cc_checks;
       }
-      Result<bool> closed = SatisfiesCCs(*current, setting_.dm, setting_.ccs);
+      Result<bool> closed = prepared_.SatisfiesCCs(*current);
       if (!closed.ok()) return closed.status();
       if (!*closed) return Status::OK();  // prune: supersets stay violated
       if (stats_ != nullptr) ++stats_->query_evals;
@@ -77,7 +77,7 @@ class ExtensionSearcher {
     if (added >= max_added_) return Status::OK();
     for (size_t r = rel_index; r < candidates_.size(); ++r) {
       size_t start = (r == rel_index) ? tuple_index : 0;
-      const std::string& rel_name = setting_.schema.relations()[r].name();
+      const std::string& rel_name = prepared_.schema().relations()[r].name();
       const Relation& existing = current->at(rel_name);
       for (size_t ti = start; ti < candidates_[r].size(); ++ti) {
         if (existing.Contains(candidates_[r][ti])) continue;
@@ -93,7 +93,7 @@ class ExtensionSearcher {
   }
 
   const Query& q_;
-  const PartiallyClosedSetting& setting_;
+  const PreparedSetting& prepared_;
   const AdomContext& adom_;
   size_t max_added_;
   SearchOptions options_;
@@ -106,22 +106,22 @@ class ExtensionSearcher {
 
 Result<BoundedSearchResult> SearchIncompletenessGround(
     const Query& q, const Instance& instance,
-    const PartiallyClosedSetting& setting, size_t max_added_tuples,
+    const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options, SearchStats* stats) {
-  AdomContext adom = AdomContext::BuildForGround(setting, instance, &q);
-  ExtensionSearcher searcher(q, setting, adom, max_added_tuples, options,
+  AdomContext adom = prepared.BuildAdomForGround(instance, &q);
+  ExtensionSearcher searcher(q, prepared, adom, max_added_tuples, options,
                              stats);
   return searcher.Run(instance);
 }
 
 Result<BoundedSearchResult> SearchIncompletenessStrong(
     const Query& q, const CInstance& cinstance,
-    const PartiallyClosedSetting& setting, size_t max_added_tuples,
+    const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options, SearchStats* stats) {
-  AdomContext adom = AdomContext::Build(setting, cinstance, &q);
-  ExtensionSearcher searcher(q, setting, adom, max_added_tuples, options,
+  AdomContext adom = prepared.BuildAdom(cinstance, &q);
+  ExtensionSearcher searcher(q, prepared, adom, max_added_tuples, options,
                              stats);
-  ModEnumerator worlds(cinstance, setting, adom, options, stats);
+  ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   BoundedSearchResult aggregate;
   while (true) {

@@ -11,6 +11,7 @@
 
 #include "core/adom.h"
 #include "core/enumerate.h"
+#include "core/prepared_setting.h"
 #include "core/types.h"
 
 namespace relcomp {
@@ -31,14 +32,14 @@ struct BoundedSearchResult {
 /// CQ/UCQ/∃FO⁺ only if the tableau fits in the bound.
 Result<BoundedSearchResult> SearchIncompletenessGround(
     const Query& q, const Instance& instance,
-    const PartiallyClosedSetting& setting, size_t max_added_tuples,
+    const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options = {}, SearchStats* stats = nullptr);
 
 /// C-instance version: searches every world of Mod(T); a witness in any
 /// world refutes strong completeness.
 Result<BoundedSearchResult> SearchIncompletenessStrong(
     const Query& q, const CInstance& cinstance,
-    const PartiallyClosedSetting& setting, size_t max_added_tuples,
+    const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options = {}, SearchStats* stats = nullptr);
 
 }  // namespace relcomp

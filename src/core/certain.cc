@@ -29,12 +29,4 @@ Result<CertainAnswersResult> CertainAnswers(
   return result;
 }
 
-Result<CertainAnswersResult> CertainAnswers(
-    const Query& q, const CInstance& cinstance,
-    const PartiallyClosedSetting& setting, const AdomContext& adom,
-    const SearchOptions& options, SearchStats* stats) {
-  return CertainAnswers(q, cinstance, PreparedSetting::Borrow(setting), adom,
-                        options, stats);
-}
-
 }  // namespace relcomp

@@ -23,10 +23,6 @@ Result<CertainAnswersResult> CertainAnswers(
     const Query& q, const CInstance& cinstance,
     const PreparedSetting& prepared, const AdomContext& adom,
     const SearchOptions& options = {}, SearchStats* stats = nullptr);
-Result<CertainAnswersResult> CertainAnswers(
-    const Query& q, const CInstance& cinstance,
-    const PartiallyClosedSetting& setting, const AdomContext& adom,
-    const SearchOptions& options = {}, SearchStats* stats = nullptr);
 
 }  // namespace relcomp
 

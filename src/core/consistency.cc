@@ -13,14 +13,6 @@ Result<bool> IsConsistent(const PreparedSetting& prepared,
   return *got;
 }
 
-Result<bool> IsConsistent(const PartiallyClosedSetting& setting,
-                          const CInstance& cinstance,
-                          const SearchOptions& options, SearchStats* stats,
-                          Instance* witness_world) {
-  return IsConsistent(PreparedSetting::Borrow(setting), cinstance, options,
-                      stats, witness_world);
-}
-
 Result<bool> IsExtensible(const PreparedSetting& prepared,
                           const Instance& instance,
                           const SearchOptions& options, SearchStats* stats,
@@ -50,14 +42,6 @@ Result<bool> IsExtensible(const PreparedSetting& prepared,
     }
   }
   return false;
-}
-
-Result<bool> IsExtensible(const PartiallyClosedSetting& setting,
-                          const Instance& instance,
-                          const SearchOptions& options, SearchStats* stats,
-                          ExtensionWitness* witness) {
-  return IsExtensible(PreparedSetting::Borrow(setting), instance, options,
-                      stats, witness);
 }
 
 }  // namespace relcomp

@@ -23,11 +23,6 @@ Result<bool> IsConsistent(const PreparedSetting& prepared,
                           const SearchOptions& options = {},
                           SearchStats* stats = nullptr,
                           Instance* witness_world = nullptr);
-Result<bool> IsConsistent(const PartiallyClosedSetting& setting,
-                          const CInstance& cinstance,
-                          const SearchOptions& options = {},
-                          SearchStats* stats = nullptr,
-                          Instance* witness_world = nullptr);
 
 /// A single-tuple extension witness.
 struct ExtensionWitness {
@@ -37,11 +32,6 @@ struct ExtensionWitness {
 
 /// Decides whether Ext(I, Dm, V) ≠ ∅ for a ground instance I.
 Result<bool> IsExtensible(const PreparedSetting& prepared,
-                          const Instance& instance,
-                          const SearchOptions& options = {},
-                          SearchStats* stats = nullptr,
-                          ExtensionWitness* witness = nullptr);
-Result<bool> IsExtensible(const PartiallyClosedSetting& setting,
                           const Instance& instance,
                           const SearchOptions& options = {},
                           SearchStats* stats = nullptr,

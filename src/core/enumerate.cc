@@ -368,13 +368,6 @@ ModEnumerator::ModEnumerator(const CInstance& cinstance,
       valuations_(CInstanceVarCandidates(cinstance, adom)),
       checkpoint_(options_, "Mod(T, Dm, V) enumeration", "mod-enum") {}
 
-ModEnumerator::ModEnumerator(const CInstance& cinstance,
-                             const PartiallyClosedSetting& setting,
-                             const AdomContext& adom,
-                             const SearchOptions& options, SearchStats* stats)
-    : ModEnumerator(cinstance, PreparedSetting::Borrow(setting), adom,
-                    options, stats) {}
-
 Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
   Valuation local_mu;
   Valuation* mu_ptr = mu != nullptr ? mu : &local_mu;

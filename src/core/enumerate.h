@@ -133,10 +133,6 @@ class ModEnumerator {
   ModEnumerator(const CInstance& cinstance, const PreparedSetting& prepared,
                 const AdomContext& adom, const SearchOptions& options,
                 SearchStats* stats);
-  /// Legacy entry point; prepares the setting artifacts internally.
-  ModEnumerator(const CInstance& cinstance,
-                const PartiallyClosedSetting& setting, const AdomContext& adom,
-                const SearchOptions& options, SearchStats* stats);
 
   /// Produces the next distinct world; `mu` and/or `world` may be null.
   /// Returns false when exhausted; fails with kResourceExhausted if the

@@ -34,18 +34,6 @@ Status InstantiateDelta(const ConjunctiveQuery& q, const DatabaseSchema& schema,
 
 }  // namespace
 
-Result<bool> IsPartiallyClosed(const PreparedSetting& prepared,
-                               const Instance& instance) {
-  return prepared.SatisfiesCCs(instance);
-}
-
-Result<bool> IsPartiallyClosed(const PartiallyClosedSetting& setting,
-                               const Instance& instance) {
-  // One-shot check: deriving the prepared artifacts (Adom seed, master
-  // projections) would cost more than the single CC pass they amortize.
-  return SatisfiesCCs(instance, setting.dm, setting.ccs);
-}
-
 Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const AdomContext& adom,
@@ -58,7 +46,7 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
         QueryLanguageName(q.language()) +
         " (Theorem 4.1); use the bounded search in core/bounded.h");
   }
-  Result<bool> closed = IsPartiallyClosed(prepared, instance);
+  Result<bool> closed = prepared.SatisfiesCCs(instance);
   if (!closed.ok()) return closed.status();
   if (!*closed) {
     if (witness != nullptr) {
@@ -119,15 +107,6 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   return true;
 }
 
-Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const AdomContext& adom,
-                              const SearchOptions& options, SearchStats* stats,
-                              CompletenessWitness* witness) {
-  return IsCompleteGround(q, instance, PreparedSetting::Borrow(setting), adom,
-                          options, stats, witness);
-}
-
 Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
                                   const PreparedSetting& prepared,
                                   const SearchOptions& options,
@@ -136,15 +115,6 @@ Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
   return IsCompleteGround(q, instance, prepared, adom, options, stats,
                           witness);
-}
-
-Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
-                                  const PartiallyClosedSetting& setting,
-                                  const SearchOptions& options,
-                                  SearchStats* stats,
-                                  CompletenessWitness* witness) {
-  return IsCompleteGroundAuto(q, instance, PreparedSetting::Borrow(setting),
-                              options, stats, witness);
 }
 
 }  // namespace relcomp

@@ -13,12 +13,6 @@
 
 namespace relcomp {
 
-/// Is the ground instance I partially closed w.r.t. (Dm, V)?
-Result<bool> IsPartiallyClosed(const PreparedSetting& prepared,
-                               const Instance& instance);
-Result<bool> IsPartiallyClosed(const PartiallyClosedSetting& setting,
-                               const Instance& instance);
-
 /// Is the ground instance I complete for the monotone query `q` relative to
 /// (Dm, V)? Requires CQ/UCQ/∃FO⁺ (languages with tableau disjuncts); FO and
 /// FP are undecidable here (Theorem 4.1) and yield kUndecidable.
@@ -29,21 +23,10 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
                               const SearchOptions& options = {},
                               SearchStats* stats = nullptr,
                               CompletenessWitness* witness = nullptr);
-Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const AdomContext& adom,
-                              const SearchOptions& options = {},
-                              SearchStats* stats = nullptr,
-                              CompletenessWitness* witness = nullptr);
 
 /// Convenience wrappers that build the Adom internally.
 Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
                                   const PreparedSetting& prepared,
-                                  const SearchOptions& options = {},
-                                  SearchStats* stats = nullptr,
-                                  CompletenessWitness* witness = nullptr);
-Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
-                                  const PartiallyClosedSetting& setting,
                                   const SearchOptions& options = {},
                                   SearchStats* stats = nullptr,
                                   CompletenessWitness* witness = nullptr);

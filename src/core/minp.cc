@@ -41,14 +41,6 @@ Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
   return MinimalCompleteWorld(q, instance, prepared, adom, options, stats);
 }
 
-Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const SearchOptions& options,
-                              SearchStats* stats) {
-  return MinpStrongGround(q, instance, PreparedSetting::Borrow(setting),
-                          options, stats);
-}
-
 Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
@@ -69,13 +61,6 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
   return any;
 }
 
-Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options, SearchStats* stats) {
-  return MinpStrong(q, cinstance, PreparedSetting::Borrow(setting), options,
-                    stats);
-}
-
 Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
@@ -92,13 +77,6 @@ Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
     if (*minimal) return true;
   }
   return false;
-}
-
-Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options, SearchStats* stats) {
-  return MinpViable(q, cinstance, PreparedSetting::Borrow(setting), options,
-                    stats);
 }
 
 Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
@@ -130,13 +108,6 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
   return true;
 }
 
-Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
-                      const PartiallyClosedSetting& setting,
-                      const SearchOptions& options, SearchStats* stats) {
-  return MinpWeak(q, cinstance, PreparedSetting::Borrow(setting), options,
-                  stats);
-}
-
 Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
@@ -153,13 +124,6 @@ Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
   }
   if (cinstance.TotalRows() != 1) return false;
   return IsConsistent(prepared, cinstance, options, stats);
-}
-
-Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options, SearchStats* stats) {
-  return MinpWeakCq(q, cinstance, PreparedSetting::Borrow(setting), options,
-                    stats);
 }
 
 }  // namespace relcomp

@@ -16,15 +16,9 @@
 namespace relcomp {
 
 /// Ground strong (≡ viable) minimality — the Dp2 case of Theorem 4.8:
-/// I complete and no I \ {t} complete. As in core/rcdp.h, every decider has
-/// a PreparedSetting overload (cached artifacts, the engine hot path) and a
-/// PartiallyClosedSetting overload that prepares per call.
+/// I complete and no I \ {t} complete.
 Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
-                              const SearchOptions& options = {},
-                              SearchStats* stats = nullptr);
-Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
                               const SearchOptions& options = {},
                               SearchStats* stats = nullptr);
 
@@ -34,19 +28,11 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options = {},
                         SearchStats* stats = nullptr);
-Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options = {},
-                        SearchStats* stats = nullptr);
 
 /// Viable c-instance minimality (Σp3): some world of Mod(T) is a minimal
 /// complete ground instance.
 Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
-                        const SearchOptions& options = {},
-                        SearchStats* stats = nullptr);
-Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
                         const SearchOptions& options = {},
                         SearchStats* stats = nullptr);
 
@@ -57,20 +43,12 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
                       const PreparedSetting& prepared,
                       const SearchOptions& options = {},
                       SearchStats* stats = nullptr);
-Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
-                      const PartiallyClosedSetting& setting,
-                      const SearchOptions& options = {},
-                      SearchStats* stats = nullptr);
 
 /// Weak-model minimality for CQ via the Lemma 5.7 dichotomy (coDP): if the
 /// empty instance is weakly complete, T is minimal iff T is empty; otherwise
 /// T is minimal iff T is a consistent singleton.
 Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
-                        const SearchOptions& options = {},
-                        SearchStats* stats = nullptr);
-Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
                         const SearchOptions& options = {},
                         SearchStats* stats = nullptr);
 

@@ -41,12 +41,8 @@ struct CompiledAtom {
   std::vector<CompiledBuiltin> builtins;
 };
 
-// One CC q(R) ⊆ π_cols(Rm), compiled against the setting's schema. A CC
-// that does not validate there (possible only in a borrowed setting) stays
-// uncompiled and runs through ContainmentConstraint::Satisfied, so its
-// error — and the order errors surface in — is the legacy one.
+// One CC q(R) ⊆ π_cols(Rm), compiled against the setting's schema.
 struct CompiledCc {
-  bool compiled = false;
   bool never_fires = false;  // a constant-only builtin is false
   std::vector<CompiledAtom> atoms;
   std::vector<SlotTerm> head;
@@ -54,19 +50,14 @@ struct CompiledCc {
   Relation master;  // π_cols(Dm[Rm]), sorted: the head probe
 };
 
+// `setting` has passed Validate(): every atom names a relation of the
+// schema at its arity, the head is safe, and Dm holds the master with every
+// projected column.
 CompiledCc Compile(const ContainmentConstraint& cc,
                    const PartiallyClosedSetting& setting) {
   CompiledCc out;
   const ConjunctiveQuery& q = cc.q();
-  if (!q.Validate(setting.schema).ok()) return out;
-  const Relation* master = setting.dm.Find(cc.master_rel());
-  if (master == nullptr || cc.master_cols().size() != q.OutputArity()) {
-    return out;
-  }
-  for (int c : cc.master_cols()) {
-    if (c < 0 || static_cast<size_t>(c) >= master->arity()) return out;
-  }
-  out.master = master->Project(cc.master_cols());
+  out.master = setting.dm.Find(cc.master_rel())->Project(cc.master_cols());
 
   // Slots in order of first occurrence; `bound_at` is the atom that binds.
   std::vector<std::pair<VarId, size_t>> bound_at;
@@ -130,7 +121,6 @@ CompiledCc Compile(const ContainmentConstraint& cc,
     out.atoms[at].builtins.push_back(std::move(compiled));
   }
   for (const CTerm& term : q.head()) out.head.push_back(term_of(term));
-  out.compiled = true;
   return out;
 }
 
@@ -227,7 +217,6 @@ struct PreparedSetting::CcPlan {
     for (const ContainmentConstraint& cc : setting.ccs) {
       ccs.push_back(Compile(cc, setting));
       const CompiledCc& compiled = ccs.back();
-      all_compiled = all_compiled && compiled.compiled;
       max_slots = std::max(max_slots, compiled.num_slots);
       max_head = std::max(max_head, compiled.head.size());
       for (const CompiledAtom& atom : compiled.atoms) {
@@ -241,10 +230,10 @@ struct PreparedSetting::CcPlan {
     }
   }
 
-  // An instance runs on the plan only when every relation a compiled CC
-  // reads sits at the index, under the name and arity, it was compiled
-  // against; any other instance takes the legacy path, which looks
-  // relations up by name and reports the legacy errors.
+  // An instance runs on the plan only when every relation a CC reads sits
+  // at the index, under the name and arity, it was compiled against; any
+  // other instance takes the reference path, which looks relations up by
+  // name.
   bool Fits(const Instance& instance) const {
     const std::vector<Relation>& rels = instance.relations();
     for (const Read& read : reads) {
@@ -266,20 +255,11 @@ struct PreparedSetting::CcPlan {
 
   std::vector<CompiledCc> ccs;  // parallel to the setting's CCs
   std::vector<Read> reads;      // each relation the compiled CCs read, once
-  bool all_compiled = true;
   size_t max_slots = 0;
   size_t max_head = 0;
 };
 
 PreparedSetting::Artifacts::~Artifacts() = default;
-
-std::shared_ptr<PreparedSetting::Artifacts> PreparedSetting::Derive(
-    const PartiallyClosedSetting& setting) {
-  auto a = std::make_shared<Artifacts>();
-  a->setting = &setting;
-  a->all_inds = AllInds(setting.ccs);
-  return a;
-}
 
 Result<PreparedSetting> PreparedSetting::Prepare(
     PartiallyClosedSetting setting) {
@@ -289,36 +269,15 @@ Result<PreparedSetting> PreparedSetting::Prepare(
 
 Result<PreparedSetting> PreparedSetting::Prepare(PartiallyClosedSetting setting,
                                                  uint64_t fingerprint) {
-  auto owned =
-      std::make_shared<const PartiallyClosedSetting>(std::move(setting));
-  RELCOMP_RETURN_IF_ERROR(owned->Validate());
-  for (const ContainmentConstraint& cc : owned->ccs) {
-    // Validate() checks masters against the master schema; the CC checks
-    // read them from Dm, so a Dm that lacks one is refused here.
-    if (owned->dm.Find(cc.master_rel()) == nullptr) {
-      return cc.ProjectMaster(owned->dm).status();
-    }
-  }
-  std::shared_ptr<Artifacts> a = Derive(*owned);
-  a->owned = owned;
+  RELCOMP_RETURN_IF_ERROR(setting.Validate());
+  auto a = std::make_shared<Artifacts>();
+  a->adom_seed =
+      std::make_shared<const AdomSeed>(AdomContext::SeedFor(setting));
+  a->all_inds = AllInds(setting.ccs);
   a->fingerprint = fingerprint;
-  a->fingerprinted = true;
-  PreparedSetting prepared(std::move(a));
-  prepared.adom_seed();  // warm the seed: the engine serves many requests
-  return prepared;
-}
-
-PreparedSetting PreparedSetting::Borrow(
-    const PartiallyClosedSetting& setting) {
-  return PreparedSetting(Derive(setting));
-}
-
-const std::shared_ptr<const AdomSeed>& PreparedSetting::adom_seed() const {
-  std::call_once(a_->seed_once, [this] {
-    a_->adom_seed =
-        std::make_shared<const AdomSeed>(AdomContext::SeedFor(*a_->setting));
-  });
-  return a_->adom_seed;
+  a->setting =
+      std::make_shared<const PartiallyClosedSetting>(std::move(setting));
+  return PreparedSetting(std::move(a));
 }
 
 const PreparedSetting::CcPlan& PreparedSetting::plan() const {
@@ -328,24 +287,13 @@ const PreparedSetting::CcPlan& PreparedSetting::plan() const {
   return *a_->plan;
 }
 
-uint64_t PreparedSetting::fingerprint() const {
-  if (a_->fingerprinted) return a_->fingerprint;
-  return FingerprintSetting(*a_->setting);
-}
-
 Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
   const CcPlan& plan = this->plan();
-  const CCSet& ccs = a_->setting->ccs;
-  const bool fits = plan.Fits(instance);
+  if (!plan.Fits(instance)) {
+    return relcomp::SatisfiesCCs(instance, dm(), ccs());
+  }
   Scratch scratch = plan.MakeScratch();
-  for (size_t i = 0; i < ccs.size(); ++i) {
-    const CompiledCc& cc = plan.ccs[i];
-    if (!cc.compiled || !fits) {
-      Result<bool> sat = ccs[i].Satisfied(instance, a_->setting->dm);
-      if (!sat.ok()) return sat.status();
-      if (!*sat) return false;
-      continue;
-    }
+  for (const CompiledCc& cc : plan.ccs) {
     if (cc.never_fires) continue;
     if (ViolationSearch(cc, instance, nullptr, 0, &scratch).Found()) {
       return false;
@@ -357,7 +305,7 @@ Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
 Result<bool> PreparedSetting::SatisfiesCCsDelta(
     const Instance& closed, const std::vector<DeltaRow>& delta) const {
   const CcPlan& plan = this->plan();
-  if (!plan.all_compiled || !plan.Fits(closed)) {
+  if (!plan.Fits(closed)) {
     // Off the plan: materialize I ∪ Δ and check it in full.
     Result<Instance> extended = WithDelta(closed, delta);
     if (!extended.ok()) return extended.status();

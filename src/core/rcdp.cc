@@ -52,14 +52,6 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
   return true;
 }
 
-Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options, SearchStats* stats,
-                        CompletenessWitness* witness) {
-  return RcdpStrong(q, cinstance, PreparedSetting::Borrow(setting), options,
-                    stats, witness);
-}
-
 Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats,
@@ -81,14 +73,6 @@ Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
     }
   }
   return false;
-}
-
-Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
-                        const SearchOptions& options, SearchStats* stats,
-                        Instance* witness_world) {
-  return RcdpViable(q, cinstance, PreparedSetting::Borrow(setting), options,
-                    stats, witness_world);
 }
 
 Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
@@ -178,14 +162,6 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
   return false;
 }
 
-Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
-                      const PartiallyClosedSetting& setting,
-                      const SearchOptions& options, SearchStats* stats,
-                      CompletenessWitness* witness) {
-  return RcdpWeak(q, cinstance, PreparedSetting::Borrow(setting), options,
-                  stats, witness);
-}
-
 Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const SearchOptions& options, SearchStats* stats,
@@ -195,28 +171,12 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
   return IsCompleteGroundAuto(q, instance, prepared, options, stats, witness);
 }
 
-Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const SearchOptions& options, SearchStats* stats,
-                              CompletenessWitness* witness) {
-  return RcdpStrongGround(q, instance, PreparedSetting::Borrow(setting),
-                          options, stats, witness);
-}
-
 Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
                             const PreparedSetting& prepared,
                             const SearchOptions& options, SearchStats* stats,
                             CompletenessWitness* witness) {
   return RcdpWeak(q, CInstance::FromInstance(instance), prepared, options,
                   stats, witness);
-}
-
-Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
-                            const PartiallyClosedSetting& setting,
-                            const SearchOptions& options, SearchStats* stats,
-                            CompletenessWitness* witness) {
-  return RcdpWeakGround(q, instance, PreparedSetting::Borrow(setting),
-                        options, stats, witness);
 }
 
 }  // namespace relcomp

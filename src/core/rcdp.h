@@ -21,16 +21,8 @@ namespace relcomp {
 /// Strong model: is T strongly complete for q relative to (Dm, V)?
 /// Decidable for CQ/UCQ/∃FO⁺ (Πp2-complete); kUndecidable for FO/FP.
 /// Returns false when Mod(T) is empty (T is not partially closed).
-/// Each decider has two entry points: the PreparedSetting overload reuses
-/// the cached Adom seed and master projections (the engine's hot path); the
-/// PartiallyClosedSetting overload prepares those artifacts per call.
 Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
-                        const SearchOptions& options = {},
-                        SearchStats* stats = nullptr,
-                        CompletenessWitness* witness = nullptr);
-Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
                         const SearchOptions& options = {},
                         SearchStats* stats = nullptr,
                         CompletenessWitness* witness = nullptr);
@@ -40,11 +32,6 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
 /// kUndecidable for FO/FP.
 Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
-                        const SearchOptions& options = {},
-                        SearchStats* stats = nullptr,
-                        Instance* witness_world = nullptr);
-Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
-                        const PartiallyClosedSetting& setting,
                         const SearchOptions& options = {},
                         SearchStats* stats = nullptr,
                         Instance* witness_world = nullptr);
@@ -59,11 +46,6 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
                       const SearchOptions& options = {},
                       SearchStats* stats = nullptr,
                       CompletenessWitness* witness = nullptr);
-Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
-                      const PartiallyClosedSetting& setting,
-                      const SearchOptions& options = {},
-                      SearchStats* stats = nullptr,
-                      CompletenessWitness* witness = nullptr);
 
 /// Ground-instance conveniences (strong ≡ viable on ground instances).
 Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
@@ -71,18 +53,8 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               const SearchOptions& options = {},
                               SearchStats* stats = nullptr,
                               CompletenessWitness* witness = nullptr);
-Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
-                              const PartiallyClosedSetting& setting,
-                              const SearchOptions& options = {},
-                              SearchStats* stats = nullptr,
-                              CompletenessWitness* witness = nullptr);
 Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
                             const PreparedSetting& prepared,
-                            const SearchOptions& options = {},
-                            SearchStats* stats = nullptr,
-                            CompletenessWitness* witness = nullptr);
-Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
-                            const PartiallyClosedSetting& setting,
                             const SearchOptions& options = {},
                             SearchStats* stats = nullptr,
                             CompletenessWitness* witness = nullptr);

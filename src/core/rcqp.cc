@@ -58,7 +58,7 @@ class RcqpSearcher {
                        size_t tuple_index, RcqpSearchResult* result) {
     RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
     // Check the current instance.
-    Result<bool> closed = IsPartiallyClosed(prepared_, *current);
+    Result<bool> closed = prepared_.SatisfiesCCs(*current);
     if (!closed.ok()) return closed.status();
     if (!*closed) return false;  // supersets can only stay violated
     Result<bool> complete = IsCompleteGround(q_, *current, prepared_, adom_,
@@ -111,13 +111,6 @@ Result<RcqpSearchResult> RcqpStrongBounded(
   AdomContext adom = prepared.BuildAdom(empty, &q);
   RcqpSearcher searcher(q, prepared, adom, max_tuples, options, stats);
   return searcher.Run();
-}
-
-Result<RcqpSearchResult> RcqpStrongBounded(
-    const Query& q, const PartiallyClosedSetting& setting, size_t max_tuples,
-    const SearchOptions& options, SearchStats* stats) {
-  return RcqpStrongBounded(q, PreparedSetting::Borrow(setting), max_tuples,
-                           options, stats);
 }
 
 bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
@@ -221,12 +214,6 @@ Result<bool> RcqpStrongInd(const Query& q,
     if (has_valid) return false;
   }
   return true;
-}
-
-Result<bool> RcqpStrongInd(const Query& q,
-                           const PartiallyClosedSetting& setting,
-                           const SearchOptions& options, SearchStats* stats) {
-  return RcqpStrongInd(q, PreparedSetting::Borrow(setting), options, stats);
 }
 
 }  // namespace relcomp

@@ -39,11 +39,6 @@ Result<RcqpSearchResult> RcqpStrongBounded(const Query& q,
                                            size_t max_tuples,
                                            const SearchOptions& options = {},
                                            SearchStats* stats = nullptr);
-Result<RcqpSearchResult> RcqpStrongBounded(const Query& q,
-                                           const PartiallyClosedSetting& setting,
-                                           size_t max_tuples,
-                                           const SearchOptions& options = {},
-                                           SearchStats* stats = nullptr);
 
 /// PTIME decision when every CC in V is an IND (Corollary 7.2): RCQ is
 /// non-empty iff every disjunct of Q is either bounded by (Dm, V) or has no
@@ -51,10 +46,6 @@ Result<RcqpSearchResult> RcqpStrongBounded(const Query& q,
 /// the language has no tableau form.
 Result<bool> RcqpStrongInd(const Query& q,
                            const PreparedSetting& prepared,
-                           const SearchOptions& options = {},
-                           SearchStats* stats = nullptr);
-Result<bool> RcqpStrongInd(const Query& q,
-                           const PartiallyClosedSetting& setting,
                            const SearchOptions& options = {},
                            SearchStats* stats = nullptr);
 

@@ -38,51 +38,51 @@ TractabilityCheck CheckDataComplexityRegime(const Query& q,
 }
 
 Result<bool> RcdpStrongTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars, const SearchOptions& options,
                                  SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, false));
-  return RcdpStrong(q, cinstance, setting, options, stats);
+  return RcdpStrong(q, cinstance, prepared, options, stats);
 }
 
 Result<bool> RcdpViableTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars, const SearchOptions& options,
                                  SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, false));
-  return RcdpViable(q, cinstance, setting, options, stats);
+  return RcdpViable(q, cinstance, prepared, options, stats);
 }
 
 Result<bool> RcdpWeakTractable(const Query& q, const CInstance& cinstance,
-                               const PartiallyClosedSetting& setting,
+                               const PreparedSetting& prepared,
                                int max_vars, const SearchOptions& options,
                                SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, true));
-  return RcdpWeak(q, cinstance, setting, options, stats);
+  return RcdpWeak(q, cinstance, prepared, options, stats);
 }
 
 Result<bool> MinpStrongTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars, const SearchOptions& options,
                                  SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, false));
-  return MinpStrong(q, cinstance, setting, options, stats);
+  return MinpStrong(q, cinstance, prepared, options, stats);
 }
 
 Result<bool> MinpViableTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars, const SearchOptions& options,
                                  SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, false));
-  return MinpViable(q, cinstance, setting, options, stats);
+  return MinpViable(q, cinstance, prepared, options, stats);
 }
 
 Result<bool> MinpWeakCqTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars, const SearchOptions& options,
                                  SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(RequireRegime(q, cinstance, max_vars, true));
-  return MinpWeakCq(q, cinstance, setting, options, stats);
+  return MinpWeakCq(q, cinstance, prepared, options, stats);
 }
 
 }  // namespace relcomp

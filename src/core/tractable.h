@@ -31,34 +31,34 @@ TractabilityCheck CheckDataComplexityRegime(const Query& q,
 /// Corollary 7.1: RCDP under data complexity. Same results as the general
 /// deciders; fails with kInvalidArgument when outside the regime.
 Result<bool> RcdpStrongTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars = 4,
                                  const SearchOptions& options = {},
                                  SearchStats* stats = nullptr);
 Result<bool> RcdpViableTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars = 4,
                                  const SearchOptions& options = {},
                                  SearchStats* stats = nullptr);
 Result<bool> RcdpWeakTractable(const Query& q, const CInstance& cinstance,
-                               const PartiallyClosedSetting& setting,
+                               const PreparedSetting& prepared,
                                int max_vars = 4,
                                const SearchOptions& options = {},
                                SearchStats* stats = nullptr);
 
 /// Corollary 7.3: MINP under data complexity.
 Result<bool> MinpStrongTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars = 4,
                                  const SearchOptions& options = {},
                                  SearchStats* stats = nullptr);
 Result<bool> MinpViableTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars = 4,
                                  const SearchOptions& options = {},
                                  SearchStats* stats = nullptr);
 Result<bool> MinpWeakCqTractable(const Query& q, const CInstance& cinstance,
-                                 const PartiallyClosedSetting& setting,
+                                 const PreparedSetting& prepared,
                                  int max_vars = 4,
                                  const SearchOptions& options = {},
                                  SearchStats* stats = nullptr);

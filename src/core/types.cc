@@ -5,9 +5,22 @@
 namespace relcomp {
 
 Status PartiallyClosedSetting::Validate() const {
-  if (dm.schema().size() != master_schema.size()) {
+  const std::vector<RelationSchema>& have = dm.schema().relations();
+  const std::vector<RelationSchema>& want = master_schema.relations();
+  if (have.size() != want.size()) {
     return Status::InvalidArgument(
         "master data does not match the master schema");
+  }
+  // The CC checks read each master from Dm by the master schema's layout.
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (have[i].name() != want[i].name() ||
+        have[i].arity() != want[i].arity()) {
+      return Status::InvalidArgument(
+          "master data relation " + have[i].name() + "/" +
+          std::to_string(have[i].arity()) + " does not match master schema " +
+          "relation " + want[i].name() + "/" +
+          std::to_string(want[i].arity()));
+    }
   }
   for (const ContainmentConstraint& cc : ccs) {
     RELCOMP_RETURN_IF_ERROR(cc.Validate(schema, master_schema));

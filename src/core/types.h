@@ -27,7 +27,8 @@ struct PartiallyClosedSetting {
   Instance dm;
   CCSet ccs;
 
-  /// Validates Dm against the master schema and every CC against both.
+  /// Validates Dm against the master schema (the same relation names and
+  /// arities, in order) and every CC against both schemas.
   Status Validate() const;
 };
 

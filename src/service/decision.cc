@@ -233,7 +233,13 @@ Decision EvaluateRequest(const DecisionRequest& request,
 
 Decision DecideCold(const DecisionRequest& request,
                     const PartiallyClosedSetting& setting) {
-  return EvaluateRequest(request, PreparedSetting::Borrow(setting));
+  Result<PreparedSetting> prepared = PreparedSetting::Prepare(setting);
+  if (!prepared.ok()) {
+    Decision decision;
+    decision.status = prepared.status();
+    return decision;
+  }
+  return EvaluateRequest(request, *prepared);
 }
 
 RequestCacheKey RequestKeyFor(const PreparedSetting& prepared,

@@ -148,9 +148,11 @@ Decision EvaluateRequest(const DecisionRequest& request,
                          const PreparedSetting& prepared,
                          const SearchOptions* options_override = nullptr);
 
-/// Decides one request by per-call preparation of the raw setting — the
-/// cold baseline the CLI's --compare mode and the batch benchmark measure
-/// the service against.
+/// Decides one request by preparing the raw setting for this call alone
+/// (validation, fingerprint, Adom seed, CC plans) — the cold baseline the
+/// CLI's --compare mode and the batch benchmark measure the service
+/// against. A setting that fails validation comes back as the decision's
+/// status.
 Decision DecideCold(const DecisionRequest& request,
                     const PartiallyClosedSetting& setting);
 

@@ -240,8 +240,8 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
       return SettingHandle{it->second};
     }
   }
-  // Prepare outside the registry lock — validation, Adom seeding and master
-  // projection can be heavy, and other settings keep registering meanwhile.
+  // Prepare outside the registry lock — validation and Adom seeding can be
+  // heavy, and other settings keep registering meanwhile.
   // The dedup digest doubles as the prepared fingerprint: no re-scan.
   Result<PreparedSetting> prepared =
       PreparedSetting::Prepare(std::move(setting), key.primary);

@@ -19,8 +19,8 @@ TEST(BoundedTest, FindsWitnessForOpenCq) {
                                        {RelAtom{"E", {V(0), V(1)}}}));
   Instance db(setting.schema);
   db.AddTuple("E", {I(1), I(2)});
-  ASSERT_OK_AND_ASSIGN(result,
-                       SearchIncompletenessGround(q, db, setting, 1));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessGround(q, db, prepared, 1));
   EXPECT_TRUE(result.witness_found);
   EXPECT_TRUE(db.IsProperSubsetOf(result.witness.extension));
 }
@@ -40,8 +40,8 @@ TEST(BoundedTest, NonMonotoneFoLosesAnswer) {
   ASSERT_EQ(q.language(), QueryLanguage::kFO);
   Instance db(setting.schema);
   db.AddTuple("R2", {I(1)});
-  ASSERT_OK_AND_ASSIGN(result,
-                       SearchIncompletenessGround(q, db, setting, 1));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessGround(q, db, prepared, 1));
   EXPECT_TRUE(result.witness_found);
   EXPECT_NE(result.witness.note.find("loses"), std::string::npos);
 }
@@ -58,8 +58,8 @@ TEST(BoundedTest, FpWitnessThroughFixpoint) {
   Query q = Query::Fp(tc);
   Instance db(setting.schema);
   db.AddTuple("E", {I(1), I(2)});
-  ASSERT_OK_AND_ASSIGN(result,
-                       SearchIncompletenessGround(q, db, setting, 1));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessGround(q, db, prepared, 1));
   EXPECT_TRUE(result.witness_found);
 }
 
@@ -81,7 +81,8 @@ TEST(BoundedTest, NoWitnessWhenFullyBounded) {
   Query q = Query::Fp(p);
   Instance db(setting.schema);
   db.AddTuple("B", {I(0)});
-  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessGround(q, db, setting, 2));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessGround(q, db, prepared, 2));
   EXPECT_FALSE(result.witness_found);
 }
 
@@ -103,8 +104,9 @@ TEST(BoundedTest, StrongSearchScansAllWorlds) {
   p.set_output("T");
   Query q = Query::Fp(p);
   CInstance t(setting.schema);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
   t.at("B").AddRow({Cell(V(0))});  // worlds {0} and {1}, both extensible
-  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessStrong(q, t, setting, 1));
+  ASSERT_OK_AND_ASSIGN(result, SearchIncompletenessStrong(q, t, prepared, 1));
   EXPECT_TRUE(result.witness_found);
 }
 
@@ -116,8 +118,9 @@ TEST(BoundedTest, BudgetExhaustionReported) {
   for (int i = 0; i < 6; ++i) db.AddTuple("E", {I(i), I(i + 1)});
   SearchOptions options;
   options.max_steps = 2;
+  const PreparedSetting prepared = testing::MustPrepare(setting);
   Result<BoundedSearchResult> r =
-      SearchIncompletenessGround(q, db, setting, 2, options);
+      SearchIncompletenessGround(q, db, prepared, 2, options);
   // Either it found a witness within two steps or it must report exhaustion.
   if (!r.ok()) {
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);

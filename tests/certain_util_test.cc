@@ -44,9 +44,9 @@ TEST(CertainAnswersTest, GroundInstanceIsItsOwnCertainty) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(1))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
-  ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  AdomContext adom = prepared.BuildAdom(t, &fx.q);
+  ASSERT_OK_AND_ASSIGN(result, CertainAnswers(fx.q, t, prepared, adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_EQ(result.answers.size(), 1u);
   EXPECT_TRUE(result.answers.Contains({I(1)}));
@@ -58,9 +58,9 @@ TEST(CertainAnswersTest, VariableRowIntersectsToConstantPart) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(1))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
-  ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  AdomContext adom = prepared.BuildAdom(t, &fx.q);
+  ASSERT_OK_AND_ASSIGN(result, CertainAnswers(fx.q, t, prepared, adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_EQ(result.answers.size(), 1u);
   EXPECT_TRUE(result.answers.Contains({I(1)}));
@@ -70,9 +70,9 @@ TEST(CertainAnswersTest, LoneVariableHasNoCertainAnswers) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
-  ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  AdomContext adom = prepared.BuildAdom(t, &fx.q);
+  ASSERT_OK_AND_ASSIGN(result, CertainAnswers(fx.q, t, prepared, adom));
   EXPECT_TRUE(result.mod_nonempty);
   EXPECT_TRUE(result.answers.empty());
 }
@@ -83,9 +83,9 @@ TEST(CertainAnswersTest, InconsistentCInstanceReported) {
   fx.setting.dm.at("Bm").Erase({I(1)});
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
-  ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  AdomContext adom = prepared.BuildAdom(t, &fx.q);
+  ASSERT_OK_AND_ASSIGN(result, CertainAnswers(fx.q, t, prepared, adom));
   EXPECT_FALSE(result.mod_nonempty);
 }
 
@@ -94,9 +94,9 @@ TEST(CertainAnswersTest, ConditionRestrictsWorlds) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow(CRow{{Cell(V(0))}, Condition::VarNeqConst(V(0), I(0))});
-  AdomContext adom = AdomContext::Build(fx.setting, t, &fx.q);
-  ASSERT_OK_AND_ASSIGN(result,
-                       CertainAnswers(fx.q, t, fx.setting, adom));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  AdomContext adom = prepared.BuildAdom(t, &fx.q);
+  ASSERT_OK_AND_ASSIGN(result, CertainAnswers(fx.q, t, prepared, adom));
   EXPECT_TRUE(result.mod_nonempty);
   // Worlds: x=0 drops the row → {}; x=1 → {1}. Intersection is empty.
   EXPECT_TRUE(result.answers.empty());

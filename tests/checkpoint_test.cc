@@ -134,7 +134,7 @@ const std::vector<ProblemKind>& AbortableKinds() {
 
 TEST(DeciderCheckpointTest, EveryKindAbortsOnAPoisonedToken) {
   SlowFixture fx = MakeSlowFixture(/*master_rows=*/8, /*vars=*/3);
-  PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   for (ProblemKind kind : AbortableKinds()) {
     DecisionRequest request = fx.Request(kind);
     request.options = WithPoisonedCancel();
@@ -146,7 +146,7 @@ TEST(DeciderCheckpointTest, EveryKindAbortsOnAPoisonedToken) {
 
 TEST(DeciderCheckpointTest, EveryKindAbortsOnAnExpiredDeadline) {
   SlowFixture fx = MakeSlowFixture(/*master_rows=*/8, /*vars=*/3);
-  PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   for (ProblemKind kind : AbortableKinds()) {
     DecisionRequest request = fx.Request(kind);
     request.options = WithExpiredDeadline();
@@ -166,11 +166,12 @@ TEST(DeciderCheckpointTest, RcqpBoundedSearchAborts) {
   fx.setting.ccs.emplace_back("edi_known", std::move(edi_visitors),
                               "Patientm", std::vector<int>{0});
   ASSERT_FALSE(AllInds(fx.setting.ccs));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   Result<RcqpSearchResult> cancelled = RcqpStrongBounded(
-      fx.by_patient, fx.setting, /*max_tuples=*/2, WithPoisonedCancel());
+      fx.by_patient, prepared, /*max_tuples=*/2, WithPoisonedCancel());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
   Result<RcqpSearchResult> expired = RcqpStrongBounded(
-      fx.by_patient, fx.setting, /*max_tuples=*/2, WithExpiredDeadline());
+      fx.by_patient, prepared, /*max_tuples=*/2, WithExpiredDeadline());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -183,15 +184,15 @@ TEST(DeciderCheckpointTest, RcqpIndValuationSearchAborts) {
   ASSERT_TRUE(AllInds(fx.setting.ccs));
   Query lab_codes = Query::Cq(
       ConjunctiveQuery({CTerm(VarId{0})}, {RelAtom{"Lab", {VarId{0}}}}));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   Result<bool> cancelled =
-      RcqpStrongInd(lab_codes, PreparedSetting::Borrow(fx.setting),
-                    WithPoisonedCancel());
+      RcqpStrongInd(lab_codes, prepared, WithPoisonedCancel());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
 }
 
 TEST(DeciderCheckpointTest, GroundCertainAndConsistencySearchesAbort) {
   AuditFixture fx = MakeAuditFixture();
-  PreparedSetting prepared = PreparedSetting::Borrow(fx.setting);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   Instance ground(fx.setting.schema);
   ground.AddTuple("Visit", {S("nhs-0"), S("EDI")});
 
@@ -214,7 +215,7 @@ TEST(DeciderCheckpointTest, GroundCertainAndConsistencySearchesAbort) {
   EXPECT_EQ(certain.status().code(), StatusCode::kDeadlineExceeded);
 
   Result<BoundedSearchResult> bounded = SearchIncompletenessGround(
-      fx.by_patient, ground, fx.setting, /*max_added_tuples=*/2,
+      fx.by_patient, ground, prepared, /*max_added_tuples=*/2,
       WithPoisonedCancel());
   EXPECT_EQ(bounded.status().code(), StatusCode::kCancelled);
 }
@@ -230,7 +231,7 @@ TEST(DeciderCheckpointTest, LargeIntervalNeverFiresOnShortSearches) {
   request.cinstance = fx.audited;
   request.options = WithPoisonedCancel(/*interval=*/uint64_t{1} << 40);
   Decision decision =
-      EvaluateRequest(request, PreparedSetting::Borrow(fx.setting));
+      EvaluateRequest(request, testing::MustPrepare(fx.setting));
   EXPECT_TRUE(decision.status.ok()) << decision.status.ToString();
 }
 
@@ -249,9 +250,9 @@ TEST(MidRunAbortTest, ConcurrentCancelStopsASlowSearchWithPartialStats) {
   request.options.cancel = source.token();
 
   SearchStats stats;
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   std::future<Result<bool>> running = std::async(std::launch::async, [&] {
-    return RcdpStrong(fx.query, fx.audited, fx.setting, request.options,
-                      &stats);
+    return RcdpStrong(fx.query, fx.audited, prepared, request.options, &stats);
   });
   // Let the search get properly inside the loop, then cancel.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -268,14 +269,14 @@ TEST(MidRunAbortTest, ConcurrentCancelStopsASlowSearchWithPartialStats) {
 
 TEST(MidRunAbortTest, DeadlineExpiringMidRunAbortsTheSearch) {
   SlowFixture fx = MakeSlowFixture(/*master_rows=*/40, /*vars=*/6);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   DecisionRequest request = fx.Request();
   request.options.max_steps = 20'000'000;
   request.options.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
 
   const auto start = std::chrono::steady_clock::now();
-  Decision decision =
-      EvaluateRequest(request, PreparedSetting::Borrow(fx.setting));
+  Decision decision = EvaluateRequest(request, prepared);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(decision.status.code(), StatusCode::kDeadlineExceeded)
       << decision.status.ToString();

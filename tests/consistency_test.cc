@@ -18,7 +18,8 @@ TEST(ConsistencyTest, GroundInstanceSatisfyingCcsIsConsistent) {
   PartiallyClosedSetting setting = testing::OpenSetting(testing::EdgeSchema());
   CInstance t(setting.schema);
   t.at("E").AddRow({Cell(I(1)), Cell(I(2))});
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(setting, t));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, t));
   EXPECT_TRUE(ok);
 }
 
@@ -29,7 +30,8 @@ TEST(ConsistencyTest, UnsatisfiableConditionMakesRowVanishNotInconsistent) {
   CInstance t(setting.schema);
   t.at("E").AddRow(CRow{{Cell(V(0)), Cell(I(1))},
                         Condition({CondAtom{V(0), true, V(0)}})});
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(setting, t));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, t));
   EXPECT_TRUE(ok);
 }
 
@@ -46,7 +48,8 @@ TEST(ConsistencyTest, CcCanForceInconsistency) {
                            std::vector<int>{0});
   CInstance t(setting.schema);
   t.at("E").AddRow({Cell(I(1)), Cell(I(2))});
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(setting, t));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, t));
   EXPECT_FALSE(ok);
 }
 
@@ -66,7 +69,8 @@ TEST(ConsistencyTest, ConditionCanRescueConsistency) {
   t.at("E").AddRow(CRow{{Cell(V(0)), Cell(I(2))},
                         Condition::VarEqConst(V(0), I(7))});
   Instance witness;
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(setting, t, {}, nullptr, &witness));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, t, {}, nullptr, &witness));
   EXPECT_TRUE(ok);
   EXPECT_TRUE(witness.Empty());  // the surviving worlds have no tuples
 }
@@ -77,7 +81,8 @@ TEST(ConsistencyTest, WitnessWorldSatisfiesConditions) {
   t.at("E").AddRow(CRow{{Cell(V(0)), Cell(I(5))},
                         Condition::VarNeqConst(V(0), I(5))});
   Instance witness;
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(setting, t, {}, nullptr, &witness));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, t, {}, nullptr, &witness));
   EXPECT_TRUE(ok);
   for (const Tuple& tup : witness.at("E").rows()) {
     EXPECT_NE(tup[0], I(5));
@@ -89,7 +94,8 @@ TEST(ExtensibilityTest, OpenWorldIsExtensible) {
   Instance db(setting.schema);
   db.AddTuple("E", {I(1), I(2)});
   ExtensionWitness witness;
-  ASSERT_OK_AND_ASSIGN(ok, IsExtensible(setting, db, {}, nullptr, &witness));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsExtensible(prepared, db, {}, nullptr, &witness));
   EXPECT_TRUE(ok);
   EXPECT_EQ(witness.relation, "E");
   EXPECT_FALSE(db.at("E").Contains(witness.tuple));
@@ -108,7 +114,8 @@ TEST(ExtensibilityTest, FullyBoundedInstanceNotExtensible) {
   setting.ccs.emplace_back("bound", std::move(q), "Bm", std::vector<int>{0});
   Instance db(setting.schema);
   db.AddTuple("B", {I(0)});
-  ASSERT_OK_AND_ASSIGN(ok, IsExtensible(setting, db));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsExtensible(prepared, db));
   EXPECT_FALSE(ok);  // (1) violates the bound; (0) already present
 }
 
@@ -126,7 +133,8 @@ TEST(ConsistencyTest, BudgetExhaustionSurfaces) {
   t.at("E").AddRow({Cell(V(0)), Cell(V(1))});
   SearchOptions options;
   options.max_steps = 3;
-  Result<bool> r = IsConsistent(setting, t, options);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  Result<bool> r = IsConsistent(prepared, t, options);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -141,8 +149,8 @@ TEST_P(Prop33Sweep, ConsistencyMatchesQbfOracle) {
   Qbf qbf = MakeForallExists(2, 2, RandomCnf3(4, 3, GetParam()));
   GadgetProblem gadget = BuildConsistencyGadget(qbf);
   EXPECT_OK(gadget.setting.Validate());
-  ASSERT_OK_AND_ASSIGN(
-      consistent, IsConsistent(gadget.setting, gadget.cinstance));
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
+  ASSERT_OK_AND_ASSIGN(consistent, IsConsistent(prepared, gadget.cinstance));
   // Claim: ϕ is false ⇔ Mod(T, Dm, V) ≠ ∅.
   EXPECT_EQ(consistent, !qbf.Eval()) << qbf.matrix.ToString();
 }
@@ -150,8 +158,8 @@ TEST_P(Prop33Sweep, ConsistencyMatchesQbfOracle) {
 TEST_P(Prop33Sweep, ExtensibilityMatchesQbfOracle) {
   Qbf qbf = MakeForallExists(2, 2, RandomCnf3(4, 3, GetParam()));
   GadgetProblem gadget = BuildExtensibilityGadget(qbf);
-  ASSERT_OK_AND_ASSIGN(
-      extensible, IsExtensible(gadget.setting, gadget.ground));
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
+  ASSERT_OK_AND_ASSIGN(extensible, IsExtensible(prepared, gadget.ground));
   // Claim: ϕ is true ⇔ Ext(I0, Dm, V) = ∅.
   EXPECT_EQ(!extensible, qbf.Eval()) << qbf.matrix.ToString();
 }

@@ -54,7 +54,8 @@ TEST(TupleEnumeratorTest, RespectsFiniteDomains) {
   setting.schema.AddRelation(schema);
   setting.dm = Instance(setting.master_schema);
   CInstance empty(setting.schema);
-  AdomContext adom = AdomContext::Build(setting, empty, nullptr);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  AdomContext adom = prepared.BuildAdom(empty, nullptr);
   TupleEnumerator e(schema, adom);
   EXPECT_EQ(e.TotalCount(), 6u);
   Tuple t;
@@ -76,9 +77,10 @@ TEST(ModEnumeratorTest, DeduplicatesIsomorphicWorlds) {
   CInstance t(setting.schema);
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(V(1))});
-  AdomContext adom = AdomContext::Build(setting, t, nullptr);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  AdomContext adom = prepared.BuildAdom(t, nullptr);
   SearchStats stats;
-  ModEnumerator worlds(t, setting, adom, {}, &stats);
+  ModEnumerator worlds(t, prepared, adom, {}, &stats);
   int count = 0;
   Instance world;
   while (true) {
@@ -222,7 +224,8 @@ TEST(AdomTest, ContainsConstantsFreshAndFiniteDomains) {
   CInstance t(setting.schema);
   t.at("R").AddRow({Cell(S("fd1")), Cell(V(0))});
   t.at("R").AddRow({Cell(S("fd2")), Cell(S("const"))});
-  AdomContext adom = AdomContext::Build(setting, t, nullptr);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  AdomContext adom = prepared.BuildAdom(t, nullptr);
   auto contains = [&adom](const Value& v) {
     return std::binary_search(adom.values().begin(), adom.values().end(), v);
   };

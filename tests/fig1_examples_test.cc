@@ -23,7 +23,8 @@ TEST(Fig1Test, SettingsValidate) {
 
 TEST(Fig1Test, CTableIsConsistent) {
   PatientsFixture fx = MakePatientsFixture();
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(fx.setting, fx.ctable));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, fx.ctable));
   EXPECT_TRUE(ok);
 }
 
@@ -31,8 +32,9 @@ TEST(Fig1Test, WorldsForceBobOrJohnForT2) {
   // The CC pins t2's (name, yob) to the master rows for NHS 915-15-356.
   PatientsFixture fx = MakePatientsFixture();
   Instance witness;
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(ok,
-                       IsConsistent(fx.setting, fx.ctable, {}, nullptr,
+                       IsConsistent(prepared, fx.ctable, {}, nullptr,
                                     &witness));
   ASSERT_TRUE(ok);
   bool found = false;
@@ -48,14 +50,16 @@ TEST(Fig1Test, WorldsForceBobOrJohnForT2) {
 
 TEST(Fig1Test, Example23_Q1StronglyComplete) {
   PatientsFixture fx = MakePatientsFixture();
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, fx.ctable, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, fx.ctable, prepared));
   EXPECT_TRUE(strong);
 }
 
 TEST(Fig1Test, Example23_Q1AnswerIsJohnInEveryWorld) {
   PatientsFixture fx = MakePatientsFixture();
   Instance world;
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(fx.setting, fx.ctable, {}, nullptr,
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, fx.ctable, {}, nullptr,
                                         &world));
   ASSERT_TRUE(ok);
   ASSERT_OK_AND_ASSIGN(answers, fx.q1.Eval(world));
@@ -66,7 +70,8 @@ TEST(Fig1Test, Example23_Q1AnswerIsJohnInEveryWorld) {
 TEST(Fig1Test, Example23_Q4NotStronglyComplete) {
   PatientsFixture fx = MakePatientsFixture();
   CompletenessWitness witness;
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q4, fx.ctable, fx.setting, {},
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q4, fx.ctable, prepared, {},
                                           nullptr, &witness));
   EXPECT_FALSE(strong);
   // The witness world instantiated t2 as John; the extension adds Bob.
@@ -76,7 +81,8 @@ TEST(Fig1Test, Example23_Q4NotStronglyComplete) {
 TEST(Fig1Test, Example23_Q4ViablyComplete) {
   PatientsFixture fx = MakePatientsFixture();
   Instance world;
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q4, fx.ctable, fx.setting, {},
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q4, fx.ctable, prepared, {},
                                           nullptr, &world));
   EXPECT_TRUE(viable);
   // Any world that keeps t2 is complete: once t2's name is fixed, the FD
@@ -94,14 +100,16 @@ TEST(Fig1Test, Example23_Q4ViablyComplete) {
 
 TEST(Fig1Test, Example23_Q4WeaklyComplete) {
   PatientsFixture fx = MakePatientsFixture();
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q4, fx.ctable, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q4, fx.ctable, prepared));
   EXPECT_TRUE(weak);
 }
 
 TEST(Fig1Test, Example22_Q2IncompleteOnGroundD) {
   PatientsFixture fx = MakePatientsFixture();
+  const PreparedSetting acquisition = testing::MustPrepare(fx.acquisition);
   ASSERT_OK_AND_ASSIGN(
-      complete, RcdpStrongGround(fx.q2, fx.ground, fx.acquisition));
+      complete, RcdpStrongGround(fx.q2, fx.ground, acquisition));
   EXPECT_FALSE(complete);
 }
 
@@ -111,15 +119,17 @@ TEST(Fig1Test, Example22_OneTupleMakesQ2Complete) {
   extended.AddTuple("MVisit",
                     {S("915-15-321"), S("Alice"), S("EDI"), I(2000), S("F"),
                      S("15/03/2015"), S("Flu"), S("01")});
+  const PreparedSetting acquisition = testing::MustPrepare(fx.acquisition);
   ASSERT_OK_AND_ASSIGN(
-      complete, RcdpStrongGround(fx.q2, extended, fx.acquisition));
+      complete, RcdpStrongGround(fx.q2, extended, acquisition));
   EXPECT_TRUE(complete);
 }
 
 TEST(Fig1Test, Example22_Q3NeverComplete) {
   PatientsFixture fx = MakePatientsFixture();
+  const PreparedSetting acquisition = testing::MustPrepare(fx.acquisition);
   ASSERT_OK_AND_ASSIGN(
-      complete, RcdpStrongGround(fx.q3, fx.ground, fx.acquisition));
+      complete, RcdpStrongGround(fx.q3, fx.ground, acquisition));
   EXPECT_FALSE(complete);
   // Even after adding the diabetic London patients the paper mentions, the
   // open world keeps Q3 incomplete.
@@ -127,8 +137,7 @@ TEST(Fig1Test, Example22_Q3NeverComplete) {
   extended.AddTuple("MVisit",
                     {S("915-15-400"), S("Zoe"), S("LON"), I(2000), S("F"),
                      S("15/03/2015"), S("Diabetes"), S("02")});
-  ASSERT_OK_AND_ASSIGN(
-      still, RcdpStrongGround(fx.q3, extended, fx.acquisition));
+  ASSERT_OK_AND_ASSIGN(still, RcdpStrongGround(fx.q3, extended, acquisition));
   EXPECT_FALSE(still);
 }
 
@@ -138,7 +147,8 @@ TEST(Fig1Test, Example24_T1AloneMinimalForQ1) {
   PatientsFixture fx = MakePatientsFixture();
   CInstance t1_only(fx.setting.schema);
   t1_only.at("MVisit").AddRow(fx.ctable.at("MVisit").rows()[0]);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, t1_only, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, t1_only, prepared));
   EXPECT_TRUE(strong);
 }
 
@@ -163,9 +173,10 @@ TEST(Fig1Test, PrinterRendersCTableWithConditions) {
 
 TEST(Fig1Test, ScaledFixtureKeepsClaims) {
   PatientsFixture fx = MakeScaledPatientsFixture(4, 1);
-  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(fx.setting, fx.ctable));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(ok, IsConsistent(prepared, fx.ctable));
   EXPECT_TRUE(ok);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, fx.ctable, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q1, fx.ctable, prepared));
   EXPECT_TRUE(strong);
 }
 

@@ -42,8 +42,8 @@ TEST(GroundCompletenessTest, CompleteWhenAllMasterRowsPresent) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   db.AddTuple("Visit", {S("n2"), S("EDI")});
-  ASSERT_OK_AND_ASSIGN(complete,
-                       IsCompleteGroundAuto(fx.q_edi, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, prepared));
   EXPECT_TRUE(complete);
 }
 
@@ -52,7 +52,8 @@ TEST(GroundCompletenessTest, IncompleteWhenMasterRowMissing) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   CompletenessWitness witness;
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, fx.setting,
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, prepared,
                                                       {}, nullptr, &witness));
   EXPECT_FALSE(complete);
   // The witness extension adds the missing n2 visit.
@@ -65,16 +66,18 @@ TEST(GroundCompletenessTest, OpenWorldQueryNeverComplete) {
       {CTerm(V(0))}, {RelAtom{"Visit", {V(0), S("LON")}}}));
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("LON")});
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q_lon, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q_lon, db, prepared));
   EXPECT_FALSE(complete);  // London is unconstrained: new names can appear
 }
 
 TEST(GroundCompletenessTest, NotPartiallyClosedIsNotComplete) {
   VisitFixture fx;
   Instance db(fx.setting.schema);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   db.AddTuple("Visit", {S("unknown"), S("EDI")});  // violates the CC
   ASSERT_OK_AND_ASSIGN(complete,
-                       IsCompleteGroundAuto(fx.q_edi, db, fx.setting));
+                       IsCompleteGroundAuto(fx.q_edi, db, prepared));
   EXPECT_FALSE(complete);
 }
 
@@ -90,8 +93,9 @@ TEST(GroundCompletenessTest, UcqDisjunctsAllChecked) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   db.AddTuple("Visit", {S("n2"), S("EDI")});
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(
-      complete, IsCompleteGroundAuto(Query::Ucq(ucq), db, fx.setting));
+      complete, IsCompleteGroundAuto(Query::Ucq(ucq), db, prepared));
   EXPECT_FALSE(complete);
 }
 
@@ -99,14 +103,15 @@ TEST(GroundCompletenessTest, FoAndFpAreUndecidable) {
   VisitFixture fx;
   Instance db(fx.setting.schema);
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"Visit", {S("a"), S("b")}})));
-  Result<bool> r = IsCompleteGroundAuto(Query::Fo(fo), db, fx.setting);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  Result<bool> r = IsCompleteGroundAuto(Query::Fo(fo), db, prepared);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUndecidable);
 
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"Visit", {V(0), V(1)}}}, {}});
   p.set_output("T");
-  Result<bool> r2 = IsCompleteGroundAuto(Query::Fp(p), db, fx.setting);
+  Result<bool> r2 = IsCompleteGroundAuto(Query::Fp(p), db, prepared);
   EXPECT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kUndecidable);
 }
@@ -118,7 +123,8 @@ TEST(GroundCompletenessTest, EmptyInstanceCompleteForContradictoryQuery) {
       {CTerm(V(0))}, {RelAtom{"Visit", {V(0), V(1)}}},
       {CondAtom{V(1), false, S("EDI")}, CondAtom{V(1), false, S("LON")}}));
   Instance db(fx.setting.schema);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q, db, prepared));
   EXPECT_TRUE(complete);
 }
 
@@ -136,9 +142,10 @@ TEST_P(Prop31Sweep, FdImplicationMatchesArmstrong) {
   phi.rhs = static_cast<int>((GetParam() / 2) % kAttrs);
   GadgetProblem gadget = BuildFdImplicationGadget(theta, phi, kAttrs);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
       complete,
-      IsCompleteGroundAuto(gadget.query, gadget.ground, gadget.setting));
+      IsCompleteGroundAuto(gadget.query, gadget.ground, prepared));
   bool implied = FdImplies(theta, phi, kAttrs);
   EXPECT_EQ(complete, implied)
       << "theta[0]=" << (theta.empty() ? "-" : theta[0].ToString())

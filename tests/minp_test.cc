@@ -43,7 +43,8 @@ TEST(MinpStrongGroundTest, FullRelationIsMinimal) {
   db.AddTuple("B", {I(1)});
   // Complete; removing any tuple re-opens the instance (the removed value
   // can be re-added, changing the answer), so both tuples are necessary.
-  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, prepared));
   EXPECT_TRUE(minimal);
 }
 
@@ -51,7 +52,8 @@ TEST(MinpStrongGroundTest, IncompleteInstanceNotMinimal) {
   BoolFixture fx;
   Instance db(fx.setting.schema);
   db.AddTuple("B", {I(0)});
-  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, prepared));
   EXPECT_FALSE(minimal);
 }
 
@@ -77,7 +79,8 @@ TEST(MinpStrongGroundTest, RedundantTupleBreaksMinimality) {
   db.AddTuple("B", {I(1)});
   db.AddTuple("D", {I(0)});
   db.AddTuple("D", {I(1)});
-  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(minimal, MinpStrongGround(fx.q, db, prepared));
   EXPECT_FALSE(minimal);
 }
 
@@ -86,14 +89,15 @@ TEST(MinpStrongTest, CInstanceMinimalityQuantifiesAllWorlds) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(minimal, MinpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(minimal, MinpStrong(fx.q, t, prepared));
   EXPECT_TRUE(minimal);
   // Adding a variable row: the worlds where it collapses onto {0,1} stay
   // minimal; there is no third value (domain is Boolean), so all worlds
   // still minimal — but the c-instance has a redundant row.
   CInstance t2 = t;
   t2.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(minimal2, MinpStrong(fx.q, t2, fx.setting));
+  ASSERT_OK_AND_ASSIGN(minimal2, MinpStrong(fx.q, t2, prepared));
   EXPECT_TRUE(minimal2);  // worlds are still exactly {0,1}
 }
 
@@ -103,9 +107,10 @@ TEST(MinpViableTest, SomeWorldMinimalSuffices) {
   fx.setting.dm.at("Bm").Erase({I(0)});
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(viable_min, MinpViable(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(viable_min, MinpViable(fx.q, t, prepared));
   EXPECT_TRUE(viable_min);
-  ASSERT_OK_AND_ASSIGN(strong_min, MinpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong_min, MinpStrong(fx.q, t, prepared));
   EXPECT_TRUE(strong_min);  // the only world is {1}
 }
 
@@ -119,17 +124,18 @@ TEST(MinpWeakTest, Example55EmptyIsMinimalNonEmptyIsNot) {
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(S("a"))}, {RelAtom{"R1", {V(0)}}, RelAtom{"R2", {V(1)}}}));
   CInstance empty(setting.schema);
-  ASSERT_OK_AND_ASSIGN(empty_min, MinpWeak(q, empty, setting));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(empty_min, MinpWeak(q, empty, prepared));
   EXPECT_TRUE(empty_min);
   CInstance i0(setting.schema);
   i0.at("R1").AddRow({Cell(I(0))});
   i0.at("R2").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(i0_min, MinpWeak(q, i0, setting));
+  ASSERT_OK_AND_ASSIGN(i0_min, MinpWeak(q, i0, prepared));
   EXPECT_FALSE(i0_min);  // ∅ ⊊ I0 is weakly complete too
   // The CQ fast path agrees.
-  ASSERT_OK_AND_ASSIGN(fast_empty, MinpWeakCq(q, empty, setting));
+  ASSERT_OK_AND_ASSIGN(fast_empty, MinpWeakCq(q, empty, prepared));
   EXPECT_TRUE(fast_empty);
-  ASSERT_OK_AND_ASSIGN(fast_i0, MinpWeakCq(q, i0, setting));
+  ASSERT_OK_AND_ASSIGN(fast_i0, MinpWeakCq(q, i0, prepared));
   EXPECT_FALSE(fast_i0);
 }
 
@@ -150,22 +156,23 @@ TEST(MinpWeakTest, SingletonDichotomy) {
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}}));
 
   CInstance empty(setting.schema);
-  ASSERT_OK_AND_ASSIGN(empty_weak, RcdpWeak(q, empty, setting));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(empty_weak, RcdpWeak(q, empty, prepared));
   EXPECT_FALSE(empty_weak);
-  ASSERT_OK_AND_ASSIGN(empty_min, MinpWeakCq(q, empty, setting));
+  ASSERT_OK_AND_ASSIGN(empty_min, MinpWeakCq(q, empty, prepared));
   EXPECT_FALSE(empty_min);
 
   CInstance singleton(setting.schema);
   singleton.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(single_min, MinpWeakCq(q, singleton, setting));
+  ASSERT_OK_AND_ASSIGN(single_min, MinpWeakCq(q, singleton, prepared));
   EXPECT_TRUE(single_min);
-  ASSERT_OK_AND_ASSIGN(general_agrees, MinpWeak(q, singleton, setting));
+  ASSERT_OK_AND_ASSIGN(general_agrees, MinpWeak(q, singleton, prepared));
   EXPECT_EQ(single_min, general_agrees);
 
   CInstance two(setting.schema);
   two.at("B").AddRow({Cell(I(1))});
   two.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(two_min, MinpWeakCq(q, two, setting));
+  ASSERT_OK_AND_ASSIGN(two_min, MinpWeakCq(q, two, prepared));
   EXPECT_FALSE(two_min);
 }
 
@@ -177,7 +184,8 @@ TEST(MinpWeakTest, RowBudgetGuard) {
   for (int i = 0; i < 30; ++i) {
     t.at("E").AddRow({Cell(I(i)), Cell(I(i + 1))});
   }
-  Result<bool> r = MinpWeak(q, t, setting);
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  Result<bool> r = MinpWeak(q, t, prepared);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -192,8 +200,9 @@ TEST_P(Thm48Sweep, MinpStrongMatchesQbfOracle) {
   Qbf qbf = MakeExistsForallExists(1, 1, 1, RandomCnf3(3, 1, GetParam()));
   GadgetProblem gadget = BuildSigma3Gadget(qbf, /*full_rs=*/true);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      minimal, MinpStrong(gadget.query, gadget.cinstance, gadget.setting));
+      minimal, MinpStrong(gadget.query, gadget.cinstance, prepared));
   // Claim: ϕ false ⇔ T is a minimal strongly complete c-instance.
   EXPECT_EQ(minimal, !qbf.Eval()) << qbf.matrix.ToString();
 }
@@ -201,11 +210,12 @@ TEST_P(Thm48Sweep, MinpStrongMatchesQbfOracle) {
 TEST_P(Thm48Sweep, ViableModelMatchesQbfOracle) {
   Qbf qbf = MakeExistsForallExists(1, 1, 1, RandomCnf3(3, 1, GetParam()));
   GadgetProblem gadget = BuildViableGadget(qbf);
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      viable, RcdpViable(gadget.query, gadget.cinstance, gadget.setting));
+      viable, RcdpViable(gadget.query, gadget.cinstance, prepared));
   EXPECT_EQ(viable, qbf.Eval()) << qbf.matrix.ToString();
   ASSERT_OK_AND_ASSIGN(
-      minimal, MinpViable(gadget.query, gadget.cinstance, gadget.setting));
+      minimal, MinpViable(gadget.query, gadget.cinstance, prepared));
   EXPECT_EQ(minimal, qbf.Eval()) << qbf.matrix.ToString();
 }
 
@@ -218,8 +228,9 @@ TEST_P(Thm56Sweep, MinpWeakCqMatchesSatUnsatOracle) {
   Cnf3 phi_prime = RandomCnf3(3, 2, GetParam() + 1000);
   GadgetProblem gadget = BuildSatUnsatGadget(phi, phi_prime, 3);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      minimal, MinpWeakCq(gadget.query, gadget.cinstance, gadget.setting));
+      minimal, MinpWeakCq(gadget.query, gadget.cinstance, prepared));
   bool sat_unsat = phi.IsSatisfiable() && !phi_prime.IsSatisfiable();
   // Claim: ∅ minimal weakly complete ⇔ ¬(φ sat ∧ φ' unsat).
   EXPECT_EQ(minimal, !sat_unsat)
@@ -234,8 +245,9 @@ TEST_P(Thm56Sweep, UnsatisfiablePhiMakesEmptyMinimal) {
   phi.clauses.push_back({Lit::Neg(0), Lit::Neg(0), Lit::Neg(0)});
   Cnf3 phi_prime = RandomCnf3(3, 2, GetParam());
   GadgetProblem gadget = BuildSatUnsatGadget(phi, phi_prime, 3);
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      minimal, MinpWeakCq(gadget.query, gadget.cinstance, gadget.setting));
+      minimal, MinpWeakCq(gadget.query, gadget.cinstance, prepared));
   EXPECT_TRUE(minimal);
 }
 

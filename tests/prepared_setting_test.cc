@@ -3,18 +3,23 @@
 // fingerprints must be stable and discriminating.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/minp.h"
 #include "core/rcdp.h"
 #include "core/rcqp.h"
 #include "core/fingerprint.h"
 #include "core/prepared_setting.h"
 #include "reductions/examples_fig1.h"
+#include "service/service.h"
 #include "test_util.h"
 
 namespace relcomp {
 namespace {
 
+using testing::I;
 using testing::S;
+using testing::V;
 
 TEST(PreparedSettingTest, LargeMasterCountersArePinned) {
   // A 24,576-row master: the deciders build each Adom over the shared seed
@@ -103,13 +108,121 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
   EXPECT_EQ(prepared.ccs().size(), fx.setting.ccs.size());
 
-  // A CC whose projection width disagrees with its head arity must fail.
-  PartiallyClosedSetting broken = fx.setting;
-  ContainmentConstraint cc = broken.ccs.front();
-  broken.ccs.push_back(ContainmentConstraint(
-      "bad", cc.q(), cc.master_rel(),
-      std::vector<int>(cc.master_cols().size() + 1, 0)));
-  EXPECT_FALSE(PreparedSetting::Prepare(broken).ok());
+  // A setting enters the library through Prepare, directly or through the
+  // service's RegisterSetting; both refuse each input below with the same
+  // status, so no decider ever sees it.
+  struct Broken {
+    std::string what;
+    PartiallyClosedSetting setting;
+    StatusCode code;
+    std::string message;
+  };
+  std::vector<Broken> broken;
+
+  // A CC whose projection width disagrees with its head arity.
+  {
+    PartiallyClosedSetting setting = fx.setting;
+    const ContainmentConstraint cc = setting.ccs.front();
+    const size_t width = cc.master_cols().size();
+    setting.ccs.push_back(ContainmentConstraint(
+        "bad", cc.q(), cc.master_rel(), std::vector<int>(width + 1, 0)));
+    broken.push_back({"projection width", std::move(setting),
+                      StatusCode::kInvalidArgument,
+                      "CC 'bad': head arity " + std::to_string(width) +
+                          " does not match projection width " +
+                          std::to_string(width + 1)});
+  }
+
+  // P(a), bounded by the master M1(a); the master schema also has M2(a, b).
+  const Domain inf = Domain::Infinite();
+  PartiallyClosedSetting base;
+  base.schema.AddRelation(RelationSchema("P", {Attribute{"a", inf}}));
+  base.master_schema.AddRelation(RelationSchema("M1", {Attribute{"a", inf}}));
+  base.master_schema.AddRelation(
+      RelationSchema("M2", {Attribute{"a", inf}, Attribute{"b", inf}}));
+  base.dm = Instance(base.master_schema);
+  base.dm.AddTuple("M1", {I(0)});
+  base.dm.AddTuple("M2", {I(0), I(1)});
+  base.ccs.emplace_back(
+      "p_in_m1", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}),
+      "M1", std::vector<int>{0});
+  ASSERT_TRUE(PreparedSetting::Prepare(base).ok());
+
+  // Dm whose relations differ from the master schema's: a narrower M2, and
+  // M2 under another name. A check of the CC below on the narrow Dm would
+  // read past that relation's attributes.
+  for (const char* name : {"M2", "Other"}) {
+    const bool narrow = std::string(name) == "M2";
+    DatabaseSchema dm_schema;
+    dm_schema.AddRelation(RelationSchema("M1", {Attribute{"a", inf}}));
+    dm_schema.AddRelation(
+        narrow ? RelationSchema(name, {Attribute{"a", inf}})
+               : RelationSchema(name, {Attribute{"a", inf},
+                                       Attribute{"b", inf}}));
+    PartiallyClosedSetting setting = base;
+    setting.dm = Instance(dm_schema);
+    setting.dm.AddTuple("M1", {I(0)});
+    setting.dm.AddTuple(name, narrow ? Tuple{I(0)} : Tuple{I(0), I(1)});
+    setting.ccs.emplace_back(
+        "p_in_m2", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}),
+        "M2", std::vector<int>{1});
+    broken.push_back({narrow ? "narrow Dm" : "renamed Dm", std::move(setting),
+                      StatusCode::kInvalidArgument,
+                      std::string("master data relation ") + name +
+                          (narrow ? "/1" : "/2") +
+                          " does not match master schema relation M2/2"});
+  }
+
+  // CCs that do not validate, alone and after a CC that does.
+  const struct {
+    const char* what;
+    ContainmentConstraint cc;
+    StatusCode code;
+    const char* message;
+  } bad_ccs[] = {
+      {"unknown master",
+       ContainmentConstraint(
+           "nomaster",
+           ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}), "Nope",
+           {0}),
+       StatusCode::kNotFound,
+       "CC 'nomaster' references unknown master 'Nope'"},
+      {"unknown relation",
+       ContainmentConstraint(
+           "norel", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Q", {V(0)}}}),
+           "M1", {0}),
+       StatusCode::kNotFound, "query references unknown relation 'Q'"},
+      {"unsafe head",
+       ContainmentConstraint(
+           "unsafe", ConjunctiveQuery({CTerm(V(3))}, {RelAtom{"P", {V(0)}}}),
+           "M1", {0}),
+       StatusCode::kInvalidArgument,
+       "unsafe head term x3 in query (x3) :- P(x0)"},
+  };
+  for (const auto& bad : bad_ccs) {
+    for (const bool after_passing : {false, true}) {
+      PartiallyClosedSetting setting = base;
+      if (!after_passing) setting.ccs.clear();
+      setting.ccs.push_back(bad.cc);
+      broken.push_back({std::string(bad.what) +
+                            (after_passing ? " after a valid CC" : ""),
+                        std::move(setting), bad.code, bad.message});
+    }
+  }
+
+  ServiceOptions options;
+  options.num_workers = 0;
+  CompletenessService service(options);
+  for (const Broken& b : broken) {
+    Result<PreparedSetting> got = PreparedSetting::Prepare(b.setting);
+    ASSERT_FALSE(got.ok()) << b.what;
+    EXPECT_EQ(got.status().code(), b.code) << b.what;
+    EXPECT_EQ(got.status().message(), b.message) << b.what;
+    Result<SettingHandle> registered = service.RegisterSetting(b.setting);
+    ASSERT_FALSE(registered.ok()) << b.what;
+    EXPECT_EQ(registered.status().code(), b.code) << b.what;
+    EXPECT_EQ(registered.status().message(), b.message) << b.what;
+  }
 }
 
 TEST(PreparedSettingTest, CachedAdomSeedMatchesTheSetting) {
@@ -122,7 +235,8 @@ TEST(PreparedSettingTest, CachedAdomSeedMatchesTheSetting) {
   EXPECT_EQ(prepared.adom_seed()->fresh, fresh_seed.fresh);
   const long owners = prepared.adom_seed().use_count();
   for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
-    AdomContext direct = AdomContext::Build(fx.setting, fx.ctable, q);
+    AdomContext direct = AdomContext::BuildFromSeed(
+        std::make_shared<const AdomSeed>(fresh_seed), fx.ctable, q);
     AdomContext via_prepared = prepared.BuildAdom(fx.ctable, q);
     EXPECT_EQ(prepared.adom_seed().use_count(), owners + 1);  // shared
     EXPECT_EQ(direct.values(), via_prepared.values());
@@ -149,45 +263,54 @@ TEST(PreparedSettingTest, CachedProjectionsMatchDirectCcChecks) {
   }
 }
 
-TEST(PreparedSettingTest, DecidersAgreeBetweenPreparedAndLegacyEntryPoints) {
+TEST(PreparedSettingTest, DecidersAgreeAcrossHandles) {
+  // One handle serving every call (its seed and CC plans warm) answers as a
+  // handle prepared afresh for each call.
   PatientsFixture fx = MakePatientsFixture();
-  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
+  ASSERT_OK_AND_ASSIGN(shared, PreparedSetting::Prepare(fx.setting));
   for (const Query* q : {&fx.q1, &fx.q2, &fx.q4}) {
-    ASSERT_OK_AND_ASSIGN(legacy_strong, RcdpStrong(*q, fx.ctable, fx.setting));
-    ASSERT_OK_AND_ASSIGN(prep_strong, RcdpStrong(*q, fx.ctable, prepared));
-    EXPECT_EQ(legacy_strong, prep_strong) << (*q).ToString();
+    ASSERT_OK_AND_ASSIGN(
+        fresh_strong,
+        RcdpStrong(*q, fx.ctable, testing::MustPrepare(fx.setting)));
+    ASSERT_OK_AND_ASSIGN(shared_strong, RcdpStrong(*q, fx.ctable, shared));
+    EXPECT_EQ(fresh_strong, shared_strong) << (*q).ToString();
 
-    ASSERT_OK_AND_ASSIGN(legacy_viable, RcdpViable(*q, fx.ctable, fx.setting));
-    ASSERT_OK_AND_ASSIGN(prep_viable, RcdpViable(*q, fx.ctable, prepared));
-    EXPECT_EQ(legacy_viable, prep_viable) << (*q).ToString();
+    ASSERT_OK_AND_ASSIGN(
+        fresh_viable,
+        RcdpViable(*q, fx.ctable, testing::MustPrepare(fx.setting)));
+    ASSERT_OK_AND_ASSIGN(shared_viable, RcdpViable(*q, fx.ctable, shared));
+    EXPECT_EQ(fresh_viable, shared_viable) << (*q).ToString();
 
-    ASSERT_OK_AND_ASSIGN(legacy_minp,
-                         MinpStrongGround(*q, fx.ground, fx.setting));
-    ASSERT_OK_AND_ASSIGN(prep_minp, MinpStrongGround(*q, fx.ground, prepared));
-    EXPECT_EQ(legacy_minp, prep_minp) << (*q).ToString();
+    ASSERT_OK_AND_ASSIGN(
+        fresh_minp,
+        MinpStrongGround(*q, fx.ground, testing::MustPrepare(fx.setting)));
+    ASSERT_OK_AND_ASSIGN(shared_minp, MinpStrongGround(*q, fx.ground, shared));
+    EXPECT_EQ(fresh_minp, shared_minp) << (*q).ToString();
   }
-  ASSERT_OK_AND_ASSIGN(legacy_weak, RcdpWeak(fx.q4, fx.ctable, fx.setting));
-  ASSERT_OK_AND_ASSIGN(prep_weak, RcdpWeak(fx.q4, fx.ctable, prepared));
-  EXPECT_EQ(legacy_weak, prep_weak);
+  ASSERT_OK_AND_ASSIGN(
+      fresh_weak, RcdpWeak(fx.q4, fx.ctable, testing::MustPrepare(fx.setting)));
+  ASSERT_OK_AND_ASSIGN(shared_weak, RcdpWeak(fx.q4, fx.ctable, shared));
+  EXPECT_EQ(fresh_weak, shared_weak);
 }
 
-TEST(PreparedSettingTest, SearchStatsIdenticalAcrossEntryPoints) {
-  // The prepared path must do the same logical work, not just reach the
-  // same answer: every counter agrees with the legacy path.
+TEST(PreparedSettingTest, SearchStatsIdenticalAcrossHandles) {
+  // A warm handle does the same logical work, not just reach the same
+  // answer: every counter agrees with a fresh handle's.
   PatientsFixture fx = MakePatientsFixture();
-  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(fx.setting));
-  SearchStats legacy_stats, prep_stats;
-  ASSERT_OK_AND_ASSIGN(legacy,
-                       RcdpStrong(fx.q1, fx.ctable, fx.setting, {},
-                                  &legacy_stats));
-  ASSERT_OK_AND_ASSIGN(prep,
-                       RcdpStrong(fx.q1, fx.ctable, prepared, {}, &prep_stats));
-  EXPECT_EQ(legacy, prep);
-  EXPECT_EQ(legacy_stats.valuations, prep_stats.valuations);
-  EXPECT_EQ(legacy_stats.worlds, prep_stats.worlds);
-  EXPECT_EQ(legacy_stats.extensions, prep_stats.extensions);
-  EXPECT_EQ(legacy_stats.cc_checks, prep_stats.cc_checks);
-  EXPECT_EQ(legacy_stats.query_evals, prep_stats.query_evals);
+  ASSERT_OK_AND_ASSIGN(shared, PreparedSetting::Prepare(fx.setting));
+  ASSERT_TRUE(RcdpStrong(fx.q1, fx.ctable, shared).ok());  // warm it
+  SearchStats fresh_stats, shared_stats;
+  ASSERT_OK_AND_ASSIGN(fresh, RcdpStrong(fx.q1, fx.ctable,
+                                         testing::MustPrepare(fx.setting), {},
+                                         &fresh_stats));
+  ASSERT_OK_AND_ASSIGN(
+      warm, RcdpStrong(fx.q1, fx.ctable, shared, {}, &shared_stats));
+  EXPECT_EQ(fresh, warm);
+  EXPECT_EQ(fresh_stats.valuations, shared_stats.valuations);
+  EXPECT_EQ(fresh_stats.worlds, shared_stats.worlds);
+  EXPECT_EQ(fresh_stats.extensions, shared_stats.extensions);
+  EXPECT_EQ(fresh_stats.cc_checks, shared_stats.cc_checks);
+  EXPECT_EQ(fresh_stats.query_evals, shared_stats.query_evals);
 }
 
 TEST(PreparedSettingTest, StrongSearchCountersArePinned) {
@@ -261,9 +384,8 @@ TEST(PreparedSettingTest, AllIndsClassificationIsCached) {
 
   Query q = Query::Cq(ConjunctiveQuery({CTerm(VarId{0})},
                                        {RelAtom{"Visit", {VarId{0}}}}));
-  ASSERT_OK_AND_ASSIGN(legacy, RcqpStrongInd(q, ind));
-  ASSERT_OK_AND_ASSIGN(prep, RcqpStrongInd(q, prepared_ind));
-  EXPECT_EQ(legacy, prep);
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared_ind));
+  EXPECT_TRUE(nonempty);  // the IND bounds the only head variable
 }
 
 }  // namespace

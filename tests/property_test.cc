@@ -1,13 +1,17 @@
 // Property tests over randomized instances: the model relationships of
 // Section 2.2 (strong ⇒ weak ∧ viable; ground strong ⇔ viable), query
-// monotonicity, CC subset closure (Lemma 4.7(a)), the compiled and
-// semi-naive CC checks of PreparedSetting against the reference
-// SatisfiesCCs (ConjunctiveQuery::Eval per CC), and the request-sized Adom
-// against its definition S ∪ New ∪ df.
+// monotonicity, CC subset closure (Lemma 4.7(a)), the direct deciders
+// against the service (cold and cached) and the Section 7 wrappers against
+// the general deciders, the compiled and semi-naive CC checks of
+// PreparedSetting against the reference SatisfiesCCs
+// (ConjunctiveQuery::Eval per CC), and the request-sized Adom against its
+// definition S ∪ New ∪ df.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -15,6 +19,8 @@
 #include "core/enumerate.h"
 #include "core/prepared_setting.h"
 #include "core/rcdp.h"
+#include "core/tractable.h"
+#include "service/service.h"
 #include "test_util.h"
 
 namespace relcomp {
@@ -94,11 +100,12 @@ class ModelRelations : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ModelRelations, StrongImpliesWeakAndViable) {
   RandomProblem p = MakeRandomProblem(GetParam());
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.setting));
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, prepared));
   if (strong) {
-    ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.setting));
+    ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, prepared));
     EXPECT_TRUE(weak) << p.cinstance.ToString();
-    ASSERT_OK_AND_ASSIGN(viable, RcdpViable(p.query, p.cinstance, p.setting));
+    ASSERT_OK_AND_ASSIGN(viable, RcdpViable(p.query, p.cinstance, prepared));
     EXPECT_TRUE(viable) << p.cinstance.ToString();
   }
 }
@@ -110,8 +117,9 @@ TEST_P(ModelRelations, GroundStrongEqualsViable) {
   for (VarId v : p.cinstance.Vars()) mu.Bind(v, I(0));
   ASSERT_OK_AND_ASSIGN(ground, p.cinstance.Apply(mu));
   CInstance gi = CInstance::FromInstance(ground);
-  Result<bool> strong = RcdpStrong(p.query, gi, p.setting);
-  Result<bool> viable = RcdpViable(p.query, gi, p.setting);
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  Result<bool> strong = RcdpStrong(p.query, gi, prepared);
+  Result<bool> viable = RcdpViable(p.query, gi, prepared);
   ASSERT_TRUE(strong.ok() && viable.ok());
   EXPECT_EQ(*strong, *viable);
 }
@@ -153,13 +161,106 @@ TEST_P(ModelRelations, WeakHoldsWheneverViableAndCertainIsWorldAnswer) {
   // Sanity relationship: a strongly complete instance's certain answers are
   // the common answer of all worlds, so no extension can enlarge them.
   RandomProblem p = MakeRandomProblem(GetParam() + 17000);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, p.setting));
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, p.setting));
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(p.query, p.cinstance, prepared));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(p.query, p.cinstance, prepared));
   // strong ⇒ weak (contrapositive check).
   EXPECT_TRUE(!strong || weak);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelRelations,
+                         ::testing::Range<uint64_t>(0, 24));
+
+// --------------------------------------------------------------------------
+// One verdict per problem, whichever way it is asked.
+// --------------------------------------------------------------------------
+
+class DeciderAgreement : public ::testing::TestWithParam<uint64_t> {};
+
+void ExpectSameDecision(const Decision& want, const Decision& got,
+                        const std::string& what) {
+  EXPECT_EQ(got.status.code(), want.status.code())
+      << what << ": " << got.status.ToString();
+  EXPECT_EQ(got.answer, want.answer) << what;
+  EXPECT_EQ(got.stats.ToString(), want.stats.ToString()) << what;
+}
+
+TEST_P(DeciderAgreement, ServiceMissAndHitMatchTheDirectCall) {
+  // The direct call, the service's first Decide (it evaluates) and its
+  // second (a cache hit, which carries the original run's stats).
+  RandomProblem p = MakeRandomProblem(GetParam());
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  ServiceOptions options;
+  options.num_workers = 0;
+  CompletenessService service(options);
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(p.setting));
+  for (ProblemKind kind : AllProblemKinds()) {
+    DecisionRequest request;
+    request.kind = kind;
+    request.query = p.query;
+    request.cinstance = p.cinstance;
+    const std::string what =
+        std::string(ProblemKindName(kind)) + " on " + p.cinstance.ToString();
+    const Decision direct = EvaluateRequest(request, prepared);
+    ASSERT_TRUE(direct.status.ok()) << what << ": " << direct.status.ToString();
+    const Decision miss = service.Decide({handle, request});
+    const Decision hit = service.Decide({handle, request});
+    EXPECT_FALSE(miss.from_cache) << what;
+    EXPECT_TRUE(hit.from_cache) << what;
+    ExpectSameDecision(direct, miss, what + " (miss)");
+    ExpectSameDecision(direct, hit, what + " (hit)");
+  }
+}
+
+TEST_P(DeciderAgreement, TractableWrappersMatchTheGeneralDeciders) {
+  RandomProblem p = MakeRandomProblem(GetParam());
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  const Query& q = p.query;
+  const CInstance& t = p.cinstance;
+  using Tractable = Result<bool> (*)(const Query&, const CInstance&,
+                                     const PreparedSetting&, int,
+                                     const SearchOptions&, SearchStats*);
+  using General = std::function<Result<bool>(SearchStats*)>;
+  const struct {
+    const char* name;
+    Tractable tractable;
+    General general;
+  } pairs[] = {
+      {"rcdp-strong", RcdpStrongTractable,
+       [&](SearchStats* s) { return RcdpStrong(q, t, prepared, {}, s); }},
+      {"rcdp-viable", RcdpViableTractable,
+       [&](SearchStats* s) { return RcdpViable(q, t, prepared, {}, s); }},
+      {"rcdp-weak", RcdpWeakTractable,
+       [&](SearchStats* s) { return RcdpWeak(q, t, prepared, {}, s); }},
+      {"minp-strong", MinpStrongTractable,
+       [&](SearchStats* s) { return MinpStrong(q, t, prepared, {}, s); }},
+      {"minp-viable", MinpViableTractable,
+       [&](SearchStats* s) { return MinpViable(q, t, prepared, {}, s); }},
+      {"minp-weak-cq", MinpWeakCqTractable,
+       [&](SearchStats* s) { return MinpWeakCq(q, t, prepared, {}, s); }},
+  };
+  const bool in_regime = CheckDataComplexityRegime(q, t, 4).ok;
+  for (const auto& pair : pairs) {
+    const std::string what = std::string(pair.name) + " on " + t.ToString();
+    SearchStats tractable_stats;
+    const Result<bool> tractable =
+        pair.tractable(q, t, prepared, 4, {}, &tractable_stats);
+    if (!in_regime) {
+      EXPECT_EQ(tractable.status().code(), StatusCode::kInvalidArgument)
+          << what;
+      continue;
+    }
+    SearchStats general_stats;
+    const Result<bool> general = pair.general(&general_stats);
+    ASSERT_TRUE(general.ok()) << what << ": " << general.status().ToString();
+    ASSERT_TRUE(tractable.ok()) << what << ": "
+                                << tractable.status().ToString();
+    EXPECT_EQ(*tractable, *general) << what;
+    EXPECT_EQ(tractable_stats.ToString(), general_stats.ToString()) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeciderAgreement,
                          ::testing::Range<uint64_t>(0, 24));
 
 // --------------------------------------------------------------------------
@@ -329,16 +430,13 @@ TEST_P(CompiledCcOracle, CompiledAndDeltaChecksMatchTheReference) {
   RandomCcSetting gen(GetParam() * 7919 + 1);
   ASSERT_TRUE(gen.setting.Validate().ok());
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(gen.setting));
-  const PreparedSetting borrowed = PreparedSetting::Borrow(gen.setting);
   const PartiallyClosedSetting& s = gen.setting;
   int closed_bases = 0;
   for (int round = 0; round < 12; ++round) {
     Instance instance = gen.RandomInstance(4);
     ASSERT_OK_AND_ASSIGN(want, SatisfiesCCs(instance, s.dm, s.ccs));
     ASSERT_OK_AND_ASSIGN(got, prepared.SatisfiesCCs(instance));
-    ASSERT_OK_AND_ASSIGN(got_borrowed, borrowed.SatisfiesCCs(instance));
     EXPECT_EQ(got, want) << Describe(s, instance);
-    EXPECT_EQ(got_borrowed, want) << Describe(s, instance);
 
     // Shrink to a closed base (CCs are closed under subsets), then grow it
     // by random deltas.
@@ -401,83 +499,6 @@ TEST_P(CompiledCcOracle, InstancesOffThePlanTakeTheReferencePath) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledCcOracle,
                          ::testing::Range<uint64_t>(0, 64));
-
-// Borrowed settings are not validated: a CC that does not compile keeps the
-// reference check, so the error — and which CC reports first — is the
-// reference path's.
-TEST(CompiledCcErrors, BorrowedSettingsKeepTheReferenceErrors) {
-  RandomCcSetting gen(11);
-  PartiallyClosedSetting base = gen.setting;
-  base.ccs.clear();
-  base.ccs.emplace_back(
-      "p_in_m1", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}),
-      "M1", std::vector<int>{0});
-  base.dm.at("M1").Erase({I(2)});
-
-  struct Broken {
-    const char* what;
-    ContainmentConstraint cc;
-    StatusCode code;
-    std::string message;
-  };
-  const std::vector<Broken> broken = {
-      {"unknown master",
-       ContainmentConstraint(
-           "nomaster",
-           ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}), "Nope",
-           {0}),
-       StatusCode::kNotFound,
-       "CC 'nomaster' references unknown master 'Nope'"},
-      {"unknown relation",
-       ContainmentConstraint(
-           "norel", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Q", {V(0)}}}),
-           "M1", {0}),
-       StatusCode::kNotFound, "query references unknown relation 'Q'"},
-      {"unsafe head",
-       ContainmentConstraint(
-           "unsafe", ConjunctiveQuery({CTerm(V(3))}, {RelAtom{"P", {V(0)}}}),
-           "M1", {0}),
-       StatusCode::kInvalidArgument,
-       "unsafe head term x3 in query (x3) :- P(x0)"},
-  };
-  Instance satisfied(base.schema);
-  Instance violated(base.schema);
-  violated.AddTuple("P", {I(2)});
-  for (const Broken& b : broken) {
-    // Alone, and after a CC that passes: the error surfaces.
-    for (int position = 0; position < 2; ++position) {
-      PartiallyClosedSetting setting = base;
-      if (position == 0) setting.ccs.clear();
-      setting.ccs.push_back(b.cc);
-      const PreparedSetting borrowed = PreparedSetting::Borrow(setting);
-      Result<bool> got = borrowed.SatisfiesCCs(satisfied);
-      Result<bool> want = SatisfiesCCs(satisfied, setting.dm, setting.ccs);
-      ASSERT_FALSE(got.ok()) << b.what;
-      EXPECT_EQ(got.status().code(), b.code) << b.what;
-      EXPECT_EQ(got.status().message(), b.message) << b.what;
-      EXPECT_EQ(got.status().code(), want.status().code()) << b.what;
-      EXPECT_EQ(got.status().message(), want.status().message()) << b.what;
-      // The delta check answers for I ∪ Δ exactly as the reference does.
-      const std::vector<DeltaRow> delta = {DeltaRow{1, {I(0)}}};
-      Result<bool> got_delta = borrowed.SatisfiesCCsDelta(satisfied, delta);
-      Result<bool> want_delta = SatisfiesCCs(
-          UnionOf(satisfied, delta, setting.schema), setting.dm, setting.ccs);
-      ASSERT_EQ(got_delta.ok(), want_delta.ok()) << b.what;
-      if (want_delta.ok()) {
-        EXPECT_EQ(*got_delta, *want_delta) << b.what;
-      } else {
-        EXPECT_EQ(got_delta.status().code(), want_delta.status().code());
-        EXPECT_EQ(got_delta.status().message(), want_delta.status().message());
-      }
-    }
-    // After a CC that already fails: the verdict wins, as before.
-    PartiallyClosedSetting setting = base;
-    setting.ccs.push_back(b.cc);
-    ASSERT_OK_AND_ASSIGN(
-        verdict, PreparedSetting::Borrow(setting).SatisfiesCCs(violated));
-    EXPECT_FALSE(verdict) << b.what;
-  }
-}
 
 // --------------------------------------------------------------------------
 // Request-sized Adom = the definition S ∪ New ∪ df.
@@ -656,9 +677,11 @@ TEST_P(AdomOracle, MatchesTheDefinition) {
   RandomAdomProblem p(GetParam() * 6007 + 11);
   const ReferenceAdom want = ReferenceAdomOf(p);
   const Query* q = p.with_query ? &p.query : nullptr;
-  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(p.setting));
-  const AdomContext direct =
-      AdomContext::Build(p.setting, p.cinstance, q, p.options);
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  // A seed built afresh from the setting, and the one Prepare cached.
+  const AdomContext direct = AdomContext::BuildFromSeed(
+      std::make_shared<const AdomSeed>(AdomContext::SeedFor(p.setting)),
+      p.cinstance, q, p.options);
   const AdomContext shared = prepared.BuildAdom(p.cinstance, q, p.options);
   for (const AdomContext* adom : {&direct, &shared}) {
     EXPECT_EQ(adom->values(), want.values);
@@ -732,8 +755,8 @@ TEST(AdomLazyBuild, ConcurrentFirstCallsBuildOnce) {
   RandomAdomProblem p(424242);
   const ReferenceAdom want = ReferenceAdomOf(p);
   const Query* q = p.with_query ? &p.query : nullptr;
-  const AdomContext adom =
-      AdomContext::Build(p.setting, p.cinstance, q, p.options);
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  const AdomContext adom = prepared.BuildAdom(p.cinstance, q, p.options);
   std::atomic<bool> go{false};
   const std::vector<Value>* values[2] = {nullptr, nullptr};
   const std::vector<Value>* base[2] = {nullptr, nullptr};

@@ -39,7 +39,8 @@ TEST(RcdpStrongTest, FullBooleanRelationIsComplete) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, prepared));
   EXPECT_TRUE(complete);
 }
 
@@ -48,8 +49,9 @@ TEST(RcdpStrongTest, MissingTupleBreaksStrongCompleteness) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   CompletenessWitness witness;
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(complete,
-                       RcdpStrong(fx.q, t, fx.setting, {}, nullptr, &witness));
+                       RcdpStrong(fx.q, t, prepared, {}, nullptr, &witness));
   EXPECT_FALSE(complete);
   EXPECT_EQ(witness.answer, Tuple({I(1)}));
 }
@@ -61,7 +63,8 @@ TEST(RcdpStrongTest, VariableRowStillCompleteWhenWorldsCovered) {
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, prepared));
   EXPECT_TRUE(complete);
 }
 
@@ -70,7 +73,8 @@ TEST(RcdpStrongTest, VariableRowAloneIsNotStronglyComplete) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrong(fx.q, t, prepared));
   EXPECT_FALSE(complete);
 }
 
@@ -79,7 +83,8 @@ TEST(RcdpViableTest, VariableRowAloneIsNotViablyCompleteEither) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, prepared));
   EXPECT_FALSE(viable);
 }
 
@@ -92,8 +97,9 @@ TEST(RcdpViableTest, ConditionCanSelectCompleteWorld) {
   t.at("B").AddRow({Cell(V(0))});
   t.at("B").AddRow({Cell(I(1))});
   Instance witness;
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(viable,
-                       RcdpViable(fx.q, t, fx.setting, {}, nullptr, &witness));
+                       RcdpViable(fx.q, t, prepared, {}, nullptr, &witness));
   EXPECT_TRUE(viable);
   EXPECT_TRUE(witness.at("B").Contains({I(1)}));
 }
@@ -106,7 +112,8 @@ TEST(RcdpWeakTest, WeakHoldsWhenCertainAnswersSurvive) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(V(0))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, prepared));
   EXPECT_FALSE(weak);
 }
 
@@ -115,7 +122,8 @@ TEST(RcdpWeakTest, FullRelationWeaklyComplete) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, prepared));
   EXPECT_TRUE(weak);  // no extensions at all
 }
 
@@ -126,7 +134,8 @@ TEST(RcdpWeakTest, OpenWorldEmptyInstanceWeaklyComplete) {
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"E", {V(0), V(1)}}}));
   CInstance t(setting.schema);
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, setting));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, prepared));
   EXPECT_TRUE(weak);
 }
 
@@ -145,12 +154,13 @@ TEST(RcdpWeakTest, SingletonWithConstantAnswerNotWeaklyComplete) {
   CInstance t(setting.schema);
   t.at("R1").AddRow({Cell(I(0))});
   t.at("R2").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, setting));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(q, t, prepared));
   EXPECT_TRUE(weak);
   // The empty instance is also weakly complete (extensions with only R1
   // tuples return ∅) — Example 5.5's point about non-monotone minimality.
   CInstance empty(setting.schema);
-  ASSERT_OK_AND_ASSIGN(weak_empty, RcdpWeak(q, empty, setting));
+  ASSERT_OK_AND_ASSIGN(weak_empty, RcdpWeak(q, empty, prepared));
   EXPECT_TRUE(weak_empty);
 }
 
@@ -161,11 +171,12 @@ TEST(RcdpTest, InconsistentCInstanceRejectedInAllModels) {
   // Deny everything: bound master made empty.
   fx.setting.dm.at("Bm").Erase({I(0)});
   fx.setting.dm.at("Bm").Erase({I(1)});
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, prepared));
   EXPECT_FALSE(strong);
-  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(fx.q, t, prepared));
   EXPECT_FALSE(weak);
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, prepared));
   EXPECT_FALSE(viable);
 }
 
@@ -173,19 +184,20 @@ TEST(RcdpTest, UndecidableLanguagesReportStatus) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"B", {I(0)}})));
-  EXPECT_EQ(RcdpStrong(Query::Fo(fo), t, fx.setting).status().code(),
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  EXPECT_EQ(RcdpStrong(Query::Fo(fo), t, prepared).status().code(),
             StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpWeak(Query::Fo(fo), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpWeak(Query::Fo(fo), t, prepared).status().code(),
             StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpViable(Query::Fo(fo), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpViable(Query::Fo(fo), t, prepared).status().code(),
             StatusCode::kUndecidable);
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"B", {V(0)}}}, {}});
   p.set_output("T");
-  EXPECT_EQ(RcdpStrong(Query::Fp(p), t, fx.setting).status().code(),
+  EXPECT_EQ(RcdpStrong(Query::Fp(p), t, prepared).status().code(),
             StatusCode::kUndecidable);
   // FP in the weak model IS decidable (Theorem 5.1).
-  EXPECT_TRUE(RcdpWeak(Query::Fp(p), t, fx.setting).ok());
+  EXPECT_TRUE(RcdpWeak(Query::Fp(p), t, prepared).ok());
 }
 
 TEST(RcdpTest, GroundStrongEqualsGroundViable) {
@@ -193,13 +205,14 @@ TEST(RcdpTest, GroundStrongEqualsGroundViable) {
   Instance db(fx.setting.schema);
   db.AddTuple("B", {I(0)});
   CInstance t = CInstance::FromInstance(db);
-  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong, RcdpStrong(fx.q, t, prepared));
+  ASSERT_OK_AND_ASSIGN(viable, RcdpViable(fx.q, t, prepared));
   EXPECT_EQ(strong, viable);
   db.AddTuple("B", {I(1)});
   CInstance t2 = CInstance::FromInstance(db);
-  ASSERT_OK_AND_ASSIGN(strong2, RcdpStrong(fx.q, t2, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable2, RcdpViable(fx.q, t2, fx.setting));
+  ASSERT_OK_AND_ASSIGN(strong2, RcdpStrong(fx.q, t2, prepared));
+  ASSERT_OK_AND_ASSIGN(viable2, RcdpViable(fx.q, t2, prepared));
   EXPECT_EQ(strong2, viable2);
 }
 
@@ -241,8 +254,9 @@ TEST(RcdpStrongTest, WorldsThatPrintAlikeAreStillDistinct) {
 
   SearchStats stats;
   CompletenessWitness witness;
+  const PreparedSetting prepared = testing::MustPrepare(setting);
   ASSERT_OK_AND_ASSIGN(complete,
-                       RcdpStrong(q, t, setting, {}, &stats, &witness));
+                       RcdpStrong(q, t, prepared, {}, &stats, &witness));
   EXPECT_FALSE(complete);
   EXPECT_EQ(stats.worlds, 2u);
   EXPECT_EQ(witness.world.at("R").rows(), std::vector<Tuple>{{S("1")}});
@@ -259,8 +273,9 @@ TEST_P(Thm51Sweep, RcdpWeakMatchesQbfOracle) {
   Qbf qbf = MakeExistsForallExists(1, 2, 1, RandomCnf3(4, 2, GetParam()));
   GadgetProblem gadget = BuildRcdpWeakGadget(qbf);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   // Claim: ϕ true ⇔ I is NOT weakly complete.
   EXPECT_EQ(!weak, qbf.Eval()) << qbf.matrix.ToString();
 }

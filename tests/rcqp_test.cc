@@ -34,8 +34,8 @@ TEST(RcqpWeakTest, FoIsUndecidable) {
 
 TEST(RcqpBoundedTest, UnboundedOpenQueryHasNoCompleteInstance) {
   PartiallyClosedSetting setting = testing::OpenSetting(testing::EdgeSchema());
-  ASSERT_OK_AND_ASSIGN(result,
-                       RcqpStrongBounded(EdgeQuery(), setting, 2));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, RcqpStrongBounded(EdgeQuery(), prepared, 2));
   EXPECT_FALSE(result.found);
   EXPECT_TRUE(result.bound_exhausted);
 }
@@ -45,7 +45,8 @@ TEST(RcqpBoundedTest, ContradictoryQueryCompleteOnEmptyInstance) {
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(V(0))}, {RelAtom{"E", {V(0), V(1)}}},
       {CondAtom{V(0), false, I(1)}, CondAtom{V(0), false, I(2)}}));
-  ASSERT_OK_AND_ASSIGN(result, RcqpStrongBounded(q, setting, 1));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, RcqpStrongBounded(q, prepared, 1));
   EXPECT_TRUE(result.found);
   EXPECT_TRUE(result.witness.Empty());
 }
@@ -58,7 +59,8 @@ TEST(RcqpBoundedTest, BoundedBooleanDomainFindsWitness) {
       RelationSchema("B", {Attribute{"x", Domain::Boolean()}}));
   setting.dm = Instance(setting.master_schema);
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}}));
-  ASSERT_OK_AND_ASSIGN(result, RcqpStrongBounded(q, setting, 2));
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(result, RcqpStrongBounded(q, prepared, 2));
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.witness.at("B").size(), 2u);
 }
@@ -68,7 +70,8 @@ TEST(RcqpBoundedTest, UndecidableLanguagesRejected) {
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"E", {V(0), V(1)}}}, {}});
   p.set_output("T");
-  EXPECT_EQ(RcqpStrongBounded(Query::Fp(p), setting, 1).status().code(),
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  EXPECT_EQ(RcqpStrongBounded(Query::Fp(p), prepared, 1).status().code(),
             StatusCode::kUndecidable);
 }
 
@@ -99,7 +102,8 @@ TEST(RcqpIndTest, CoveredHeadVariableIsBounded) {
   // Q(n) :- Visit(n, y): head var n sits in the IND-covered column.
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"Visit", {V(0), V(1)}}}));
-  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared));
   EXPECT_TRUE(nonempty);
   ASSERT_OK_AND_ASSIGN(d, q.Disjuncts());
   EXPECT_TRUE(IsBoundedDisjunct(d[0], fx.setting.schema, fx.setting.ccs));
@@ -112,7 +116,8 @@ TEST(RcqpIndTest, UncoveredHeadVariableIsUnbounded) {
                                        {RelAtom{"Visit", {V(0), V(1)}}}));
   ASSERT_OK_AND_ASSIGN(d, q.Disjuncts());
   EXPECT_FALSE(IsBoundedDisjunct(d[0], fx.setting.schema, fx.setting.ccs));
-  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared));
   EXPECT_FALSE(nonempty);  // a valid valuation exists (via the master n1)
 }
 
@@ -122,7 +127,8 @@ TEST(RcqpIndTest, UnboundedButUnsatisfiableQueryStillFine) {
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(V(1))}, {RelAtom{"Visit", {V(0), V(1)}}},
       {CondAtom{V(1), false, S("a")}, CondAtom{V(1), false, S("b")}}));
-  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared));
   EXPECT_TRUE(nonempty);
 }
 
@@ -132,7 +138,8 @@ TEST(RcqpIndTest, FiniteDomainHeadIsBounded) {
       "Flag", {Attribute{"b", Domain::Boolean()}}));
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"Flag", {V(0)}}}));
-  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared));
   EXPECT_TRUE(nonempty);
 }
 
@@ -144,7 +151,8 @@ TEST(RcqpIndTest, NonIndCcsRejected) {
                               std::vector<int>{0});
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"Visit", {V(0), V(1)}}}));
-  Result<bool> r = RcqpStrongInd(q, fx.setting);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  Result<bool> r = RcqpStrongInd(q, prepared);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -153,8 +161,9 @@ TEST(RcqpIndTest, AgreesWithBoundedSearchOnBoundedCase) {
   IndFixture fx;
   Query q = Query::Cq(ConjunctiveQuery({CTerm(V(0))},
                                        {RelAtom{"Visit", {V(0), V(1)}}}));
-  ASSERT_OK_AND_ASSIGN(ptime, RcqpStrongInd(q, fx.setting));
-  ASSERT_OK_AND_ASSIGN(search, RcqpStrongBounded(q, fx.setting, 2));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(ptime, RcqpStrongInd(q, prepared));
+  ASSERT_OK_AND_ASSIGN(search, RcqpStrongBounded(q, prepared, 2));
   EXPECT_EQ(ptime, search.found);
 }
 

@@ -22,8 +22,9 @@ TEST(Thm51FpTest, TautologyCircuitIsWeaklyComplete) {
   ASSERT_TRUE(c.IsTautology());
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
   EXPECT_OK(gadget.setting.Validate());
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   EXPECT_TRUE(weak);
 }
 
@@ -33,8 +34,9 @@ TEST(Thm51FpTest, NonTautologyIsNotWeaklyComplete) {
   c.AddGate({GateType::kIn, -1, -1});
   ASSERT_FALSE(c.IsTautology());
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   EXPECT_FALSE(weak);
 }
 
@@ -44,8 +46,9 @@ TEST(Thm51FpTest, AndOfInputsNotTaut) {
   c.AddGate({GateType::kIn, -1, -1});
   c.AddGate({GateType::kAnd, 0, 1});
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   EXPECT_FALSE(weak);
 }
 
@@ -55,8 +58,9 @@ TEST_P(CircuitSweep, WeakCompletenessMatchesTautologyOracle) {
   bool force_taut = GetParam() % 2 == 0;
   Circuit c = RandomCircuit(2, 4, GetParam() * 31 + 5, force_taut);
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
+  const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, gadget.setting));
+      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
   EXPECT_EQ(weak, c.IsTautology()) << c.ToString();
 }
 

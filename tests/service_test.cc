@@ -359,9 +359,9 @@ TEST(ServiceTest, WitnessPropagatesThroughService) {
 
   // The cross-check: the witness matches what the low-level decider reports.
   CompletenessWitness direct;
-  ASSERT_OK_AND_ASSIGN(
-      answer, RcdpStrong(fx.q3, request.cinstance, fx.acquisition, {}, nullptr,
-                         &direct));
+  const PreparedSetting acquisition = testing::MustPrepare(fx.acquisition);
+  ASSERT_OK_AND_ASSIGN(answer, RcdpStrong(fx.q3, request.cinstance, acquisition,
+                                          {}, nullptr, &direct));
   EXPECT_FALSE(answer);
   EXPECT_EQ(decision.witness->note, direct.note);
 
@@ -726,10 +726,11 @@ TEST(ServiceTest, BatchAgreesWithDirectDeciderCalls) {
   std::vector<Decision> decisions =
       service.SubmitBatch({{handle, strong}, {handle, weak}});
 
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(direct_strong,
-                       RcdpStrong(fx.by_patient, fx.audited, fx.setting));
+                       RcdpStrong(fx.by_patient, fx.audited, prepared));
   ASSERT_OK_AND_ASSIGN(direct_weak,
-                       RcdpWeak(fx.all_cities, fx.audited, fx.setting));
+                       RcdpWeak(fx.all_cities, fx.audited, prepared));
   ASSERT_TRUE(decisions[0].status.ok()) << decisions[0].status.ToString();
   ASSERT_TRUE(decisions[1].status.ok()) << decisions[1].status.ToString();
   EXPECT_EQ(decisions[0].answer, direct_strong);

@@ -3,9 +3,11 @@
 #define RELCOMP_TESTS_TEST_UTIL_H_
 
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/prepared_setting.h"
 #include "core/types.h"
 #include "ctable/cinstance.h"
 #include "data/instance.h"
@@ -37,6 +39,19 @@ inline DatabaseSchema EdgeSchema() {
       "E", {Attribute{"a", Domain::Infinite()},
             Attribute{"b", Domain::Infinite()}}));
   return schema;
+}
+
+/// Prepares a fixture's setting for the deciders. Call it once per fixture,
+/// not once per decider call. A setting that Prepare refuses fails the
+/// running test with Prepare's status (gtest reports the exception).
+inline PreparedSetting MustPrepare(PartiallyClosedSetting setting) {
+  Result<PreparedSetting> prepared =
+      PreparedSetting::Prepare(std::move(setting));
+  if (!prepared.ok()) {
+    throw std::runtime_error("Prepare refused the test setting: " +
+                             prepared.status().ToString());
+  }
+  return std::move(prepared).value();
 }
 
 /// A setting with no master data and no CCs over `schema`.

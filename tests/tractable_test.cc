@@ -58,17 +58,18 @@ TEST(TractableTest, WrappersAgreeWithGeneralDeciders) {
   CInstance t(fx.setting.schema);
   t.at("B").AddRow({Cell(I(0))});
   t.at("B").AddRow({Cell(I(1))});
-  ASSERT_OK_AND_ASSIGN(strong_t, RcdpStrongTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(strong_g, RcdpStrong(fx.q, t, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(strong_t, RcdpStrongTractable(fx.q, t, prepared));
+  ASSERT_OK_AND_ASSIGN(strong_g, RcdpStrong(fx.q, t, prepared));
   EXPECT_EQ(strong_t, strong_g);
-  ASSERT_OK_AND_ASSIGN(weak_t, RcdpWeakTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(weak_g, RcdpWeak(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(weak_t, RcdpWeakTractable(fx.q, t, prepared));
+  ASSERT_OK_AND_ASSIGN(weak_g, RcdpWeak(fx.q, t, prepared));
   EXPECT_EQ(weak_t, weak_g);
-  ASSERT_OK_AND_ASSIGN(viable_t, RcdpViableTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(viable_g, RcdpViable(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(viable_t, RcdpViableTractable(fx.q, t, prepared));
+  ASSERT_OK_AND_ASSIGN(viable_g, RcdpViable(fx.q, t, prepared));
   EXPECT_EQ(viable_t, viable_g);
-  ASSERT_OK_AND_ASSIGN(minp_t, MinpStrongTractable(fx.q, t, fx.setting));
-  ASSERT_OK_AND_ASSIGN(minp_g, MinpStrong(fx.q, t, fx.setting));
+  ASSERT_OK_AND_ASSIGN(minp_t, MinpStrongTractable(fx.q, t, prepared));
+  ASSERT_OK_AND_ASSIGN(minp_g, MinpStrong(fx.q, t, prepared));
   EXPECT_EQ(minp_t, minp_g);
 }
 
@@ -79,15 +80,17 @@ TEST(TractableTest, FpAllowedOnlyInWeakModel) {
   p.AddRule(FpRule{{"T", {V(0)}}, {{"B", {V(0)}}}, {}});
   p.set_output("T");
   Query fp = Query::Fp(p);
-  EXPECT_FALSE(RcdpStrongTractable(fp, t, fx.setting).ok());
-  EXPECT_TRUE(RcdpWeakTractable(fp, t, fx.setting).ok());
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  EXPECT_FALSE(RcdpStrongTractable(fp, t, prepared).ok());
+  EXPECT_TRUE(RcdpWeakTractable(fp, t, prepared).ok());
 }
 
 TEST(TractableTest, OutOfRegimeFailsLoudly) {
   BoolFixture fx;
   CInstance t(fx.setting.schema);
   for (int i = 0; i < 6; ++i) t.at("B").AddRow({Cell(V(i))});
-  Result<bool> r = RcdpStrongTractable(fx.q, t, fx.setting, 4);
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  Result<bool> r = RcdpStrongTractable(fx.q, t, prepared, 4);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -95,8 +98,9 @@ TEST(TractableTest, OutOfRegimeFailsLoudly) {
 TEST(TractableTest, MinpWeakCqWrapper) {
   BoolFixture fx;
   CInstance empty(fx.setting.schema);
-  ASSERT_OK_AND_ASSIGN(min_t, MinpWeakCqTractable(fx.q, empty, fx.setting));
-  ASSERT_OK_AND_ASSIGN(min_g, MinpWeakCq(fx.q, empty, fx.setting));
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  ASSERT_OK_AND_ASSIGN(min_t, MinpWeakCqTractable(fx.q, empty, prepared));
+  ASSERT_OK_AND_ASSIGN(min_g, MinpWeakCq(fx.q, empty, prepared));
   EXPECT_EQ(min_t, min_g);
 }
 

@@ -409,6 +409,7 @@ int main(int argc, char** argv) {
           "  --instance NAME   audited instance block (default: db/first)\n"
           "  --minstance NAME  master data block (default: dm/first)\n"
           "  --compare         also time cold per-call decider dispatch\n"
+          "                    (prepares the setting on every call)\n"
           "  --witness         request counterexample witnesses\n"
           "scheduler:\n"
           "  --policy P        queue policy: fifo (default) | fair\n"
@@ -674,7 +675,7 @@ int main(int argc, char** argv) {
               cli.overload == sched::OverloadPolicy::kReject ? "reject"
                                                              : "block",
               cli.stream ? ", streaming delivery" : "");
-  std::printf("  prepare      %.3f ms (validation, Adom seed, projections)\n",
+  std::printf("  prepare      %.3f ms (fingerprint, validation, Adom seed)\n",
               prep_s * 1e3);
   std::printf("  batch        %zu requests in %.3f ms  (%.0f req/s, %zu workers)\n",
               total_requests, batch_s * 1e3,
@@ -793,7 +794,8 @@ int main(int argc, char** argv) {
     }
     auto cold_end = std::chrono::steady_clock::now();
     double cold_s = Seconds(cold_start, cold_end);
-    std::printf("\n=== cold per-call dispatch (no prepared settings) ===\n");
+    std::printf(
+        "\n=== cold per-call dispatch (prepares the setting every call) ===\n");
     std::printf("  %zu requests in %.3f ms  (%.0f req/s)\n", total_requests,
                 cold_s * 1e3, cold_s > 0 ? total_requests / cold_s : 0.0);
     std::printf("  speedup      %.2fx%s\n",

@@ -6,9 +6,9 @@
 // ring slot under a leaf mutex, and the trace ring only sees sampled
 // requests. This file puts numbers on each of those claims:
 //
-//   micro  — SearchProfile enter/heartbeat/exit, WindowedCounter/Histogram
-//            Record, live Histogram Record, and TraceSink Offer, each in
-//            isolation (ns/op);
+//   micro  — SearchProfile enter/heartbeat/exit, WindowedHistogram Record,
+//            live Histogram Record, and TraceSink Offer, each in isolation
+//            (ns/op);
 //   macro  — the service warm-batch workload from ENG-B decided under three
 //            configurations: dark (metrics off), metrics (the default
 //            production configuration: metrics + windows + profiles), and
@@ -60,16 +60,6 @@ void BM_Obs_SearchProfileLoopCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Obs_SearchProfileLoopCycle);
-
-void BM_Obs_WindowedCounterRecord(benchmark::State& state) {
-  obs::WindowedCounter counter(/*window_slots=*/120);
-  const auto now = Clock::now();
-  for (auto _ : state) {
-    counter.Record(1, now);
-  }
-  benchmark::DoNotOptimize(counter.Sum(60, now));
-}
-BENCHMARK(BM_Obs_WindowedCounterRecord);
 
 void BM_Obs_WindowedHistogramRecord(benchmark::State& state) {
   obs::WindowedHistogram histogram(/*window_slots=*/120);

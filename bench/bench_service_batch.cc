@@ -381,7 +381,7 @@ void RunDeadlineShedLatency(benchmark::State& state,
   for (auto _ : state) {
     ServiceRequest sr{*handle, request};
     const sched::TimePoint deadline = sched::DeadlineAfterMs(2);
-    sr.sched.deadline = deadline;
+    sr.request.options.deadline = deadline;
     Decision decision = service.SubmitAsync(std::move(sr)).get();
     const double us = std::chrono::duration<double, std::micro>(
                           sched::Clock::now() - deadline)

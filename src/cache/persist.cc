@@ -120,8 +120,8 @@ class Writer {
 // ------------------------------------------------------------- decoding --
 
 Status Torn(const char* what) {
-  return Status::ParseError(std::string("cache snapshot truncated while reading ") +
-                            what);
+  return Status::DataLoss(
+      std::string("cache snapshot truncated while reading ") + what);
 }
 
 class Reader {
@@ -173,7 +173,7 @@ class Reader {
       *v = Value::Sym(name);
       return Status::OK();
     }
-    return Status::ParseError("cache snapshot: unknown value kind " +
+    return Status::Corruption("cache snapshot: unknown value kind " +
                               std::to_string(kind));
   }
 
@@ -277,8 +277,11 @@ class Reader {
   Status Dec(Decision* decision) {
     uint32_t code = 0;
     RELCOMP_RETURN_IF_ERROR(U32(&code, "status code"));
+    // A cached decision is a verdict or a decider error, never a storage
+    // error, so the codes a snapshot may hold end at kCancelled and the
+    // storage codes appended after it leave kVersion unchanged.
     if (code > static_cast<uint32_t>(StatusCode::kCancelled)) {
-      return Status::ParseError("cache snapshot: unknown status code " +
+      return Status::Corruption("cache snapshot: unknown status code " +
                                 std::to_string(code));
     }
     std::string message;
@@ -356,11 +359,12 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
 }
 
 Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
-  if (bytes.size() < kHeaderBytes ||
+  if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
+    return Status::Corruption(
         "cache snapshot: bad magic (not a relcomp cache snapshot)");
   }
+  if (bytes.size() < kHeaderBytes) return Torn("header");
   Reader header(bytes.data() + sizeof(kMagic), kHeaderBytes - sizeof(kMagic));
   uint32_t version = 0;
   uint64_t payload_size = 0, checksum = 0;
@@ -368,12 +372,12 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
   RELCOMP_RETURN_IF_ERROR(header.U64(&payload_size, "payload size"));
   RELCOMP_RETURN_IF_ERROR(header.U64(&checksum, "checksum"));
   if (version != kVersion) {
-    return Status::InvalidArgument("cache snapshot: unsupported version " +
+    return Status::VersionMismatch("cache snapshot: unsupported version " +
                                    std::to_string(version) + " (expected " +
                                    std::to_string(kVersion) + ")");
   }
   if (bytes.size() - kHeaderBytes != payload_size) {
-    return Status::InvalidArgument(
+    return Status::DataLoss(
         "cache snapshot: payload size mismatch (file truncated or padded)");
   }
   // Checksum and parse in place — witness-heavy snapshots are large, and a
@@ -381,7 +385,7 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
   const char* payload = bytes.data() + kHeaderBytes;
   const size_t payload_size_actual = bytes.size() - kHeaderBytes;
   if (Checksum(payload, payload_size_actual) != checksum) {
-    return Status::InvalidArgument(
+    return Status::Corruption(
         "cache snapshot: checksum mismatch (file corrupted)");
   }
 
@@ -411,7 +415,7 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
     snapshot.shards.push_back(std::move(shard));
   }
   if (!reader.AtEnd()) {
-    return Status::ParseError("cache snapshot: trailing bytes after payload");
+    return Status::Corruption("cache snapshot: trailing bytes after payload");
   }
   return snapshot;
 }
@@ -422,17 +426,17 @@ Status SaveSnapshot(const Snapshot& snapshot, const std::string& path) {
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
-      return Status::Internal("cannot open '" + tmp + "' for writing");
+      return Status::IoError("cannot open '" + tmp + "' for writing");
     }
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     if (!out) {
       std::remove(tmp.c_str());
-      return Status::Internal("short write to '" + tmp + "'");
+      return Status::IoError("short write to '" + tmp + "'");
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    return Status::Internal("cannot rename '" + tmp + "' to '" + path + "'");
+    return Status::IoError("cannot rename '" + tmp + "' to '" + path + "'");
   }
   return Status::OK();
 }

@@ -55,15 +55,19 @@ struct Snapshot {
 /// Serializes `snapshot` to the in-memory format above.
 std::string EncodeSnapshot(const Snapshot& snapshot);
 
-/// Parses bytes produced by EncodeSnapshot; kInvalidArgument on a bad
-/// magic/version/checksum, kParseError on a structurally torn payload.
+/// Parses bytes produced by EncodeSnapshot. kCorruption on a bad magic, a
+/// checksum mismatch, an undecodable payload or trailing bytes; kDataLoss
+/// on a payload size mismatch or a truncated read; kVersionMismatch on an
+/// unsupported format version.
 Result<Snapshot> DecodeSnapshot(const std::string& bytes);
 
 /// Writes the snapshot to `path` atomically (temp file + rename), so a
-/// crash mid-save never leaves a torn snapshot at the target path.
+/// crash mid-save never leaves a torn snapshot at the target path. kIoError
+/// when the temp file cannot be opened, written or renamed.
 Status SaveSnapshot(const Snapshot& snapshot, const std::string& path);
 
-/// Reads and verifies a snapshot from `path`.
+/// Reads and verifies a snapshot from `path`; kNotFound when it cannot be
+/// opened.
 Result<Snapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace cache

@@ -73,8 +73,8 @@ uint32_t FrequencySketch::Estimate(uint64_t hash) const {
 
 // ------------------------------------------------------------ ShardCache --
 
-ShardCache::ShardCache(ShardCacheOptions options)
-    : options_(options), sketch_(options.max_entries) {}
+ShardCache::ShardCache(size_t max_entries)
+    : max_entries_(max_entries), sketch_(max_entries) {}
 
 ShardCache::~ShardCache() {
   if (budget_ != nullptr) budget_->Deregister(budget_id_);
@@ -95,7 +95,7 @@ void ShardCache::AttachEvents(const CacheEventSink& events) {
 
 bool ShardCache::Get(const RequestCacheKey& key, Decision* out) {
   MutexLock lock(mu_);
-  if (options_.max_entries == 0) return false;
+  if (max_entries_ == 0) return false;
   sketch_.Increment(KeyHash(key));
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -127,7 +127,7 @@ bool ShardCache::Restore(const RequestCacheKey& key, Decision value) {
 
 bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
                              bool restore) {
-  if (options_.max_entries == 0) return false;
+  if (max_entries_ == 0) return false;
   const size_t entry_bytes = WeighDecision(value) + kEntryOverheadBytes;
   const uint64_t key_hash = KeyHash(key);
   // Budget reservation comes FIRST, and runs UNLOCKED: a refused insert
@@ -148,14 +148,14 @@ bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
   if (!restore) sketch_.Increment(key_hash);
   const bool overwrite = index_.find(key) != index_.end();
   if (!overwrite) {
-    if (!restore && options_.admission_filter) {
+    if (!restore) {
       // Admission gate, only under LOCAL pressure (a full entry table): a
       // candidate accessed less often than the resident entry it would
       // displace is not worth displacing it for. Byte-budget pressure is
       // deliberately NOT gated here — the displaced entry then lives in
       // whatever shard is globally coldest, and the CacheBudget arbiter
       // (not this shard's sketch) is the judge of that trade.
-      const bool pressure = index_.size() >= options_.max_entries;
+      const bool pressure = index_.size() >= max_entries_;
       const Entry* victim = pressure ? VictimLocked() : nullptr;
       if (victim != nullptr &&
           sketch_.Estimate(key_hash) < sketch_.Estimate(KeyHash(victim->key))) {
@@ -167,7 +167,7 @@ bool ShardCache::PutInternal(const RequestCacheKey& key, Decision value,
         return false;
       }
     }
-    while (index_.size() >= options_.max_entries) {
+    while (index_.size() >= max_entries_) {
       if (EvictOneLocked() == 0) break;
     }
   }
@@ -297,8 +297,7 @@ void ShardCache::PromoteLocked(EntryList::iterator it) {
 
 void ShardCache::EnforceProtectedCapLocked() {
   const size_t cap =
-      static_cast<size_t>(options_.protected_fraction *
-                          static_cast<double>(bytes_));
+      static_cast<size_t>(kProtectedFraction * static_cast<double>(bytes_));
   while (protected_bytes_ > cap && protected_.size() > 1) {
     auto tail = std::prev(protected_.end());
     tail->in_protected = false;

@@ -104,21 +104,11 @@ struct CacheEventSink {
   obs::Gauge* resident_entries = nullptr;
 };
 
-struct ShardCacheOptions {
-  /// Entry-count capacity; 0 disables the cache entirely — Put stores
-  /// nothing, Get always misses.
-  size_t max_entries = 0;
-  /// Resident-byte share the protected segment may occupy before its tail
-  /// is demoted back to probation.
-  double protected_fraction = 0.8;
-  /// Frequency-sketch admission under pressure; off = always admit (the
-  /// legacy behavior, and what snapshot restores use).
-  bool admission_filter = true;
-};
-
 class ShardCache {
  public:
-  explicit ShardCache(ShardCacheOptions options);
+  /// `max_entries` is the entry-count capacity; 0 disables the cache
+  /// entirely — Put stores nothing, Get always misses.
+  explicit ShardCache(size_t max_entries);
   ~ShardCache();
   ShardCache(const ShardCache&) = delete;
   ShardCache& operator=(const ShardCache&) = delete;
@@ -165,7 +155,7 @@ class ShardCache {
   std::vector<std::pair<RequestCacheKey, Decision>> SnapshotEntries() const
       EXCLUDES(mu_);
 
-  size_t capacity() const { return options_.max_entries; }
+  size_t capacity() const { return max_entries_; }
   size_t size() const EXCLUDES(mu_);
   size_t bytes() const EXCLUDES(mu_);
   CacheStats stats() const EXCLUDES(mu_);
@@ -198,7 +188,11 @@ class ShardCache {
   void PublishGaugesLocked() REQUIRES(mu_);
   const Entry* VictimLocked() const REQUIRES(mu_);
 
-  const ShardCacheOptions options_;
+  /// Resident-byte share the protected segment may occupy before its tail
+  /// is demoted back to probation.
+  static constexpr double kProtectedFraction = 0.8;
+
+  const size_t max_entries_;
   // Written once by AttachBudget before the cache is shared across threads,
   // then read without the lock (ReserveBudget and the destructor must call
   // the budget with mu_ released) — init-once, not mu_-guarded.

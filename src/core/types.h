@@ -141,8 +141,7 @@ class SearchProfile {
 /// kDeadlineExceeded / kCancelled — distinct from kResourceExhausted —
 /// leaving whatever SearchStats the aborted run accumulated in place.
 struct SearchOptions {
-  /// The built-in step budget; the service treats requests still carrying
-  /// it as "no explicit budget" when a shard-level default is configured.
+  /// The built-in step budget.
   static constexpr uint64_t kDefaultMaxSteps = 50'000'000ULL;
   uint64_t max_steps = kDefaultMaxSteps;
   /// Hard wall-clock bound for the whole search (steady clock; max() = no

@@ -50,8 +50,8 @@ struct MetricFamily {
     "", "in-queue residency of every popped task, microseconds")             \
   X(SchedTokenWaitMicros, "relcomp_sched_token_wait_micros", kHistogram,     \
     "",                                                                      \
-    "time producers spent blocked on admission (quota / rate limit) "        \
-    "before a task was admitted, microseconds")                              \
+    "time producers spent blocked on the tenant's queue quota before a "     \
+    "task was admitted, microseconds")                                       \
   X(RequestsTotal, "relcomp_requests_total", kCounter, "tenant,kind",        \
     "requests submitted, by problem kind")                                   \
   X(PriorityRequestsTotal, "relcomp_priority_requests_total", kCounter,      \

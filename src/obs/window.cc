@@ -27,37 +27,6 @@ bool InWindow(int64_t slot_second, int64_t now_second, uint64_t window_secs) {
 
 }  // namespace
 
-void WindowedCounter::Record(uint64_t n, Clock::time_point now) {
-  const int64_t second = SecondOf(now);
-  MutexLock lock(mu_);
-  Slot& slot = slots_[static_cast<size_t>(second) % slots_.size()];
-  if (slot.second != second) {
-    // The slot's previous second has aged out of the ring; recycle it.
-    slot.second = second;
-    slot.count = 0;
-  }
-  slot.count += n;
-}
-
-uint64_t WindowedCounter::Sum(uint64_t window_secs,
-                              Clock::time_point now) const {
-  const int64_t second = SecondOf(now);
-  uint64_t sum = 0;
-  MutexLock lock(mu_);
-  window_secs = std::min<uint64_t>(window_secs, slots_.size());
-  for (const Slot& slot : slots_) {
-    if (InWindow(slot.second, second, window_secs)) sum += slot.count;
-  }
-  return sum;
-}
-
-double WindowedCounter::Rate(uint64_t window_secs,
-                             Clock::time_point now) const {
-  if (window_secs == 0) window_secs = 1;
-  return static_cast<double>(Sum(window_secs, now)) /
-         static_cast<double>(window_secs);
-}
-
 void WindowedHistogram::Record(uint64_t value, Clock::time_point now) {
   const int64_t second = SecondOf(now);
   MutexLock lock(mu_);
@@ -82,6 +51,13 @@ HistogramData WindowedHistogram::Snapshot(uint64_t window_secs,
     if (InWindow(slot.second, second, window_secs)) merged.Merge(slot.data);
   }
   return merged;
+}
+
+double WindowedHistogram::Rate(uint64_t window_secs,
+                               Clock::time_point now) const {
+  if (window_secs == 0) window_secs = 1;
+  return static_cast<double>(Snapshot(window_secs, now).count) /
+         static_cast<double>(window_secs);
 }
 
 }  // namespace obs

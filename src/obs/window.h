@@ -1,16 +1,17 @@
 // Sliding-window metrics: recent-window rates and quantiles next to the
-// registry's since-start cumulative values. Both wrappers keep an N-slot
-// ring of one-second buckets tagged with the absolute second they cover;
-// Record() lands in the current second's slot (lazily re-tagging slots
-// whose second has passed), and a read merges the slots inside the asked
-// window. Merging rides the HistogramData bucket algebra, so a windowed
-// p95 is computed exactly the way the cumulative one is — same buckets,
-// same interpolation — just over a bounded time range.
+// registry's since-start cumulative values. A WindowedHistogram keeps an
+// N-slot ring of one-second buckets tagged with the absolute second they
+// cover; Record() lands in the current second's slot (lazily re-tagging
+// slots whose second has passed), and a read merges the slots inside the
+// asked window. Merging rides the HistogramData bucket algebra, so a
+// windowed p95 is computed exactly the way the cumulative one is — same
+// buckets, same interpolation — just over a bounded time range; the
+// window's count over its width is the recent event rate.
 //
-// Both types take explicit time points on every call (defaulted to now)
-// so tests drive deterministic timelines, and both are small enough to
-// live per-shard: one mutex (rank kObsWindow, a leaf) guarding a
-// fixed-size ring, no allocation after construction.
+// Every call takes an explicit time point (defaulted to now) so tests
+// drive deterministic timelines, and the type is small enough to live
+// per-shard: one mutex (rank kObsWindow, a leaf) guarding a fixed-size
+// ring, no allocation after construction.
 #ifndef RELCOMP_OBS_WINDOW_H_
 #define RELCOMP_OBS_WINDOW_H_
 
@@ -24,48 +25,17 @@
 namespace relcomp {
 namespace obs {
 
-/// A counter whose recent per-second history is queryable: Rate(10s) is
-/// the mean events/sec over the last 10 seconds, Sum(60s) the raw count.
-/// Slots older than the ring's span are recycled in place, so the counter
-/// answers for any window up to `window_slots` seconds and costs O(ring)
-/// per read, O(1) per record.
-class WindowedCounter {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  /// `window_slots` is the history depth in seconds (>= 1; default covers
-  /// the 60 s reporting window plus slack for slot-boundary skew).
-  explicit WindowedCounter(size_t window_slots = 64)
-      : slots_(window_slots == 0 ? 1 : window_slots) {}
-
-  void Record(uint64_t n = 1, Clock::time_point now = Clock::now());
-
-  /// Total events recorded in the trailing `window_secs` seconds
-  /// (clamped to the ring's span).
-  uint64_t Sum(uint64_t window_secs,
-               Clock::time_point now = Clock::now()) const;
-
-  /// Mean events/second over the trailing window: Sum / window_secs.
-  double Rate(uint64_t window_secs,
-              Clock::time_point now = Clock::now()) const;
-
- private:
-  struct Slot {
-    int64_t second = -1;  ///< absolute steady-clock second; -1 = never used
-    uint64_t count = 0;
-  };
-
-  mutable Mutex mu_{LockRank::kObsWindow, "WindowedCounter::mu_"};
-  std::vector<Slot> slots_ GUARDED_BY(mu_);
-};
-
 /// A histogram whose recent distribution is queryable: Snapshot(10s)
 /// merges the last 10 one-second HistogramData slots, giving recent
 /// p50/p95/p99 with the same bucket math as the cumulative histogram.
+/// Slots older than the ring's span are recycled in place, so it answers
+/// for any window up to `window_slots` seconds.
 class WindowedHistogram {
  public:
   using Clock = std::chrono::steady_clock;
 
+  /// `window_slots` is the history depth in seconds (>= 1; the default
+  /// covers the 60 s reporting window plus slack for slot-boundary skew).
   explicit WindowedHistogram(size_t window_slots = 64)
       : slots_(window_slots == 0 ? 1 : window_slots) {}
 
@@ -75,6 +45,10 @@ class WindowedHistogram {
   /// (clamped to the ring's span). Empty HistogramData when idle.
   HistogramData Snapshot(uint64_t window_secs,
                          Clock::time_point now = Clock::now()) const;
+
+  /// Mean values recorded per second over the trailing window: the count
+  /// of the (clamped) window divided by `window_secs`.
+  double Rate(uint64_t window_secs, Clock::time_point now = Clock::now()) const;
 
  private:
   struct Slot {

@@ -43,12 +43,6 @@ class CancelToken {
   /// Invalid tokens are never cancelled.
   bool cancelled() const { return state_ != nullptr && state_->cancelled(); }
 
-  /// Either-cancels composition: a token that reports cancellation when
-  /// `a` OR `b` does (the service merges a request's own options.cancel
-  /// with the submission's sched token this way). Degenerates to the other
-  /// operand when one is invalid.
-  static CancelToken AnyOf(CancelToken a, CancelToken b);
-
  private:
   friend class CancelSource;
   friend class CancelGroup;
@@ -93,10 +87,10 @@ class CancelSource {
   std::shared_ptr<FlagState> state_;
 };
 
-/// Joint interest in one shared computation (a coalesced flight group or a
-/// deduplicated batch slot group). Participants register their tokens with
-/// Add; token() observes the group rule: cancelled only when the group has
-/// at least one participant and EVERY participant's token is cancelled.
+/// Joint interest in one shared computation (a coalesced flight group).
+/// Participants register their tokens with Add; token() observes the group
+/// rule: cancelled only when the group has at least one participant and
+/// EVERY participant's token is cancelled.
 /// Adding an invalid token pins the group live forever (that participant
 /// can never withdraw its interest), and participants may keep joining
 /// while the computation runs — a late joiner revives a group whose earlier
@@ -136,11 +130,10 @@ class CancelGroup {
 
     bool cancelled() const override {
       // Poll OUTSIDE the lock, over a snapshot: a member may itself be
-      // another group's token (batch slot groups join flight groups), and
-      // polling it under this group's mutex would nest two same-rank
-      // mutexes. A participant Add racing the poll lands as if it joined
-      // just after the snapshot — indistinguishable, under the old
-      // hold-the-lock polling, from joining a moment later.
+      // another group's token (a caller may pass a group's token as a
+      // request's options.cancel), and polling it under this group's mutex
+      // would nest two same-rank mutexes. A participant Add racing the
+      // poll lands as if it joined just after the snapshot.
       std::vector<CancelToken> snapshot;
       {
         MutexLock lock(mu);
@@ -156,21 +149,6 @@ class CancelGroup {
 
   std::shared_ptr<GroupState> state_;
 };
-
-inline CancelToken CancelToken::AnyOf(CancelToken a, CancelToken b) {
-  if (!a.valid()) return b;
-  if (!b.valid()) return a;
-  struct EitherState : State {
-    CancelToken first, second;
-    EitherState(CancelToken f, CancelToken s)
-        : first(std::move(f)), second(std::move(s)) {}
-    bool cancelled() const override {
-      return first.cancelled() || second.cancelled();
-    }
-  };
-  return CancelToken(
-      std::make_shared<const EitherState>(std::move(a), std::move(b)));
-}
 
 }  // namespace sched
 

@@ -1,7 +1,6 @@
 // Scheduling vocabulary for the service's fair-share queue: which policy
-// orders the shared worker queue, what happens on overload, per-tenant
-// admission knobs, and the per-submission parameters (priority class,
-// best-effort deadline, cancellation token) a request can carry.
+// orders the shared worker queue, what happens on overload, the per-tenant
+// admission knobs, and the priority class a submission carries.
 //
 // The sched/ layer is deliberately below service/: it schedules opaque
 // tasks tagged with a tenant id and knows nothing about settings, queries,
@@ -13,22 +12,21 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sched/cancel.h"
-
 namespace relcomp {
 namespace sched {
 
-/// Monotonic clock used for deadlines, token buckets, and wait-time
-/// accounting. A wall clock would travel backwards under NTP slew and
-/// resurrect expired requests.
+/// Monotonic clock used for deadlines and wait-time accounting. A wall
+/// clock would travel backwards under NTP slew and resurrect expired
+/// requests.
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
 /// "No deadline": requests default to waiting as long as it takes.
 constexpr TimePoint kNoDeadline = TimePoint::max();
 
-/// A deadline `ms` milliseconds from now (best-effort: requests still
-/// queued past it are shed before evaluation, never aborted mid-decider).
+/// A deadline `ms` milliseconds from now. A request still queued past it
+/// is shed before evaluation; one already running aborts at the decider's
+/// next cooperative checkpoint.
 inline TimePoint DeadlineAfterMs(uint64_t ms) {
   return Clock::now() + std::chrono::milliseconds(ms);
 }
@@ -48,11 +46,10 @@ enum class SchedPolicy {
 };
 
 /// The explicit overload decision: what Push does when a tenant's in-queue
-/// quota or token-bucket rate is exhausted.
+/// quota is exhausted.
 enum class OverloadPolicy {
   /// Block the submitting thread until the tenant has room again —
-  /// backpressure propagates to the producer (streaming submission relies
-  /// on this to bound memory).
+  /// backpressure propagates to the producer.
   kBlock,
   /// Refuse admission: Push fails and the service reports the request as
   /// rejected (a Decision with StatusCode::kUnavailable), never losing it
@@ -81,19 +78,6 @@ struct TenantOptions {
   /// Bounded in-queue quota: at most this many tasks of the tenant queued
   /// at once. 0 = unbounded. Excess triggers the OverloadPolicy.
   size_t max_queue = 0;
-  /// Token-bucket admission rate in tasks/second; 0 = unlimited.
-  double rate_per_sec = 0.0;
-  /// Token-bucket burst capacity; 0 = max(1, rate_per_sec).
-  double burst = 0.0;
-};
-
-/// Per-submission scheduling parameters, carried by a ServiceRequest.
-/// Default-constructed params reproduce the legacy behavior exactly:
-/// normal priority, no deadline, never cancelled.
-struct SchedParams {
-  Priority priority = Priority::kNormal;
-  TimePoint deadline = kNoDeadline;
-  CancelToken cancel;  ///< invalid (default) = not cancellable
 };
 
 }  // namespace sched

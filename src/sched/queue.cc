@@ -37,13 +37,6 @@ void FairQueue::InitTenant(Tenant& tenant, TenantOptions options) {
   tenant.options = options;
   tenant.stride = kStrideScale / std::max<uint32_t>(1, options.weight);
   tenant.pass = global_pass_;
-  if (tenant.options.rate_per_sec > 0) {
-    if (tenant.options.burst <= 0) {
-      tenant.options.burst = std::max(1.0, tenant.options.rate_per_sec);
-    }
-    tenant.tokens = tenant.options.burst;  // start full: first burst is free
-    tenant.refilled = Clock::now();
-  }
 }
 
 FairQueue::Tenant& FairQueue::TenantFor(uint64_t id) {
@@ -65,85 +58,48 @@ bool FairQueue::HasRoom(const Tenant& tenant) const {
          tenant.queued < tenant.options.max_queue;
 }
 
-std::chrono::nanoseconds FairQueue::TakeToken(Tenant& tenant, TimePoint now) {
-  if (tenant.options.rate_per_sec <= 0) return std::chrono::nanoseconds(0);
-  const double elapsed =
-      std::chrono::duration<double>(now - tenant.refilled).count();
-  tenant.tokens = std::min(tenant.options.burst,
-                           tenant.tokens + elapsed * tenant.options.rate_per_sec);
-  tenant.refilled = now;
-  if (tenant.tokens >= 1.0) {
-    tenant.tokens -= 1.0;
-    return std::chrono::nanoseconds(0);
-  }
-  const double missing = 1.0 - tenant.tokens;
-  return std::chrono::nanoseconds(static_cast<int64_t>(
-      missing / tenant.options.rate_per_sec * 1e9) + 1);
-}
-
 bool FairQueue::Push(Task&& task) {
   MutexLock lock(mu_);
   TimePoint blocked_since{};
   bool blocked = false;
-  for (;;) {
-    if (shutdown_) return false;
-    Tenant& tenant = TenantFor(task.tenant);
-    if (HasRoom(tenant)) {
-      const std::chrono::nanoseconds token_wait =
-          TakeToken(tenant, Clock::now());
-      if (token_wait.count() == 0) {
-        // Admitted.
-        task.enqueued = Clock::now();
-        if (blocked && token_wait_hist_ != nullptr) {
-          token_wait_hist_->Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  task.enqueued - blocked_since)
-                  .count()));
-        }
-        const size_t lane = static_cast<size_t>(task.priority);
-        const bool was_idle = tenant.queued == 0;
-        ++tenant.queued;
-        ++depth_;
-        if (policy_ == SchedPolicy::kFifo) {
-          fifo_[lane].push_back(std::move(task));
-        } else {
-          if (was_idle) {
-            // A tenant returning from idle joins at the current virtual
-            // time instead of spending credit hoarded while away, and
-            // enters the pass-ordered dispatch index.
-            tenant.pass = std::max(tenant.pass, global_pass_);
-            ready_.emplace(tenant.pass, task.tenant);
-          }
-          tenant.by_priority[lane].push_back(std::move(task));
-        }
-        work_cv_.NotifyOne();
-        return true;
-      }
-      if (overload_ == OverloadPolicy::kReject) return false;
-      // kBlock: rate-limited — sleep until the bucket refills (or space
-      // frees up, which also re-checks the bucket).
-      if (!blocked) {
-        blocked = true;
-        blocked_since = Clock::now();
-      }
-      space_cv_.WaitFor(mu_, token_wait);
-      continue;
-    }
+  // Quota wait, as an explicit loop (the static analysis does not see into
+  // predicate lambdas). Re-fetch the tenant each round: blocking can
+  // outlive a released tenant's tenants_ entry.
+  while (!shutdown_ && !HasRoom(TenantFor(task.tenant))) {
     if (overload_ == OverloadPolicy::kReject) return false;
     if (!blocked) {
       blocked = true;
       blocked_since = Clock::now();
     }
-    // Quota wait, as an explicit loop (the static analysis does not see
-    // into predicate lambdas). Re-fetch the tenant each round: blocking
-    // can outlive a released tenant's tenants_ entry.
-    for (;;) {
-      if (shutdown_) break;
-      const Tenant& t = TenantFor(task.tenant);
-      if (t.options.max_queue == 0 || t.queued < t.options.max_queue) break;
-      space_cv_.Wait(mu_);
-    }
+    space_cv_.Wait(mu_);
   }
+  if (shutdown_) return false;
+  Tenant& tenant = TenantFor(task.tenant);
+  task.enqueued = Clock::now();
+  if (blocked && token_wait_hist_ != nullptr) {
+    token_wait_hist_->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(task.enqueued -
+                                                              blocked_since)
+            .count()));
+  }
+  const size_t lane = static_cast<size_t>(task.priority);
+  const bool was_idle = tenant.queued == 0;
+  ++tenant.queued;
+  ++depth_;
+  if (policy_ == SchedPolicy::kFifo) {
+    fifo_[lane].push_back(std::move(task));
+  } else {
+    if (was_idle) {
+      // A tenant returning from idle joins at the current virtual time
+      // instead of spending credit hoarded while away, and enters the
+      // pass-ordered dispatch index.
+      tenant.pass = std::max(tenant.pass, global_pass_);
+      ready_.emplace(tenant.pass, task.tenant);
+    }
+    tenant.by_priority[lane].push_back(std::move(task));
+  }
+  work_cv_.NotifyOne();
+  return true;
 }
 
 bool FairQueue::Pop(Task* task, TaskOutcome* outcome) {
@@ -185,10 +141,9 @@ bool FairQueue::Pop(Task* task, TaskOutcome* outcome) {
     }
   }
   --depth_;
-  // NotifyAll, not NotifyOne: space_cv_ waiters have heterogeneous
-  // predicates (per-tenant quota vs. token refill), so a single wakeup
-  // could land on a producer whose own condition is still false while an
-  // admissible one keeps sleeping.
+  // NotifyAll, not NotifyOne: space_cv_ waiters wait on different
+  // tenants' quotas, so a single wakeup could land on a producer whose
+  // tenant is still full while an admissible one keeps sleeping.
   space_cv_.NotifyAll();
 
   const TimePoint now = Clock::now();

@@ -8,12 +8,12 @@
 //                 queueing behind — an expensive tenant's backlog);
 //   priorities  — three classes per tenant; urgent work overtakes
 //                 background work of the same tenant;
-//   admission   — per-tenant bounded in-queue quota and token-bucket rate
-//                 limit, with an explicit overload decision (block the
-//                 producer vs. reject the push);
-//   deadlines   — best-effort: a task whose deadline passed while queued is
-//                 handed back with TaskOutcome::kExpired so the worker can
-//                 shed it without evaluation.
+//   admission   — per-tenant bounded in-queue quota, with an explicit
+//                 overload decision (block the producer vs. reject the
+//                 push);
+//   deadlines   — a task whose deadline passed while queued is handed back
+//                 with TaskOutcome::kExpired so the worker can shed it
+//                 without evaluation.
 //
 // The queue schedules opaque closures tagged with a tenant id; it never
 // runs user code under its own lock (expiry is decided here, but the task's
@@ -81,10 +81,10 @@ class FairQueue {
   void ReleaseTenant(uint64_t tenant) EXCLUDES(mu_);
 
   /// Admits a task. Returns false when the task was NOT admitted: the
-  /// tenant is over quota / rate under OverloadPolicy::kReject, or the
-  /// queue shut down (including while blocked under kBlock). The task is
-  /// moved-from only on success, so on failure the caller still owns it
-  /// and must complete it (typically task.fn(kRejected, kNotQueued)).
+  /// tenant is over quota under OverloadPolicy::kReject, or the queue shut
+  /// down (including while blocked under kBlock). The task is moved-from
+  /// only on success, so on failure the caller still owns it and must
+  /// complete it (typically task.fn(kRejected, kNotQueued)).
   bool Push(Task&& task) EXCLUDES(mu_);
 
   /// Blocks for the next task per policy. Returns false only on shutdown
@@ -103,9 +103,9 @@ class FairQueue {
   /// Points the queue at externally owned histograms (microsecond values):
   /// `queue_wait` records every popped task's in-queue residency;
   /// `token_wait` records the time a kBlock producer actually spent blocked
-  /// on the rate limiter/quota before admission (recorded only when
-  /// nonzero, so an uncontended queue stays silent). Either may be null.
-  /// The histograms must outlive the queue; call before workers start.
+  /// on the quota before admission (recorded only when nonzero, so an
+  /// uncontended queue stays silent). Either may be null. The histograms
+  /// must outlive the queue; call before workers start.
   void AttachMetrics(obs::Histogram* queue_wait, obs::Histogram* token_wait)
       EXCLUDES(mu_);
 
@@ -122,17 +122,10 @@ class FairQueue {
     size_t queued = 0;
     bool released = false;
     std::array<std::deque<Task>, kNumPriorities> by_priority;
-    // Token bucket (rate_per_sec > 0 only).
-    double tokens = 0;
-    TimePoint refilled{};
   };
 
   void InitTenant(Tenant& tenant, TenantOptions options) REQUIRES(mu_);
   Tenant& TenantFor(uint64_t id) REQUIRES(mu_);
-  /// Refills and tries to take one token; returns the wait until a token
-  /// is available (zero when taken).
-  std::chrono::nanoseconds TakeToken(Tenant& tenant, TimePoint now)
-      REQUIRES(mu_);
   /// Whether `tenant` can admit one more task right now.
   bool HasRoom(const Tenant& tenant) const REQUIRES(mu_);
   void GcTenant(uint64_t id) REQUIRES(mu_);

@@ -1,16 +1,13 @@
-// A small bounded multi-producer single-consumer stream, the delivery
+// A small unbounded multi-producer single-consumer stream, the delivery
 // channel of the service's streaming submission path. Workers Publish()
 // items as decisions complete; the consumer pulls them with Next()
-// (iterator style) or drains them into a callback. A bounded capacity gives
-// backpressure: producers block once the consumer falls `capacity` items
-// behind, so a very large batch never materializes its whole result set.
+// (iterator style) or drains them into a callback.
 //
 // Generic on the item type so the sched/ layer stays below service/ (the
 // service instantiates it with indexed Decisions).
 #ifndef RELCOMP_SCHED_STREAM_H_
 #define RELCOMP_SCHED_STREAM_H_
 
-#include <cstddef>
 #include <deque>
 #include <utility>
 
@@ -22,26 +19,16 @@ namespace sched {
 template <typename T>
 class Stream {
  public:
-  /// capacity 0 = unbounded (no backpressure). Inline submission (a
-  /// service with zero workers, or a re-entrant submission on a worker
-  /// thread) publishes the whole result set before the consumer runs, so
-  /// it ignores the bound rather than deadlocking against its own caller.
-  explicit Stream(size_t capacity = 0) : capacity_(capacity) {}
+  Stream() = default;
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
-  /// Producer side: enqueues an item, blocking while the stream is at
-  /// capacity (unless `ignore_bound`). Items published after Close() are
-  /// dropped — the consumer already walked away.
-  void Publish(T item, bool ignore_bound = false) {
-    // Notifications stay under the lock: a consumer that saw the final
+  /// Producer side: enqueues an item; never blocks.
+  void Publish(T item) {
+    // The notification stays under the lock: a consumer that saw the final
     // item may destroy the stream the moment it can reacquire the mutex,
     // so the cv must not be touched after the unlock.
     MutexLock lock(mu_);
-    if (!ignore_bound && capacity_ > 0) {
-      while (!closed_ && items_.size() >= capacity_) space_cv_.Wait(mu_);
-    }
-    if (closed_) return;
     items_.push_back(std::move(item));
     items_cv_.NotifyOne();
   }
@@ -54,14 +41,13 @@ class Stream {
   }
 
   /// Consumer side: blocks for the next item. Returns false once the
-  /// stream is finished and drained (or closed).
+  /// stream is finished and drained.
   bool Next(T* out) {
     MutexLock lock(mu_);
-    while (!closed_ && !finished_ && items_.empty()) items_cv_.Wait(mu_);
+    while (!finished_ && items_.empty()) items_cv_.Wait(mu_);
     if (items_.empty()) return false;
     *out = std::move(items_.front());
     items_.pop_front();
-    space_cv_.NotifyOne();
     return true;
   }
 
@@ -73,38 +59,11 @@ class Stream {
     while (Next(&item)) sink(std::move(item));
   }
 
-  /// Consumer side: abandon the stream; pending and future publishes are
-  /// discarded and producers unblock.
-  void Close() {
-    MutexLock lock(mu_);
-    closed_ = true;
-    items_.clear();
-    items_cv_.NotifyAll();
-    space_cv_.NotifyAll();
-  }
-
-  /// Consumer side: blocks until the producer side has called Finish() —
-  /// the point after which no producer touches this stream again. A
-  /// consumer that abandoned the stream with Close() must not destroy it
-  /// before this returns (Close only unblocks producers; stragglers may
-  /// still be publishing into the void), unless it otherwise knows every
-  /// producer is gone — e.g. the owning service was already destroyed,
-  /// draining its queue.
-  void WaitProducersFinished() {
-    MutexLock lock(mu_);
-    while (!finished_) items_cv_.Wait(mu_);
-  }
-
-  size_t capacity() const { return capacity_; }
-
  private:
-  const size_t capacity_;
   Mutex mu_{LockRank::kSchedStream, "Stream::mu_"};
   CondVar items_cv_;
-  CondVar space_cv_;
   std::deque<T> items_ GUARDED_BY(mu_);
   bool finished_ GUARDED_BY(mu_) = false;
-  bool closed_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace sched

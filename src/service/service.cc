@@ -24,6 +24,9 @@ thread_local bool tls_on_worker_thread = false;
 /// Trace::kInlineTrack on submitter threads.
 thread_local int tls_worker_index = obs::Trace::kInlineTrack;
 
+/// Flight-recorder ring capacity: two minutes of vitals at a 1 s interval.
+constexpr size_t kRecorderRing = 120;
+
 void AppendNote(Decision* decision, const char* note) {
   if (decision->note.empty()) {
     decision->note = note;
@@ -51,8 +54,7 @@ Decision ExpiredDecision() {
 Decision RejectedDecision() {
   Decision decision;
   decision.status = Status::Unavailable(
-      "admission control rejected the request (tenant queue quota or rate "
-      "limit exceeded)");
+      "admission control rejected the request (tenant queue quota exceeded)");
   return decision;
 }
 
@@ -148,17 +150,11 @@ std::string TraceOutcome(const Decision& decision) {
 struct BatchSink {
   DecisionStream* stream;
   std::atomic<size_t> remaining;
-  /// Whether every delivery ignores the stream bound (see AdmitBatch).
-  bool bypass_bound;
 
-  BatchSink(DecisionStream* s, size_t n, bool bypass)
-      : stream(s), remaining(n), bypass_bound(bypass) {}
+  BatchSink(DecisionStream* s, size_t n) : stream(s), remaining(n) {}
 
   void Deliver(size_t index, Decision decision) {
-    // Only pool workers honor the bound: any other thread may be the
-    // stream's own consumer, which is not draining yet.
-    stream->Publish(StreamedDecision{index, std::move(decision)},
-                    /*ignore_bound=*/bypass_bound || !tls_on_worker_thread);
+    stream->Publish(StreamedDecision{index, std::move(decision)});
     if (remaining.fetch_sub(1) == 1) stream->Finish();
   }
 };
@@ -172,13 +168,12 @@ CompletenessService::CompletenessService(ServiceOptions options)
                               options.cache_budget_bytes)
                         : nullptr),
       queue_(options.policy, options.overload,
-             sched::TenantOptions{/*weight=*/1, options.default_max_queue,
-                                  /*rate_per_sec=*/0.0, /*burst=*/0.0}) {
+             sched::TenantOptions{/*weight=*/1, options.default_max_queue}) {
   tracer_.Configure(options_.trace_sample);
   slow_log_.Configure(options_.slow_log);
   trace_sink_.Configure(options_.trace_ring);
   if (options_.metrics) {
-    windows_ = std::make_unique<Shard::Windows>();
+    window_ = std::make_unique<obs::WindowedHistogram>();
     inflight_gauge_ = metrics_registry_.GetGauge(obs::kMetricInflightRequests);
     sched_queue_wait_ =
         metrics_registry_.GetHistogram(obs::kMetricSchedQueueWaitMicros);
@@ -192,7 +187,7 @@ CompletenessService::CompletenessService(ServiceOptions options)
         [this, i] { WorkerLoop(static_cast<int>(i)); });
   }
   if (options_.recorder_interval_ms > 0 || options_.watchdog_stall_micros > 0) {
-    recorder_.Configure(options_.recorder_ring);
+    recorder_.Configure(kRecorderRing);
     obs::InstallAbortReportHook();
     recorder_thread_ = JoinableThread([this] { RecorderLoop(); });
   }
@@ -256,10 +251,9 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   }
   if (resolved.weight == 0) resolved.weight = 1;
 
-  cache::ShardCacheOptions cache_options;
-  cache_options.max_entries = resolved.cache_capacity;
-  auto shard_cache = std::make_shared<cache::ShardCache>(cache_options);
-  if (cache_budget_ != nullptr && cache_options.max_entries > 0) {
+  auto shard_cache =
+      std::make_shared<cache::ShardCache>(resolved.cache_capacity);
+  if (cache_budget_ != nullptr && resolved.cache_capacity > 0) {
     shard_cache->AttachBudget(cache_budget_.get(), shard_cache,
                               resolved.cache_floor_bytes);
   }
@@ -275,7 +269,7 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   // exact setting fingerprint (coldest first, so recency survives the
   // round trip). A snapshot of different master data fingerprints
   // differently and simply never matches.
-  if (cache_options.max_entries > 0) {
+  if (resolved.cache_capacity > 0) {
     auto warm = pending_warm_.find(key);
     if (warm != pending_warm_.end()) {
       for (auto& [entry_key, decision] : warm->second) {
@@ -292,9 +286,7 @@ Result<SettingHandle> CompletenessService::RegisterSetting(
   shards_.emplace(id, std::move(shard));
   handle_by_fingerprint_.emplace(key, id);
   queue_.RegisterTenant(id, sched::TenantOptions{resolved.weight,
-                                                 resolved.max_queue,
-                                                 resolved.rate_per_sec,
-                                                 resolved.burst});
+                                                 resolved.max_queue});
   return SettingHandle{id};
 }
 
@@ -335,7 +327,7 @@ Decision CompletenessService::UnknownHandleDecision(SettingHandle handle) {
 
 void CompletenessService::InitShardMetrics(Shard& shard, uint64_t handle_id) {
   if (!options_.metrics) return;
-  shard.windows = std::make_unique<Shard::Windows>();
+  shard.window = std::make_unique<obs::WindowedHistogram>();
   const obs::LabelSet tenant{{"tenant", std::to_string(handle_id)}};
   shard.metrics.e2e_latency =
       metrics_registry_.GetHistogram(obs::kMetricRequestLatencyMicros, tenant);
@@ -379,7 +371,7 @@ void CompletenessService::CountAdmission(const Shard& shard,
       shard.metrics.by_kind[kind] != nullptr) {
     shard.metrics.by_kind[kind]->Inc();
   }
-  const size_t priority = static_cast<size_t>(request.sched.priority);
+  const size_t priority = static_cast<size_t>(request.priority);
   if (priority < shard.metrics.by_priority.size() &&
       shard.metrics.by_priority[priority] != nullptr) {
     shard.metrics.by_priority[priority]->Inc();
@@ -401,14 +393,10 @@ void CompletenessService::FinishRequest(Shard* shard,
   if (shard != nullptr && shard->metrics.e2e_latency != nullptr) {
     shard->metrics.e2e_latency->Record(micros);
   }
-  if (shard != nullptr && shard->windows != nullptr) {
-    shard->windows->requests.Record(1, now);
-    shard->windows->latency.Record(micros, now);
+  if (shard != nullptr && shard->window != nullptr) {
+    shard->window->Record(micros, now);
   }
-  if (windows_ != nullptr) {
-    windows_->requests.Record(1, now);
-    windows_->latency.Record(micros, now);
-  }
+  if (window_ != nullptr) window_->Record(micros, now);
   if (trace != nullptr) {
     // The SAME instant closes the trace and stamps the latency: the span
     // durations sum to latency_micros exactly, not merely approximately.
@@ -551,12 +539,9 @@ CompletenessService::Ticket CompletenessService::Admit(
     CountAdmission(*shard, request);
     trace = tracer_.MaybeTrace(submit);
     if (trace != nullptr) trace->Phase("admit", submit);
-    // The member's interest: either of its tokens cancels it, and the
-    // earlier of its deadlines expires it.
-    sched::CancelToken cancel = sched::CancelToken::AnyOf(
-        request.request.options.cancel, request.sched.cancel);
-    const sched::TimePoint deadline =
-        std::min(request.request.options.deadline, request.sched.deadline);
+    // The member's interest: its request's own token and deadline.
+    const sched::CancelToken& cancel = request.request.options.cancel;
+    const sched::TimePoint deadline = request.request.options.deadline;
     const bool cancelled = cancel.cancelled();
     const bool shed = cancelled || deadline < submit;
     RequestCacheKey key;
@@ -597,9 +582,9 @@ CompletenessService::Ticket CompletenessService::Admit(
       // the run's deadline to its own (none lifts it).
       group->interest.Add(cancel);
       ExtendRunDeadline(*group, deadline);
-      group->priority = std::min(group->priority, request.sched.priority);
-      group->members.push_back(FlightGroup::Member{
-          std::move(cancel), deadline, submit, trace, std::move(deliver)});
+      group->priority = std::min(group->priority, request.priority);
+      group->members.push_back(FlightGroup::Member{cancel, deadline, submit,
+                                                   trace, std::move(deliver)});
       return Ticket{shard, group, key, created};
     }
   }
@@ -617,29 +602,14 @@ void CompletenessService::AdmitBatch(
     return;
   }
   const sched::TimePoint submit = sched::Clock::now();
-  const bool inline_mode = workers_.empty() || tls_on_worker_thread;
   // Resolve each distinct handle once instead of taking the registry lock
-  // per request. Pool workers publishing to a bounded stream wait for its
-  // consumer — the submitting thread — which must therefore never wait for
-  // them: inline runs publish before the consumer starts, and with
-  // OverloadPolicy::kBlock a quota/rate-limited tenant may park the
-  // submitting thread in Push until workers free queue slots. Either way
-  // delivery falls back to unbounded buffering; bound batch memory with
-  // kReject quotas instead.
+  // per request.
   std::unordered_map<uint64_t, std::shared_ptr<Shard>> shards;
-  bool bypass_bound = inline_mode;
   for (const ServiceRequest& request : requests) {
     auto [it, inserted] = shards.try_emplace(request.setting.id);
-    if (!inserted) continue;
-    it->second = FindShard(request.setting);
-    bypass_bound = bypass_bound ||
-                   (options_.overload == sched::OverloadPolicy::kBlock &&
-                    it->second != nullptr &&
-                    (it->second->options.max_queue > 0 ||
-                     it->second->options.rate_per_sec > 0));
+    if (inserted) it->second = FindShard(request.setting);
   }
-  auto sink =
-      std::make_shared<BatchSink>(stream, requests.size(), bypass_bound);
+  auto sink = std::make_shared<BatchSink>(stream, requests.size());
   std::vector<std::pair<Ticket, const DecisionRequest*>> admitted;
   for (size_t i = 0; i < requests.size(); ++i) {
     Ticket ticket = Admit(shards[requests[i].setting.id], requests[i], submit,
@@ -728,10 +698,6 @@ void CompletenessService::RunOwner(const Ticket& ticket,
   }
   if (evaluate) {
     SearchOptions effective = request->options;
-    if (shard.options.max_steps != 0 &&
-        effective.max_steps == SearchOptions::kDefaultMaxSteps) {
-      effective.max_steps = shard.options.max_steps;
-    }
     // The run polls only the members' joint interest: it aborts once EVERY
     // member — including ones joining mid-run — has cancelled, or past the
     // LATEST member deadline (re-read each poll). The group outlives the
@@ -832,7 +798,7 @@ Decision CompletenessService::Decide(const ServiceRequest& request) {
 
 std::vector<Decision> CompletenessService::SubmitBatch(
     const std::vector<ServiceRequest>& requests) {
-  DecisionStream stream(/*capacity=*/0);
+  DecisionStream stream;
   AdmitBatch(requests, nullptr, &stream);
   std::vector<Decision> results(requests.size());
   stream.Drain([&results](StreamedDecision item) {
@@ -848,15 +814,6 @@ void CompletenessService::SubmitStream(
   // task until the last one ran.
   auto owned = std::make_shared<const std::vector<ServiceRequest>>(requests);
   AdmitBatch(*owned, owned, stream);
-}
-
-void CompletenessService::SubmitStream(
-    const std::vector<ServiceRequest>& requests, const StreamSink& sink) {
-  DecisionStream stream(/*capacity=*/0);
-  AdmitBatch(requests, nullptr, &stream);
-  stream.Drain([&sink](StreamedDecision item) {
-    sink(item.index, item.decision);
-  });
 }
 
 std::future<Decision> CompletenessService::SubmitAsync(ServiceRequest request) {
@@ -996,23 +953,22 @@ std::string CompletenessService::DumpMetrics(obs::DumpFormat format) const {
   // Sliding-window views: recent request rates (1s/10s/60s) and recent
   // latency distributions, service-wide and per tenant. One clock read so
   // every window row answers for the same instant.
-  if (windows_ != nullptr) {
-    const auto now = obs::WindowedCounter::Clock::now();
+  if (window_ != nullptr) {
+    const auto now = obs::WindowedHistogram::Clock::now();
     static constexpr uint64_t kWindows[] = {1, 10, 60};
     for (const uint64_t secs : kWindows) {
-      dump.AddRate(obs::RequestsRateFamily(secs), {},
-                   windows_->requests.Rate(secs, now));
+      dump.AddRate(obs::RequestsRateFamily(secs), {}, window_->Rate(secs, now));
       for (const auto& [id, shard] : shards) {
-        if (shard->windows == nullptr) continue;
+        if (shard->window == nullptr) continue;
         dump.AddRate(obs::TenantRequestsRateFamily(secs),
                      {{"tenant", std::to_string(id)}},
-                     shard->windows->requests.Rate(secs, now));
+                     shard->window->Rate(secs, now));
       }
     }
     static constexpr uint64_t kLatencyWindows[] = {10, 60};
     for (const uint64_t secs : kLatencyWindows) {
       dump.AddHistogram(obs::RecentLatencyFamily(secs), {},
-                        windows_->latency.Snapshot(secs, now));
+                        window_->Snapshot(secs, now));
     }
   }
   return dump.Render(format);
@@ -1159,11 +1115,11 @@ void CompletenessService::RecorderLoop() {
       obs::RecorderSample sample;
       sample.at = now;
       if (inflight_gauge_ != nullptr) sample.inflight = inflight_gauge_->value();
-      if (windows_ != nullptr) {
-        sample.rate_1s = windows_->requests.Rate(1, now);
-        sample.rate_10s = windows_->requests.Rate(10, now);
+      if (window_ != nullptr) {
+        sample.rate_1s = window_->Rate(1, now);
+        sample.rate_10s = window_->Rate(10, now);
         sample.p95_10s = static_cast<uint64_t>(
-            windows_->latency.Snapshot(10, now).Quantile(0.95));
+            window_->Snapshot(10, now).Quantile(0.95));
       }
       sample.queue_depth = queue_.depth();
       sample.active = active_.size();
@@ -1191,12 +1147,11 @@ std::string CompletenessService::ObsReport() const {
       << "  queue depth: " << queue_.depth()
       << "  active evaluations: " << active_.size() << "  watchdog stalls: "
       << watchdog_stall_count_.load(std::memory_order_relaxed) << "\n";
-  if (windows_ != nullptr) {
-    const obs::HistogramData recent = windows_->latency.Snapshot(10, now);
+  if (window_ != nullptr) {
+    const obs::HistogramData recent = window_->Snapshot(10, now);
     out << "rates: " << std::fixed << std::setprecision(1)
-        << windows_->requests.Rate(1, now) << "/s (1s), "
-        << windows_->requests.Rate(10, now) << "/s (10s), "
-        << windows_->requests.Rate(60, now) << "/s (60s)\n";
+        << window_->Rate(1, now) << "/s (1s), " << window_->Rate(10, now)
+        << "/s (10s), " << window_->Rate(60, now) << "/s (60s)\n";
     out << "latency (10s window): p50=" << std::setprecision(0)
         << recent.Quantile(0.5) << "us p95=" << recent.Quantile(0.95)
         << "us p99=" << recent.Quantile(0.99) << "us max=" << recent.max
@@ -1212,9 +1167,9 @@ std::string CompletenessService::ObsReport() const {
   std::sort(shards.begin(), shards.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [id, shard] : shards) {
-    if (shard->windows == nullptr) continue;
+    if (shard->window == nullptr) continue;
     out << "tenant " << id << ": " << std::setprecision(1)
-        << shard->windows->requests.Rate(10, now) << "/s (10s), queued "
+        << shard->window->Rate(10, now) << "/s (10s), queued "
         << queue_.TenantDepth(id) << "\n";
   }
 

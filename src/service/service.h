@@ -24,9 +24,8 @@
 //                  settings), then queue the batch's owner tasks: identical
 //                  requests in one batch collapse into one evaluation, the
 //                  duplicates reporting from_cache = true with a note;
-//   SubmitStream — the same, delivering each Decision to a pull stream /
-//                  callback sink as it completes instead of materializing
-//                  the result vector.
+//   SubmitStream — the same, delivering each Decision to a pull stream as
+//                  it completes instead of materializing the result vector.
 //
 // Between the request paths and the worker pool sits the sched/ subsystem:
 // work is scheduled by a FairQueue whose tenants are the setting shards.
@@ -34,31 +33,29 @@
 // weighted fair share so a cheap tenant interleaves with an expensive
 // tenant's backlog), the overload decision (block the producer vs. reject
 // with a kUnavailable Decision), and per-tenant quotas; ShardOptions can
-// override weight, quota, rate limit, cache capacity, and the default
-// decider step budget per setting at registration. Requests may carry
-// per-submission sched params: a priority class, a deadline, and a
-// cooperative cancellation token. Deadlines and cancellation are ENFORCED,
-// not best-effort: a still-queued request past its deadline is shed before
-// evaluation, and a request already executing is aborted at the next
-// cooperative checkpoint inside the decider's search loops (SearchOptions
-// deadline/cancel plumbed per evaluation), reporting kDeadlineExceeded /
-// kCancelled with the partial SearchStats the aborted run accumulated.
-// Aborted and budget-exhausted decisions are never admitted to the shard
-// cache.
+// override weight, quota and cache capacity per setting at registration.
+// A ServiceRequest carries a priority class; everything else that bounds a
+// request — its deadline, cancellation token and decider step budget —
+// lives on its DecisionRequest::options. Deadlines and cancellation are
+// ENFORCED, not best-effort: a still-queued request past its deadline is
+// shed before evaluation, and a request already executing is aborted at the
+// next cooperative checkpoint inside the decider's search loops, reporting
+// kDeadlineExceeded / kCancelled with the partial SearchStats the aborted
+// run accumulated. Aborted and budget-exhausted decisions are never
+// admitted to the shard cache.
 //
 // Identical requests that are concurrently in flight — across every front
 // door — coalesce: later occurrences join the first's flight group instead
 // of recomputing. Each member's interest in the shared run is its request's
-// own options.cancel and options.deadline merged with its submission's
-// sched params (either token cancels it; the earlier deadline expires it).
-// A group is shed (queued) or aborted (running) only when EVERY member has
-// cancelled (or expired); one live member keeps the computation alive for
-// everyone — the running evaluation polls the group's joint cancellation
-// token and its latest member deadline at its checkpoints, so the last
-// member's Cancel() stops a computation that is already burning a worker,
-// not just parked ones. Answers are deterministic: independent of worker
-// count, scheduling policy, and coalescing; only the from_cache flags and
-// coalescing notes may differ between runs.
+// own options.cancel and options.deadline. A group is shed (queued) or
+// aborted (running) only when EVERY member has cancelled (or expired); one
+// live member keeps the computation alive for everyone — the running
+// evaluation polls the group's joint cancellation token and its latest
+// member deadline at its checkpoints, so the last member's Cancel() stops a
+// computation that is already burning a worker, not just parked ones.
+// Answers are deterministic: independent of worker count, scheduling
+// policy, and coalescing; only the from_cache flags and coalescing notes
+// may differ between runs.
 //
 // Shard caches live in the cache/ subsystem: each shard owns a
 // byte-weighted segmented LRU (cache::ShardCache — probation/protected
@@ -120,17 +117,16 @@ struct SettingHandle {
   }
 };
 
-/// One routed unit of service work: which setting, what to decide, and how
-/// to schedule it. Default sched params reproduce the legacy behavior
-/// (normal priority, no deadline, not cancellable), so `{handle, request}`
-/// aggregates keep meaning what they always did.
+/// One routed unit of service work: which setting, what to decide, and its
+/// priority class. The request's deadline, cancellation token and step
+/// budget are its own `request.options`.
 struct ServiceRequest {
   SettingHandle setting;
   DecisionRequest request;
   // The default initializer matters beyond defaulting: it keeps
   // `ServiceRequest{handle, request}` aggregate initialization (the
   // dominant spelling in callers) clean under -Wmissing-field-initializers.
-  sched::SchedParams sched = {};
+  sched::Priority priority = sched::Priority::kNormal;
 };
 
 /// Per-setting overrides, fixed at registration. When a setting
@@ -158,15 +154,6 @@ struct ShardOptions {
   /// Bounded in-queue quota; kInherit uses ServiceOptions::default_max_queue,
   /// 0 means unbounded. Exceeding it triggers the overload policy.
   size_t max_queue = kInherit;
-  /// Token-bucket admission rate in requests/second; 0 = unlimited.
-  double rate_per_sec = 0.0;
-  /// Token-bucket burst; 0 = max(1, rate_per_sec).
-  double burst = 0.0;
-  /// Default decider step budget for this shard's evaluations. Requests
-  /// that leave DecisionRequest::options.max_steps at the built-in default
-  /// inherit this value; requests that set their own budget keep it.
-  /// 0 = no shard default (every request keeps its own budget).
-  uint64_t max_steps = 0;
 };
 
 /// Service configuration. Workers are shared across all settings; cache
@@ -185,9 +172,9 @@ struct ServiceOptions {
   /// Queue order across tenants. kFifo is the legacy strict arrival order;
   /// kFairShare applies stride scheduling over shard weights.
   sched::SchedPolicy policy = sched::SchedPolicy::kFifo;
-  /// What admission control does when a tenant is over quota/rate: block
-  /// the submitting thread (backpressure) or reject with a kUnavailable
-  /// Decision. Irrelevant until a quota or rate limit is configured.
+  /// What admission control does when a tenant is over quota: block the
+  /// submitting thread (backpressure) or reject with a kUnavailable
+  /// Decision. Irrelevant until a quota is configured.
   sched::OverloadPolicy overload = sched::OverloadPolicy::kBlock;
   /// Default per-tenant in-queue quota; 0 = unbounded.
   size_t default_max_queue = 0;
@@ -213,9 +200,8 @@ struct ServiceOptions {
   /// queue depth, active/stalled evaluations) into a bounded ring read by
   /// ObsReport(), and republishes the abort-path report each tick. 0 =
   /// no periodic sampling (the thread still runs if the watchdog is on).
+  /// The recorder retains the last 120 samples and annotations.
   uint64_t recorder_interval_ms = 0;
-  /// Flight-recorder ring capacity (samples + annotations retained).
-  size_t recorder_ring = 120;
   /// Stall watchdog threshold: a running evaluation whose cooperative
   /// checkpoints have not heartbeat'd for this many microseconds is
   /// flagged (once) — counted in relcomp_watchdog_stalls_total, annotated
@@ -234,19 +220,8 @@ struct StreamedDecision {
   Decision decision;
 };
 
-/// Pull side of the streaming submission path; see Stream<T> for the
-/// backpressure contract. A bounded stream throttles pool workers when
-/// the consumer lags; it is honored only when admission cannot block
-/// (OverloadPolicy::kReject, or no quota/rate-limited tenant in the
-/// batch) — otherwise delivery falls back to unbounded buffering, since
-/// a worker waiting on the consumer while the consumer waits on
-/// admission would deadlock. To bound batch memory under backpressure,
-/// prefer kReject quotas over stream bounds.
+/// The streaming submission path's delivery channel (unbounded).
 using DecisionStream = sched::Stream<StreamedDecision>;
-
-/// Push side: invoked once per request, serialized, from worker threads
-/// (or the submitting thread when the service runs inline).
-using StreamSink = std::function<void(size_t index, const Decision& decision)>;
 
 class CompletenessService {
  public:
@@ -289,8 +264,8 @@ class CompletenessService {
 
   /// Decides one request synchronously on the calling thread (consulting
   /// and filling the shard cache, coalescing with in-flight identical
-  /// requests, honoring the request's cancellation tokens and deadlines
-  /// both at entry and mid-run via the decider's cooperative checkpoints).
+  /// requests, honoring the request's cancellation token and deadline both
+  /// at entry and mid-run via the decider's cooperative checkpoints).
   /// An invalid or released handle yields an error Decision, not a crash.
   /// Thread-safe.
   Decision Decide(const ServiceRequest& request);
@@ -322,25 +297,16 @@ class CompletenessService {
   void SubmitAsync(ServiceRequest request,
                    std::function<void(Decision)> on_complete);
 
-  /// Streaming submission, pull flavor: admitted like SubmitBatch, but
-  /// each decision is published to `stream` as it completes (tagged with
-  /// its request index) instead of materializing the whole result vector.
-  /// Returns once everything is admitted (the requests are copied, so the
-  /// caller's vector may die immediately); the stream must stay alive and
-  /// be drained until it finishes, after the last delivery. A consumer
-  /// abandoning the stream mid-drain must Close() it (throttled workers
-  /// unblock and drop further deliveries; parked coalesced waiters still
-  /// resolve) and may destroy it only after WaitProducersFinished() — or
-  /// after this service is destroyed, which drains the queue. Decisions
-  /// are identical to what SubmitBatch would have returned for the same
-  /// vector. Thread-safe.
+  /// Streaming submission: admitted like SubmitBatch, but each decision is
+  /// published to `stream` as it completes (tagged with its request index)
+  /// instead of materializing the whole result vector. Returns once
+  /// everything is admitted (the requests are copied, so the caller's
+  /// vector may die immediately). The stream must stay alive and be
+  /// drained until Next returns false, after the last delivery; to make
+  /// that quick, cancel the requests first. Decisions are identical to
+  /// what SubmitBatch would have returned for the same vector. Thread-safe.
   void SubmitStream(const std::vector<ServiceRequest>& requests,
                     DecisionStream* stream);
-
-  /// Streaming submission, push flavor: blocks until every decision has
-  /// been delivered to `sink` (serialized, completion order). Thread-safe.
-  void SubmitStream(const std::vector<ServiceRequest>& requests,
-                    const StreamSink& sink);
 
   /// Per-shard counters; kNotFound after release. The cache-lifecycle
   /// fields (evictions / admission_rejects / cache_bytes) are overlaid
@@ -445,8 +411,8 @@ class CompletenessService {
   /// except the atomic `run_deadline`.
   struct FlightGroup {
     struct Member {
-      /// The member's interest: AnyOf(request.options.cancel, sched.cancel)
-      /// and min(request.options.deadline, sched.deadline).
+      /// The member's interest: its request's options.cancel and
+      /// options.deadline.
       sched::CancelToken cancel;
       sched::TimePoint deadline = sched::kNoDeadline;
       /// Submission time and (when sampled) this member's own trace: each
@@ -517,14 +483,10 @@ class CompletenessService {
     uint64_t id = 0;        // handle id; set once at registration, then
                             // read-only (doubles as the tenant label)
     ShardMetrics metrics;   // set once at registration, then read-only
-    /// Sliding-window views of this tenant's recent traffic (1s/10s/60s
-    /// request rates and recent latency quantiles in DumpMetrics /
-    /// ObsReport). Internally synchronized; null when metrics are off.
-    struct Windows {
-      obs::WindowedCounter requests;
-      obs::WindowedHistogram latency;
-    };
-    std::unique_ptr<Windows> windows;
+    /// Sliding window of this tenant's recent deliveries (their count over
+    /// 1s/10s/60s gives the request rates in DumpMetrics / ObsReport).
+    /// Internally synchronized; null when metrics are off.
+    std::unique_ptr<obs::WindowedHistogram> window;
     uint64_t refcount = 1;  // guarded by registry_mu_ (not expressible as
                             // GUARDED_BY: the outer service's mutex is not
                             // nameable from a nested struct)
@@ -705,9 +667,10 @@ class CompletenessService {
   obs::Gauge* inflight_gauge_ = nullptr;          ///< null when metrics off
   obs::Histogram* sched_queue_wait_ = nullptr;    ///< queue-level, all tenants
   obs::Histogram* sched_token_wait_ = nullptr;    ///< admission-block time
-  /// Service-wide sliding windows (all tenants merged); null when metrics
-  /// are off, like the per-shard ones.
-  std::unique_ptr<Shard::Windows> windows_;
+  /// Service-wide sliding window of deliveries (all tenants merged): the
+  /// request rates and the recent latency quantiles. Null when metrics are
+  /// off, like the per-shard ones.
+  std::unique_ptr<obs::WindowedHistogram> window_;
   /// Evaluations the watchdog has flagged as stalled, cumulative. Kept as
   /// a plain atomic (not only a registry counter) so ObsReport and the
   /// metrics-off configuration still see it.

@@ -69,8 +69,8 @@ enum class LockRank : int {
   kSchedQueue = 60,
   // Stream<T>::mu_ — per-stream channel state; leaf.
   kSchedStream = 65,
-  // WindowedCounter/WindowedHistogram::mu_ — sliding-window slot rings;
-  // leaf (Record/Snapshot touch only the ring).
+  // WindowedHistogram::mu_ — sliding-window slot rings; leaf
+  // (Record/Snapshot touch only the ring).
   kObsWindow = 67,
   // ActiveEvaluations::mu_ — the registry of running evaluations the stall
   // watchdog scans; leaf (per-record heartbeats are lock-free atomics).

@@ -24,6 +24,14 @@ const char* StatusCodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kCorruption:
+      return "Corruption";
+    case StatusCode::kDataLoss:
+      return "DataLoss";
+    case StatusCode::kVersionMismatch:
+      return "VersionMismatch";
+    case StatusCode::kIoError:
+      return "IoError";
   }
   return "Unknown";
 }

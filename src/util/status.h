@@ -26,9 +26,9 @@ enum class StatusCode {
   kParseError,
   /// Internal invariant violation.
   kInternal,
-  /// The service refused admission (per-tenant quota or rate exceeded
-  /// under OverloadPolicy::kReject). Distinct from kResourceExhausted,
-  /// which reports a decider's own search budget running out.
+  /// The service refused admission (per-tenant queue quota exceeded under
+  /// OverloadPolicy::kReject). Distinct from kResourceExhausted, which
+  /// reports a decider's own search budget running out.
   kUnavailable,
   /// A deadline passed: either while the request was still queued (shed
   /// before evaluation) or mid-run, observed by a cooperative checkpoint
@@ -38,6 +38,17 @@ enum class StatusCode {
   /// while it ran (the search observed the joint cancellation at a
   /// checkpoint and aborted).
   kCancelled,
+  // Storage errors. Appended after kCancelled so that the status codes
+  // persisted in cache snapshots keep their numbers.
+  /// Stored bytes are damaged: a bad magic, a checksum mismatch, a payload
+  /// that does not decode, or bytes trailing it.
+  kCorruption,
+  /// Stored bytes are missing: the file is shorter than its header says.
+  kDataLoss,
+  /// Stored bytes were written in a format version this build cannot read.
+  kVersionMismatch,
+  /// The operating system refused a file operation (open, write, rename).
+  kIoError,
 };
 
 /// Human-readable name of a StatusCode.
@@ -80,6 +91,18 @@ class [[nodiscard]] Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status Corruption(std::string msg) {
+    return Status(StatusCode::kCorruption, std::move(msg));
+  }
+  static Status DataLoss(std::string msg) {
+    return Status(StatusCode::kDataLoss, std::move(msg));
+  }
+  static Status VersionMismatch(std::string msg) {
+    return Status(StatusCode::kVersionMismatch, std::move(msg));
+  }
+  static Status IoError(std::string msg) {
+    return Status(StatusCode::kIoError, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -20,6 +20,7 @@
 #include "cache/weigher.h"
 #include "service/service.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace relcomp {
 namespace {
@@ -80,14 +81,8 @@ Decision PaddedDecision(uint64_t id, size_t note_bytes) {
   return decision;
 }
 
-cache::ShardCacheOptions CacheOpts(size_t max_entries) {
-  cache::ShardCacheOptions options;
-  options.max_entries = max_entries;
-  return options;
-}
-
 TEST(ShardCacheTest, ZeroCapacityIsDisabled) {
-  cache::ShardCache cache(CacheOpts(0));
+  cache::ShardCache cache(0);
   EXPECT_FALSE(cache.Put(Key(1), BareDecision()));
   Decision out;
   EXPECT_FALSE(cache.Get(Key(1), &out));
@@ -95,7 +90,7 @@ TEST(ShardCacheTest, ZeroCapacityIsDisabled) {
 }
 
 TEST(ShardCacheTest, GetCopiesTheDecisionAndCountsHits) {
-  cache::ShardCache cache(CacheOpts(8));
+  cache::ShardCache cache(8);
   ASSERT_TRUE(cache.Put(Key(1), PaddedDecision(1, 32)));
   Decision out;
   ASSERT_TRUE(cache.Get(Key(1), &out));
@@ -112,7 +107,7 @@ TEST(ShardCacheTest, GetCopiesTheDecisionAndCountsHits) {
 TEST(ShardCacheTest, ReReferencedEntrySurvivesOneShotScan) {
   // Segmented LRU: A is promoted to the protected segment by its second
   // touch; a scan of one-shot keys then churns probation around it.
-  cache::ShardCache cache(CacheOpts(4));
+  cache::ShardCache cache(4);
   ASSERT_TRUE(cache.Put(Key(0), PaddedDecision(0, 16)));
   Decision out;
   ASSERT_TRUE(cache.Get(Key(0), &out));  // promote
@@ -128,7 +123,7 @@ TEST(ShardCacheTest, ReReferencedEntrySurvivesOneShotScan) {
 }
 
 TEST(ShardCacheTest, AdmissionRefusesColdCandidateAgainstHotVictim) {
-  cache::ShardCache cache(CacheOpts(2));
+  cache::ShardCache cache(2);
   ASSERT_TRUE(cache.Put(Key(1), PaddedDecision(1, 16)));
   Decision out;
   ASSERT_TRUE(cache.Get(Key(1), &out));
@@ -144,7 +139,7 @@ TEST(ShardCacheTest, AdmissionRefusesColdCandidateAgainstHotVictim) {
 }
 
 TEST(ShardCacheTest, SnapshotEntriesOrderedColdestFirst) {
-  cache::ShardCache cache(CacheOpts(8));
+  cache::ShardCache cache(8);
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(cache.Put(Key(i), PaddedDecision(i, 8)));
   }
@@ -165,7 +160,7 @@ struct BudgetedCache {
 std::shared_ptr<cache::ShardCache> MakeBudgeted(cache::CacheBudget* budget,
                                                 size_t max_entries,
                                                 size_t floor_bytes) {
-  auto shard = std::make_shared<cache::ShardCache>(CacheOpts(max_entries));
+  auto shard = std::make_shared<cache::ShardCache>(max_entries);
   shard->AttachBudget(budget, shard, floor_bytes);
   return shard;
 }
@@ -365,29 +360,69 @@ TEST(PersistTest, SnapshotRoundTripsDeeply) {
   EXPECT_EQ(error.witness, nullptr);
 }
 
+/// `v` as `n` little-endian bytes, the snapshot format's integer encoding.
+std::string LittleEndian(uint64_t v, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  return out;
+}
+
+/// `payload` behind a valid header (magic, version 1, size, checksum), so
+/// the payload's own defects reach the decoder past every header check.
+std::string Sealed(const std::string& payload) {
+  StableHasher checksum;
+  checksum.Mix(payload.data(), payload.size());
+  return std::string("RCCS") + LittleEndian(1, 4) +
+         LittleEndian(payload.size(), 8) + LittleEndian(checksum.digest(), 8) +
+         payload;
+}
+
 TEST(PersistTest, CorruptionAndTruncationAreRejected) {
-  std::string bytes = cache::EncodeSnapshot(MakeSnapshot());
+  const std::string bytes = cache::EncodeSnapshot(MakeSnapshot());
+  const std::string payload = bytes.substr(24);  // past the 24-byte header
+  ASSERT_EQ(Sealed(payload), bytes) << "Sealed() no longer matches the format";
 
   std::string corrupted = bytes;
   corrupted[bytes.size() / 2] ^= 0x5a;  // flip a payload byte
-  Result<cache::Snapshot> r1 = cache::DecodeSnapshot(corrupted);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_NE(r1.status().message().find("checksum"), std::string::npos)
-      << r1.status().ToString();
-
-  Result<cache::Snapshot> r2 =
-      cache::DecodeSnapshot(bytes.substr(0, bytes.size() - 3));
-  ASSERT_FALSE(r2.ok());  // size mismatch, before any payload parsing
-
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(cache::DecodeSnapshot(bad_magic).ok());
-
   std::string bad_version = bytes;
   bad_version[4] = 99;  // version field follows the 4-byte magic
-  Result<cache::Snapshot> r4 = cache::DecodeSnapshot(bad_version);
-  ASSERT_FALSE(r4.ok());
-  EXPECT_NE(r4.status().message().find("version"), std::string::npos);
+  // Shard count 1, setting key (7, 7), entry count 1, entry key (3, 3),
+  // then a status code no build ever wrote.
+  const std::string unknown_code =
+      LittleEndian(1, 8) + LittleEndian(7, 8) + LittleEndian(7, 8) +
+      LittleEndian(1, 8) + LittleEndian(3, 8) + LittleEndian(3, 8) +
+      LittleEndian(999, 4);
+  const struct {
+    const char* what;
+    std::string bytes;
+    StatusCode code;
+    const char* message;
+  } cases[] = {
+      {"flipped payload byte", corrupted, StatusCode::kCorruption, "checksum"},
+      {"bad magic", bad_magic, StatusCode::kCorruption, "magic"},
+      {"unknown status code", Sealed(unknown_code), StatusCode::kCorruption,
+       "status code"},
+      {"trailing bytes", Sealed(payload + '\0'), StatusCode::kCorruption,
+       "trailing"},
+      {"truncated file", bytes.substr(0, bytes.size() - 3),
+       StatusCode::kDataLoss, "size mismatch"},
+      {"truncated header", bytes.substr(0, 10), StatusCode::kDataLoss,
+       "truncated"},
+      {"truncated payload", Sealed(LittleEndian(1, 8)), StatusCode::kDataLoss,
+       "truncated"},
+      {"unsupported version", bad_version, StatusCode::kVersionMismatch,
+       "version"},
+  };
+  for (const auto& c : cases) {
+    Result<cache::Snapshot> decoded = cache::DecodeSnapshot(c.bytes);
+    ASSERT_FALSE(decoded.ok()) << c.what;
+    EXPECT_EQ(decoded.status().code(), c.code)
+        << c.what << ": " << decoded.status().ToString();
+    EXPECT_NE(decoded.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << decoded.status().ToString();
+  }
 }
 
 TEST(PersistTest, SaveAndLoadSnapshotFile) {
@@ -397,7 +432,13 @@ TEST(PersistTest, SaveAndLoadSnapshotFile) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->TotalEntries(), 2u);
   std::remove(path.c_str());
-  EXPECT_FALSE(cache::LoadSnapshot(path).ok());  // kNotFound, not a crash
+  EXPECT_EQ(cache::LoadSnapshot(path).status().code(), StatusCode::kNotFound);
+
+  // A file in a directory that does not exist cannot be opened for writing.
+  const Status unwritable = cache::SaveSnapshot(
+      MakeSnapshot(),
+      ::testing::TempDir() + "relcomp_no_such_dir/relcomp_cache_test.rccs");
+  EXPECT_EQ(unwritable.code(), StatusCode::kIoError) << unwritable.ToString();
 }
 
 // --------------------------------------------------------- service level --

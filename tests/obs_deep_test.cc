@@ -2,7 +2,7 @@
 // metrics/trace/slowlog machinery.
 //
 // Unit layer: SearchProfile slice algebra (nested pause/resume, tiling,
-// the slice cap), sliding-window counters/histograms on explicit
+// the slice cap), sliding-window histograms and rates on explicit
 // timelines, histogram overflow-bucket quantiles and merge-under-
 // concurrency, Prometheus/JSON label escaping, the trace-export ring and
 // the Chrome trace_event renderer's tiling invariant.
@@ -50,7 +50,6 @@ using obs::MetricsRegistry;
 using obs::Trace;
 using obs::TraceRecord;
 using obs::TraceSink;
-using obs::WindowedCounter;
 using obs::WindowedHistogram;
 using testing::MakeSlowFixture;
 using testing::SlowFixture;
@@ -190,33 +189,6 @@ TEST(SearchProfileTest, CheckpointDrivesProfileAutomatically) {
 // ---------------------------------------------------------------------------
 // Sliding windows
 
-TEST(WindowedCounterTest, SumAndRateOverTrailingWindow) {
-  WindowedCounter counter(/*window_slots=*/8);
-  const auto base = At(100'000'000);  // an arbitrary whole second
-  counter.Record(5, base);
-  counter.Record(3, base + std::chrono::seconds(1));
-  counter.Record(2, base + std::chrono::seconds(3));
-
-  const auto now = base + std::chrono::seconds(3);
-  EXPECT_EQ(counter.Sum(1, now), 2u);   // this second only
-  EXPECT_EQ(counter.Sum(3, now), 5u);   // seconds 1..3
-  EXPECT_EQ(counter.Sum(4, now), 10u);  // everything
-  EXPECT_DOUBLE_EQ(counter.Rate(4, now), 10.0 / 4.0);
-}
-
-TEST(WindowedCounterTest, OldSlotsExpireAndRecycle) {
-  WindowedCounter counter(/*window_slots=*/4);
-  const auto base = At(50'000'000);
-  counter.Record(100, base);
-  // 10 seconds later the ring has wrapped: the old slot's second no longer
-  // matches and its count must not leak into the sum.
-  const auto later = base + std::chrono::seconds(10);
-  counter.Record(1, later);
-  EXPECT_EQ(counter.Sum(4, later), 1u);
-  // A window larger than the ring is clamped to the ring's span.
-  EXPECT_EQ(counter.Sum(1000, later), 1u);
-}
-
 TEST(WindowedHistogramTest, SnapshotMergesOnlyRecentSeconds) {
   WindowedHistogram histogram(/*window_slots=*/8);
   const auto base = At(200'000'000);
@@ -232,9 +204,21 @@ TEST(WindowedHistogramTest, SnapshotMergesOnlyRecentSeconds) {
   HistogramData all = histogram.Snapshot(8, now);
   EXPECT_EQ(all.count, 3u);
   EXPECT_EQ(all.sum, 700u);
+  // The rate is the window's count over its width.
+  EXPECT_DOUBLE_EQ(histogram.Rate(2, now), 2.0 / 2.0);
+  EXPECT_DOUBLE_EQ(histogram.Rate(8, now), 3.0 / 8.0);
   HistogramData idle = histogram.Snapshot(2, now + std::chrono::seconds(30));
   EXPECT_EQ(idle.count, 0u);
   EXPECT_EQ(idle.Quantile(0.95), 0.0);
+
+  // 16 seconds after `base` the ring has wrapped: base's slot is recycled,
+  // and the older seconds must not leak into any window — not even one
+  // wider than the ring, which is clamped to the ring's span.
+  const auto later = base + std::chrono::seconds(16);
+  histogram.Record(800, later);
+  EXPECT_EQ(histogram.Snapshot(8, later).count, 1u);
+  EXPECT_EQ(histogram.Snapshot(1000, later).count, 1u);
+  EXPECT_DOUBLE_EQ(histogram.Rate(4, later), 1.0 / 4.0);
 }
 
 // ---------------------------------------------------------------------------

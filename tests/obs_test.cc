@@ -552,10 +552,7 @@ TEST(CacheMetricsTest, EventSinkCountsOutcomesAndPublishesGauges) {
   sink.resident_bytes = registry.GetGauge("resident_bytes");
   sink.resident_entries = registry.GetGauge("resident_entries");
 
-  cache::ShardCacheOptions options;
-  options.max_entries = 2;
-  options.admission_filter = false;  // always admit: force plain eviction
-  cache::ShardCache cache(options);
+  cache::ShardCache cache(/*max_entries=*/2);
   cache.AttachEvents(sink);
 
   Decision value;
@@ -571,7 +568,10 @@ TEST(CacheMetricsTest, EventSinkCountsOutcomesAndPublishesGauges) {
   EXPECT_GT(sink.resident_bytes->value(), 0);
 
   // Third insert overflows max_entries=2: one eviction, gauges track it.
+  // The admission sketch lets the third key in only if it was accessed at
+  // least as often as the victim, so it is looked up (and misses) first.
   EXPECT_TRUE(cache.Put(RequestCacheKey{2, 2}, value));
+  EXPECT_FALSE(cache.Get(RequestCacheKey{3, 3}, &out));
   EXPECT_TRUE(cache.Put(RequestCacheKey{3, 3}, value));
   EXPECT_EQ(sink.evictions->value(), 1u);
   EXPECT_EQ(sink.resident_entries->value(), 2);

@@ -1,7 +1,8 @@
 // Property tests over randomized instances: the model relationships of
 // Section 2.2 (strong ⇒ weak ∧ viable; ground strong ⇔ viable), query
 // monotonicity, CC subset closure (Lemma 4.7(a)), the direct deciders
-// against the service (cold and cached) and the Section 7 wrappers against
+// against the service (cold, cached, coalesced, through every front door,
+// cancelled and retried) and the Section 7 wrappers against
 // the general deciders, the compiled and semi-naive CC checks of
 // PreparedSetting against the reference SatisfiesCCs
 // (ConjunctiveQuery::Eval per CC), and the request-sized Adom against its
@@ -14,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/adom.h"
 #include "core/enumerate.h"
@@ -209,6 +211,60 @@ TEST_P(DeciderAgreement, ServiceMissAndHitMatchTheDirectCall) {
     EXPECT_TRUE(hit.from_cache) << what;
     ExpectSameDecision(direct, miss, what + " (miss)");
     ExpectSameDecision(direct, hit, what + " (hit)");
+  }
+}
+
+TEST_P(DeciderAgreement, EveryFrontDoorMatchesTheDirectCall) {
+  // With caching off every answer is a fresh evaluation or a coalesced copy
+  // of one: a batch holding the request twice (the copy reports that it
+  // coalesced), a pull stream, an async future, and a request whose own
+  // token already fired, then its retry without the token.
+  RandomProblem p = MakeRandomProblem(GetParam());
+  const PreparedSetting prepared = testing::MustPrepare(p.setting);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.cache_capacity = 0;
+  CompletenessService service(options);
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(p.setting));
+  CancelSource fired;
+  fired.Cancel();
+  for (ProblemKind kind : AllProblemKinds()) {
+    DecisionRequest request;
+    request.kind = kind;
+    request.query = p.query;
+    request.cinstance = p.cinstance;
+    const std::string what =
+        std::string(ProblemKindName(kind)) + " on " + p.cinstance.ToString();
+    const Decision direct = EvaluateRequest(request, prepared);
+    ASSERT_TRUE(direct.status.ok()) << what << ": " << direct.status.ToString();
+
+    const std::vector<Decision> batch =
+        service.SubmitBatch({{handle, request}, {handle, request}});
+    ExpectSameDecision(direct, batch[0], what + " (batch)");
+    ExpectSameDecision(direct, batch[1], what + " (batch copy)");
+    EXPECT_FALSE(batch[0].from_cache) << what;
+    EXPECT_TRUE(batch[1].from_cache) << what;
+    EXPECT_NE(batch[1].note.find("coalesced"), std::string::npos) << what;
+
+    DecisionStream stream;
+    service.SubmitStream({{handle, request}}, &stream);
+    std::vector<Decision> streamed;
+    stream.Drain([&streamed](StreamedDecision item) {
+      streamed.push_back(std::move(item.decision));
+    });
+    ASSERT_EQ(streamed.size(), 1u) << what;
+    ExpectSameDecision(direct, streamed[0], what + " (stream)");
+
+    ExpectSameDecision(direct, service.SubmitAsync({handle, request}).get(),
+                       what + " (async)");
+
+    DecisionRequest cancelled = request;
+    cancelled.options.cancel = fired.token();
+    EXPECT_EQ(service.Decide({handle, cancelled}).status.code(),
+              StatusCode::kCancelled)
+        << what;
+    ExpectSameDecision(direct, service.Decide({handle, request}),
+                       what + " (retry)");
   }
 }
 

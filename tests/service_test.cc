@@ -512,9 +512,10 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
     interleaved.push_back(ServiceRequest{handle_a, workload_a[i]});
     interleaved.push_back(ServiceRequest{handle_b, workload_b[i]});
   }
+  DecisionStream stream;
+  service.SubmitStream(interleaved, &stream);
   size_t streamed = 0;
-  service.SubmitStream(interleaved,
-                       [&streamed](size_t, const Decision&) { ++streamed; });
+  stream.Drain([&streamed](StreamedDecision) { ++streamed; });
   EXPECT_EQ(streamed, interleaved.size());
 
   // A cancelled and an expired request.
@@ -523,13 +524,14 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
   ServiceRequest cancelled;
   cancelled.setting = handle_a;
   cancelled.request = workload_a[1];
-  cancelled.sched.cancel = source.token();
+  cancelled.request.options.cancel = source.token();
   EXPECT_EQ(service.SubmitAsync(std::move(cancelled)).get().status.code(),
             StatusCode::kCancelled);
   ServiceRequest expired;
   expired.setting = handle_b;
   expired.request = workload_b[1];
-  expired.sched.deadline = sched::Clock::now() - std::chrono::milliseconds(1);
+  expired.request.options.deadline =
+      sched::Clock::now() - std::chrono::milliseconds(1);
   EXPECT_EQ(service.SubmitAsync(std::move(expired)).get().status.code(),
             StatusCode::kDeadlineExceeded);
 
@@ -545,17 +547,16 @@ TEST(ServiceTest, TotalCountersEqualsPerShardSumAfterMixedTraffic) {
   EXPECT_EQ(summed.ToString(), service.TotalCounters().ToString());
 }
 
-TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
-  // The budget-plumbing bugfix: SearchOptions::max_steps must be reachable
-  // both per request and as a ShardOptions default — before this PR every
-  // service tenant silently ran with the built-in 50M budget.
+TEST(ServiceTest, MaxStepsReachesDecidersPerRequest) {
+  // The budget-plumbing bugfix: a request's SearchOptions::max_steps must
+  // reach the decider (it once did not, and every service tenant silently
+  // ran with the built-in 50M budget).
   // The slow fixture's Mod(T) enumeration has no early exit, so a 1-step
   // budget always exhausts and a few-thousand-step budget always finishes.
   testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
                                                      /*vars=*/3);
   CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
 
-  // Per request: a one-step budget exhausts immediately.
   ASSERT_OK_AND_ASSIGN(plain, service.RegisterSetting(fx.setting));
   DecisionRequest tiny = fx.Request();
   tiny.options.max_steps = 1;
@@ -563,26 +564,6 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequestAndPerShard) {
   EXPECT_EQ(exhausted.status.code(), StatusCode::kResourceExhausted)
       << exhausted.status.ToString();
   EXPECT_TRUE(service.Decide({plain, fx.Request()}).status.ok());
-
-  // Per shard: requests that leave max_steps at the built-in default
-  // inherit the shard's default; an explicit per-request budget wins.
-  // (A second, fingerprint-distinct setting gets its own shard.)
-  testing::SlowFixture fx_b = testing::MakeSlowFixture(/*master_rows=*/9,
-                                                       /*vars=*/3);
-  ShardOptions starved;
-  starved.max_steps = 1;
-  ASSERT_OK_AND_ASSIGN(shard, service.RegisterSetting(fx_b.setting, starved));
-  ASSERT_OK_AND_ASSIGN(resolved, service.shard_options(shard));
-  EXPECT_EQ(resolved.max_steps, 1u);
-  Decision shard_limited = service.Decide({shard, fx_b.Request()});
-  EXPECT_EQ(shard_limited.status.code(), StatusCode::kResourceExhausted)
-      << "ShardOptions::max_steps never reached the decider";
-  DecisionRequest explicit_budget = fx_b.Request();
-  explicit_budget.options.max_steps = 500'000;
-  Decision roomy = service.Decide({shard, explicit_budget});
-  EXPECT_TRUE(roomy.status.ok())
-      << "an explicit per-request budget must override the shard default: "
-      << roomy.status.ToString();
 }
 
 TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
@@ -621,35 +602,6 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   roomy.options.max_steps = SearchOptions::kDefaultMaxSteps;
   EXPECT_TRUE(service.Decide({handle, roomy}).status.ok());
   EXPECT_TRUE(service.Decide({handle, roomy}).from_cache);
-}
-
-TEST(ServiceTest, RequestLevelCancelTokenSurvivesSchedMerge) {
-  // A DecisionRequest's own options.cancel must keep working even when the
-  // submission also carries a (live) sched token — the two merge
-  // either-cancels, not last-writer-wins.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
-                                                     /*vars=*/3);
-  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/0));
-  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
-
-  sched::CancelSource poisoned;
-  poisoned.Cancel();
-  sched::CancelSource live;  // valid, never cancelled
-  ServiceRequest request{handle, fx.Request()};
-  request.request.options.cancel = poisoned.token();
-  request.request.options.checkpoint_interval = 1;
-  request.sched.cancel = live.token();
-  Decision decision = service.Decide(request);
-  EXPECT_EQ(decision.status.code(), StatusCode::kCancelled)
-      << "the request-level token was dropped in the sched merge: "
-      << decision.status.ToString();
-
-  ASSERT_OK_AND_ASSIGN(counters, service.counters(handle));
-  EXPECT_EQ(counters.cancelled, 1u);
-  EXPECT_EQ(counters.cache_misses, 0u);
-  EXPECT_EQ(counters.requests,
-            counters.cache_hits + counters.cache_misses + counters.rejected +
-                counters.expired + counters.cancelled);
 }
 
 TEST(ServiceTest, CancelledRequestTokenShedsOnEveryFrontDoor) {

@@ -572,7 +572,7 @@ int main(int argc, char** argv) {
     for (size_t s = 0; s < loads.size(); ++s) {
       if (k >= loads[s].requests.size()) continue;
       ServiceRequest request{loads[s].handle, loads[s].requests[k]};
-      request.sched.priority = cli.priority;
+      request.priority = cli.priority;
       batch.push_back(std::move(request));
       origin.emplace_back(s, k);
     }
@@ -584,7 +584,9 @@ int main(int argc, char** argv) {
   auto arm_deadlines = [&batch, &cli] {
     if (cli.deadline_ms == 0) return;
     const sched::TimePoint deadline = sched::DeadlineAfterMs(cli.deadline_ms);
-    for (ServiceRequest& request : batch) request.sched.deadline = deadline;
+    for (ServiceRequest& request : batch) {
+      request.request.options.deadline = deadline;
+    }
   };
 
   std::vector<Decision> decisions(batch.size());
@@ -783,8 +785,10 @@ int main(int argc, char** argv) {
     size_t mismatches = 0;
     for (size_t r = 0; r < cli.repeat; ++r) {
       for (size_t i = 0; i < batch.size(); ++i) {
-        const SettingWorkload& load = loads[origin[i].first];
-        Decision cold = DecideCold(batch[i].request, load.setting);
+        // The request as loaded, without the round's deadline: the cold
+        // oracle runs after the batch, past any --deadline-ms.
+        const auto [s, k] = origin[i];
+        Decision cold = DecideCold(loads[s].requests[k], loads[s].setting);
         if (r == 0 && (cold.status.ok() != decisions[i].status.ok() ||
                        (cold.status.ok() &&
                         cold.answer != decisions[i].answer))) {

@@ -62,8 +62,7 @@ AdomSeed AdomContext::SeedFor(const PartiallyClosedSetting& setting) {
 
 AdomContext AdomContext::BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
                                        const CInstance& cinstance,
-                                       const Query* query,
-                                       AdomOptions options) {
+                                       const Query* query) {
   // S: constants of T (plus the query's, per the Thm 4.1 Adom) that the
   // shared setting constants lack. Both lists come sorted and unique.
   const std::vector<Value> t_constants = cinstance.Constants();
@@ -76,11 +75,9 @@ AdomContext AdomContext::BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
   overlay.erase(std::remove_if(overlay.begin(), overlay.end(), in_seed),
                 overlay.end());
 
-  // New: one fresh constant per variable of T and the query, plus the
-  // requested extras, on top of the setting budget; a name in S ∪ df is
-  // skipped.
-  size_t num_fresh =
-      cinstance.Vars().size() + options.extra_fresh + seed->fresh;
+  // New: one fresh constant per variable of T and the query, on top of the
+  // setting budget; a name in S ∪ df is skipped.
+  size_t num_fresh = cinstance.Vars().size() + seed->fresh;
   if (query != nullptr) {
     num_fresh += static_cast<size_t>(query->MaxVarId() + 1);
   }

@@ -23,13 +23,6 @@
 
 namespace relcomp {
 
-/// Options for Adom construction.
-struct AdomOptions {
-  /// Extra fresh constants beyond the per-variable ones (e.g. for the
-  /// fresh-variable row of Lemma 5.2).
-  size_t extra_fresh = 0;
-};
-
 /// The setting-level contribution to every Adom built over one (Dm, V):
 /// the constants of Dm, V and the finite attribute domains, plus the fresh
 /// budget owed to CC variables and the widest relation. Computing this is
@@ -54,8 +47,7 @@ class AdomContext {
   /// PreparedSetting::BuildAdom.
   static AdomContext BuildFromSeed(std::shared_ptr<const AdomSeed> seed,
                                    const CInstance& cinstance,
-                                   const Query* query,
-                                   AdomOptions options = {});
+                                   const Query* query);
 
   AdomContext(const AdomContext&) = delete;
   AdomContext& operator=(const AdomContext&) = delete;

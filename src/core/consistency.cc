@@ -21,7 +21,7 @@ Result<bool> IsExtensible(const PreparedSetting& prepared,
   SearchCheckpoint checkpoint(options, "extensibility search", "consistency");
   for (const RelationSchema& rel : prepared.schema().relations()) {
     const Relation& existing = instance.at(rel.name());
-    TupleEnumerator tuples(rel, adom);
+    CanonicalValuationEnumerator tuples = CandidateTuples(rel, adom);
     Tuple t;
     while (tuples.Next(&t)) {
       RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());

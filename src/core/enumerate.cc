@@ -31,27 +31,19 @@ class DomainCollector {
 
   void Touch(VarId var) { all_vars_.insert(var.id); }
 
-  // Calls `emit(var, finite)` for every variable in id order, where
-  // `finite` is the intersection of the finite domains of its columns, or
-  // null when no finite domain constrains it (it ranges over all of Adom).
-  template <typename Emit>
-  void ForEach(Emit emit) {
+  // Every variable in id order: closed on the intersection of the finite
+  // domains of its columns, or open when no finite domain constrains it.
+  std::vector<OpenVarCandidate> Candidates() {
+    std::vector<OpenVarCandidate> out;
     // LINT:waive(checkpoint-coverage, one pass over the collected variables)
     for (int32_t id : all_vars_) {
+      OpenVarCandidate entry;
+      entry.var = VarId{id};
       auto it = finite_.find(id);
-      emit(VarId{id}, it == finite_.end() ? nullptr : &it->second);
+      entry.open = it == finite_.end();
+      if (!entry.open) entry.values = std::move(it->second);
+      out.push_back(std::move(entry));
     }
-  }
-
-  VarCandidateList Build(const AdomContext& adom) {
-    VarCandidateList out;
-    ForEach([&](VarId var, std::vector<Value>* finite) {
-      if (finite != nullptr) {
-        out.emplace_back(var, std::move(*finite));
-      } else {
-        out.emplace_back(var, adom.values());
-      }
-    });
     return out;
   }
 
@@ -60,8 +52,45 @@ class DomainCollector {
   std::map<int32_t, std::vector<Value>> finite_;
 };
 
-DomainCollector CollectCqDomains(const ConjunctiveQuery& q,
-                                 const DatabaseSchema& schema) {
+// Candidates for every variable of a c-instance. Variables occurring only
+// in conditions are open.
+std::vector<OpenVarCandidate> CInstanceVarCandidates(
+    const CInstance& cinstance) {
+  DomainCollector collector;
+  // LINT:waive(checkpoint-coverage, scans the input c-instance once)
+  for (const CTable& table : cinstance.tables()) {
+    for (const CRow& row : table.rows()) {
+      for (size_t i = 0; i < row.cells.size(); ++i) {
+        if (std::holds_alternative<VarId>(row.cells[i])) {
+          collector.Constrain(std::get<VarId>(row.cells[i]),
+                              table.schema().attribute(i).domain);
+        }
+      }
+      std::vector<VarId> cond_vars;
+      row.condition.CollectVars(&cond_vars);
+      for (VarId v : cond_vars) collector.Touch(v);
+    }
+  }
+  return collector.Candidates();
+}
+
+// Closed levels for Mod(T) over `vars`, highest id first so the lowest id
+// advances fastest; an open variable ranges over all of Adom.
+std::vector<CanonicalValuationEnumerator::Level> WorldLevels(
+    const std::vector<OpenVarCandidate>& vars, const AdomContext& adom) {
+  std::vector<CanonicalValuationEnumerator::Level> levels;
+  levels.reserve(vars.size());
+  // LINT:waive(checkpoint-coverage, one level per variable)
+  for (auto it = vars.rbegin(); it != vars.rend(); ++it) {
+    levels.push_back({it->var, it->open ? &adom.values() : &it->values});
+  }
+  return levels;
+}
+
+}  // namespace
+
+std::vector<OpenVarCandidate> CqVarCandidatesOpen(
+    const ConjunctiveQuery& q, const DatabaseSchema& schema) {
   DomainCollector collector;
   // LINT:waive(checkpoint-coverage, scans the query atoms once)
   for (const RelAtom& atom : q.atoms()) {
@@ -92,145 +121,96 @@ DomainCollector CollectCqDomains(const ConjunctiveQuery& q,
       collector.Touch(std::get<VarId>(t));
     }
   }
-  return collector;
-}
-
-}  // namespace
-
-VarCandidateList CInstanceVarCandidates(const CInstance& cinstance,
-                                        const AdomContext& adom) {
-  DomainCollector collector;
-  // LINT:waive(checkpoint-coverage, scans the input c-instance once)
-  for (const CTable& table : cinstance.tables()) {
-    for (const CRow& row : table.rows()) {
-      for (size_t i = 0; i < row.cells.size(); ++i) {
-        if (std::holds_alternative<VarId>(row.cells[i])) {
-          collector.Constrain(std::get<VarId>(row.cells[i]),
-                              table.schema().attribute(i).domain);
-        }
-      }
-      std::vector<VarId> cond_vars;
-      row.condition.CollectVars(&cond_vars);
-      for (VarId v : cond_vars) collector.Touch(v);
-    }
-  }
-  return collector.Build(adom);
-}
-
-VarCandidateList CqVarCandidates(const ConjunctiveQuery& q,
-                                 const DatabaseSchema& schema,
-                                 const AdomContext& adom) {
-  return CollectCqDomains(q, schema).Build(adom);
-}
-
-std::vector<OpenVarCandidate> CqVarCandidatesOpen(
-    const ConjunctiveQuery& q, const DatabaseSchema& schema) {
-  std::vector<OpenVarCandidate> out;
-  CollectCqDomains(q, schema).ForEach(
-      [&out](VarId var, std::vector<Value>* finite) {
-        OpenVarCandidate entry;
-        entry.var = var;
-        entry.open = finite == nullptr;
-        if (!entry.open) entry.values = std::move(*finite);
-        out.push_back(std::move(entry));
-      });
-  return out;
+  return collector.Candidates();
 }
 
 CanonicalValuationEnumerator::CanonicalValuationEnumerator(
     std::vector<OpenVarCandidate> vars, std::vector<Value> base,
     std::vector<Value> fresh)
-    : vars_(std::move(vars)),
+    : owned_(std::move(vars)),
       base_(std::move(base)),
       fresh_(std::move(fresh)),
-      indices_(vars_.size(), 0),
-      fresh_used_before_(vars_.size() + 1, 0) {
+      index_(owned_.size(), 0),
+      fresh_used_(owned_.size() + 1, 0) {
+  levels_.reserve(owned_.size());
   // LINT:waive(checkpoint-coverage, constructor scan, bounded by #vars)
-  for (const OpenVarCandidate& v : vars_) {
+  for (const OpenVarCandidate& v : owned_) {
+    levels_.push_back({v.var, v.open ? nullptr : &v.values});
+    if (v.open && base_.empty() && fresh_.empty()) exhausted_ = true;
     if (!v.open && v.values.empty()) exhausted_ = true;
   }
-  if (base_.empty() && fresh_.empty()) {
-    // LINT:waive(checkpoint-coverage, constructor scan, bounded by #vars)
-    for (const OpenVarCandidate& v : vars_) {
-      if (v.open) exhausted_ = true;
-    }
+}
+
+CanonicalValuationEnumerator::CanonicalValuationEnumerator(
+    std::vector<Level> levels)
+    : levels_(std::move(levels)),
+      index_(levels_.size(), 0),
+      fresh_used_(levels_.size() + 1, 0) {
+  // LINT:waive(checkpoint-coverage, constructor scan, bounded by #levels)
+  for (const Level& level : levels_) {
+    if (level.values == nullptr || level.values->empty()) exhausted_ = true;
   }
 }
 
 size_t CanonicalValuationEnumerator::Limit(size_t level) const {
-  const OpenVarCandidate& v = vars_[level];
-  if (!v.open) return v.values.size();
-  size_t fresh_avail =
-      std::min(fresh_used_before_[level] + 1, fresh_.size());
-  return base_.size() + fresh_avail;
+  const std::vector<Value>* values = levels_[level].values;
+  if (values != nullptr) return values->size();
+  return base_.size() + std::min(fresh_used_[level] + 1, fresh_.size());
 }
 
-Value CanonicalValuationEnumerator::At(size_t level, size_t index) const {
-  const OpenVarCandidate& v = vars_[level];
-  if (!v.open) return v.values[index];
-  if (index < base_.size()) return base_[index];
-  return fresh_[index - base_.size()];
+const Value& CanonicalValuationEnumerator::At(size_t level) const {
+  const std::vector<Value>* values = levels_[level].values;
+  const size_t index = index_[level];
+  if (values != nullptr) return (*values)[index];
+  return index < base_.size() ? base_[index] : fresh_[index - base_.size()];
 }
 
-void CanonicalValuationEnumerator::RecomputeFreshUsed() {
-  fresh_used_before_[0] = 0;
-  // LINT:waive(checkpoint-coverage, one pass over the variable levels)
-  for (size_t i = 0; i < vars_.size(); ++i) {
-    size_t used = fresh_used_before_[i];
-    if (vars_[i].open && indices_[i] >= base_.size()) {
-      used = std::max(used, indices_[i] - base_.size() + 1);
-    }
-    fresh_used_before_[i + 1] = used;
-  }
-}
-
-bool CanonicalValuationEnumerator::Next(Valuation* mu) {
+bool CanonicalValuationEnumerator::Advance() {
   if (exhausted_) return false;
-  if (!started_) {
-    started_ = true;
-    std::fill(indices_.begin(), indices_.end(), 0);
-    RecomputeFreshUsed();
-    // LINT:waive(checkpoint-coverage, binds each variable once)
-    for (size_t i = 0; i < vars_.size(); ++i) {
-      if (indices_[i] >= Limit(i)) {
+  size_t pos = 0;  // the first level whose value changes
+  if (started_) {
+    // Radix carry from the last level. A level's limit depends only on the
+    // levels before it, and every limit is at least 1 (the constructors
+    // rule out empty levels), so the levels after `pos` restart at 0.
+    pos = levels_.size();
+    // LINT:waive(checkpoint-coverage, radix carry bounded by the level count)
+    while (true) {
+      if (pos == 0) {
         exhausted_ = true;
         return false;
       }
-      mu->Bind(vars_[i].var, At(i, indices_[i]));
+      --pos;
+      if (++index_[pos] < Limit(pos)) break;
+      index_[pos] = 0;
     }
-    if (vars_.empty()) exhausted_ = true;
-    return true;
   }
-  size_t pos = vars_.size();
-  // LINT:waive(checkpoint-coverage, radix carry bounded by the level count)
-  while (pos > 0) {
-    --pos;
-    ++indices_[pos];
-    RecomputeFreshUsed();
-    if (indices_[pos] < Limit(pos)) {
-      // Reset the suffix.
-      bool ok = true;
-      for (size_t j = pos + 1; j < vars_.size(); ++j) {
-        indices_[j] = 0;
-        RecomputeFreshUsed();
-        if (indices_[j] >= Limit(j)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) {
-        continue;  // suffix has an empty level; keep advancing at pos
-      }
-      RecomputeFreshUsed();
-      for (size_t i = 0; i < vars_.size(); ++i) {
-        mu->Bind(vars_[i].var, At(i, indices_[i]));
-      }
-      return true;
+  started_ = true;
+  // LINT:waive(checkpoint-coverage, one pass over the changed levels)
+  for (size_t i = pos; i < levels_.size(); ++i) {
+    size_t used = fresh_used_[i];
+    if (levels_[i].values == nullptr && index_[i] >= base_.size()) {
+      used = std::max(used, index_[i] - base_.size() + 1);
     }
-    indices_[pos] = 0;
+    fresh_used_[i + 1] = used;
   }
-  exhausted_ = true;
-  return false;
+  return true;
+}
+
+bool CanonicalValuationEnumerator::Next(Valuation* mu) {
+  if (!Advance()) return false;
+  // LINT:waive(checkpoint-coverage, binds each variable once)
+  for (size_t i = 0; i < levels_.size(); ++i) mu->Bind(levels_[i].var, At(i));
+  return true;
+}
+
+bool CanonicalValuationEnumerator::Next(Tuple* t) {
+  if (!Advance()) return false;
+  t->resize(levels_.size());
+  // LINT:waive(checkpoint-coverage, writes each tuple position once)
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    (*t)[static_cast<size_t>(levels_[i].var.id)] = At(i);
+  }
+  return true;
 }
 
 CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
@@ -261,100 +241,16 @@ CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
                                       std::move(fresh));
 }
 
-ValuationEnumerator::ValuationEnumerator(VarCandidateList vars)
-    : vars_(std::move(vars)), indices_(vars_.size(), 0) {
-  // LINT:waive(checkpoint-coverage, constructor scan, bounded by #vars)
-  for (const auto& [var, candidates] : vars_) {
-    if (candidates.empty()) exhausted_ = true;
+CanonicalValuationEnumerator CandidateTuples(const RelationSchema& rel,
+                                             const AdomContext& adom) {
+  std::vector<CanonicalValuationEnumerator::Level> levels;
+  levels.reserve(rel.arity());
+  // LINT:waive(checkpoint-coverage, one level per column)
+  for (size_t col = rel.arity(); col > 0; --col) {
+    levels.push_back({VarId{static_cast<int32_t>(col - 1)},
+                      &adom.Candidates(rel.attribute(col - 1).domain)});
   }
-}
-
-bool ValuationEnumerator::Next(Valuation* mu) {
-  if (exhausted_) return false;
-  if (!started_) {
-    started_ = true;
-    // LINT:waive(checkpoint-coverage, binds each variable once)
-    for (size_t i = 0; i < vars_.size(); ++i) {
-      current_.Bind(vars_[i].first, vars_[i].second[0]);
-    }
-    if (vars_.empty()) exhausted_ = true;  // single empty valuation
-    *mu = current_;
-    return true;
-  }
-  size_t pos = 0;
-  // LINT:waive(checkpoint-coverage, radix carry bounded by the level count)
-  while (pos < vars_.size()) {
-    if (++indices_[pos] < vars_[pos].second.size()) break;
-    indices_[pos] = 0;
-    ++pos;
-  }
-  if (pos == vars_.size()) {
-    exhausted_ = true;
-    return false;
-  }
-  // LINT:waive(checkpoint-coverage, rebinds a bounded prefix of variables)
-  for (size_t i = 0; i <= pos; ++i) {
-    current_.Bind(vars_[i].first, vars_[i].second[indices_[i]]);
-  }
-  *mu = current_;
-  return true;
-}
-
-uint64_t ValuationEnumerator::TotalCount() const {
-  uint64_t total = 1;
-  // LINT:waive(checkpoint-coverage, product over the var list)
-  for (const auto& [var, candidates] : vars_) {
-    total *= candidates.size();
-  }
-  return total;
-}
-
-TupleEnumerator::TupleEnumerator(const RelationSchema& schema,
-                                 const AdomContext& adom)
-    : indices_(schema.arity(), 0) {
-  // LINT:waive(checkpoint-coverage, constructor scan over the schema arity)
-  for (const Attribute& attr : schema.attributes()) {
-    candidates_.push_back(&adom.Candidates(attr.domain));
-    if (candidates_.back()->empty()) exhausted_ = true;
-  }
-}
-
-bool TupleEnumerator::Next(Tuple* t) {
-  if (exhausted_) return false;
-  if (!started_) {
-    started_ = true;
-    t->resize(candidates_.size());
-    // LINT:waive(checkpoint-coverage, writes each tuple position once)
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      (*t)[i] = (*candidates_[i])[0];
-    }
-    if (candidates_.empty()) exhausted_ = true;  // nullary: single tuple
-    return true;
-  }
-  size_t pos = 0;
-  // LINT:waive(checkpoint-coverage, radix carry bounded by the arity)
-  while (pos < indices_.size()) {
-    if (++indices_[pos] < candidates_[pos]->size()) break;
-    indices_[pos] = 0;
-    ++pos;
-  }
-  if (pos == indices_.size()) {
-    exhausted_ = true;
-    return false;
-  }
-  t->resize(candidates_.size());
-  // LINT:waive(checkpoint-coverage, writes each tuple position once)
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    (*t)[i] = (*candidates_[i])[indices_[i]];
-  }
-  return true;
-}
-
-uint64_t TupleEnumerator::TotalCount() const {
-  uint64_t total = 1;
-  // LINT:waive(checkpoint-coverage, product over the arity)
-  for (const std::vector<Value>* c : candidates_) total *= c->size();
-  return total;
+  return CanonicalValuationEnumerator(std::move(levels));
 }
 
 ModEnumerator::ModEnumerator(const CInstance& cinstance,
@@ -363,10 +259,10 @@ ModEnumerator::ModEnumerator(const CInstance& cinstance,
                              const SearchOptions& options, SearchStats* stats)
     : cinstance_(cinstance),
       prepared_(prepared),
-      options_(options),
       stats_(stats),
-      valuations_(CInstanceVarCandidates(cinstance, adom)),
-      checkpoint_(options_, "Mod(T, Dm, V) enumeration", "mod-enum") {}
+      vars_(CInstanceVarCandidates(cinstance)),
+      valuations_(WorldLevels(vars_, adom)),
+      checkpoint_(options, "Mod(T, Dm, V) enumeration", "mod-enum") {}
 
 Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
   Valuation local_mu;
@@ -393,6 +289,52 @@ Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
     if (stats_ != nullptr) ++stats_->worlds;
     if (world != nullptr) *world = std::move(candidate).value();
     return true;
+  }
+  return false;
+}
+
+ExtensionSearch::ExtensionSearch(const PreparedSetting& prepared,
+                                 const AdomContext& adom, size_t max_added,
+                                 const SearchOptions& options,
+                                 const char* what, const char* loop)
+    : prepared_(prepared),
+      max_added_(max_added),
+      checkpoint_(options, what, loop) {
+  for (const RelationSchema& rel : prepared.schema().relations()) {
+    std::vector<Tuple>& tuples = candidates_.emplace_back();
+    CanonicalValuationEnumerator walk = CandidateTuples(rel, adom);
+    Tuple t;
+    while (walk.Next(&t)) tuples.push_back(t);
+  }
+}
+
+Status ExtensionSearch::Run(Instance base, const NodeTest& test) {
+  return Explore(&base, 0, 0, 0, test).status();
+}
+
+Result<bool> ExtensionSearch::Explore(Instance* current, size_t added,
+                                      size_t rel, size_t next,
+                                      const NodeTest& test) {
+  RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
+  Result<Step> step = test(*current, added);
+  if (!step.ok()) return step.status();
+  if (*step == Step::kStop) return true;
+  if (*step == Step::kPrune || added >= max_added_) return false;
+  // Extend at positions ≥ (rel, next) only, so each set is built once. No
+  // tuple at or after that position was added on the way here, so one
+  // that `current` holds is a base tuple: skipped.
+  const std::vector<RelationSchema>& rels = prepared_.schema().relations();
+  for (size_t r = rel; r < candidates_.size(); ++r) {
+    const std::string& name = rels[r].name();
+    const Relation& present = current->at(name);
+    for (size_t i = r == rel ? next : 0; i < candidates_[r].size(); ++i) {
+      const Tuple& t = candidates_[r][i];
+      if (present.Contains(t)) continue;
+      current->AddTuple(name, t);
+      Result<bool> stopped = Explore(current, added + 1, r, i + 1, test);
+      current->RemoveTuple(name, t);
+      if (!stopped.ok() || *stopped) return stopped;
+    }
   }
   return false;
 }

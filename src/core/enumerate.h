@@ -1,12 +1,13 @@
-// Enumeration machinery shared by all deciders: per-variable candidate
-// computation (respecting finite attribute domains), odometer-style
-// valuation enumeration, candidate-tuple enumeration, and the Mod(T, Dm, V)
-// world enumerator.
+// Enumeration machinery shared by all deciders: per-variable candidates
+// (respecting finite attribute domains), the one odometer every decider
+// walks — valuations of T over Adom, valuations of a query tableau, the
+// candidate tuples of a relation — the Mod(T, Dm, V) world enumerator, and
+// the one bounded extension search.
 #ifndef RELCOMP_CORE_ENUMERATE_H_
 #define RELCOMP_CORE_ENUMERATE_H_
 
+#include <functional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "core/adom.h"
@@ -16,63 +17,8 @@
 
 namespace relcomp {
 
-/// A variable together with its candidate value list.
-using VarCandidateList = std::vector<std::pair<VarId, std::vector<Value>>>;
-
-/// Candidates for every variable of a c-instance: the intersection of the
-/// finite domains of the columns the variable occurs in, or the full Adom if
-/// all its columns are infinite. Variables occurring only in conditions get
-/// the full Adom.
-VarCandidateList CInstanceVarCandidates(const CInstance& cinstance,
-                                        const AdomContext& adom);
-
-/// Candidates for the variables of a CQ tableau, typed by the schema
-/// attributes at the positions where each variable occurs.
-VarCandidateList CqVarCandidates(const ConjunctiveQuery& q,
-                                 const DatabaseSchema& schema,
-                                 const AdomContext& adom);
-
-/// Odometer over the candidate lists; the zero-variable case yields exactly
-/// one (empty) valuation.
-class ValuationEnumerator {
- public:
-  explicit ValuationEnumerator(VarCandidateList vars);
-
-  /// Produces the next valuation into `mu`; false when exhausted.
-  bool Next(Valuation* mu);
-
-  /// Product of candidate-list sizes (0 if some variable has none).
-  uint64_t TotalCount() const;
-
- private:
-  VarCandidateList vars_;
-  std::vector<size_t> indices_;
-  Valuation current_;
-  bool started_ = false;
-  bool exhausted_ = false;
-};
-
-/// Enumerates all tuples of a relation schema over Adom candidates. Holds
-/// references into `schema` and `adom`, which must outlive it.
-class TupleEnumerator {
- public:
-  TupleEnumerator(const RelationSchema& schema, const AdomContext& adom);
-
-  /// Produces the next tuple into `t`; false when exhausted.
-  bool Next(Tuple* t);
-
-  /// Number of candidate tuples.
-  uint64_t TotalCount() const;
-
- private:
-  std::vector<const std::vector<Value>*> candidates_;  // per position
-  std::vector<size_t> indices_;
-  bool started_ = false;
-  bool exhausted_ = false;
-};
-
-/// A variable for the symmetry-broken enumerator: either a closed candidate
-/// list (finite attribute domain) or "open" (infinite domain).
+/// A variable for the odometer: either a closed candidate list (finite
+/// attribute domain) or "open" (infinite domain).
 struct OpenVarCandidate {
   VarId var;
   std::vector<Value> values;  ///< closed candidates; ignored when open
@@ -85,33 +31,57 @@ struct OpenVarCandidate {
 std::vector<OpenVarCandidate> CqVarCandidatesOpen(
     const ConjunctiveQuery& q, const DatabaseSchema& schema);
 
-/// Symmetry-broken valuation enumerator for *existential* searches over
+/// The one odometer of the deciders: a mixed-radix counter over levels
+/// whose LAST level advances fastest. A closed level ranges over its
+/// candidate list; with closed levels only, the walk is the plain
+/// cartesian product. An open level is for *existential* searches over
 /// Adom: fresh ("New") constants are interchangeable — they appear nowhere
-/// in Dm, V, Q or the base values — so an open variable may take any base
-/// value, any fresh value already introduced by an earlier variable, or the
+/// in Dm, V, Q or the base values — so an open level may take any base
+/// value, any fresh value already introduced by an earlier level, or the
 /// single next unused fresh value. This enumerates one representative per
 /// isomorphism class (Bell-number growth instead of |Adom|^k) and is sound
 /// and complete for "does a valuation with property P exist" whenever P is
-/// invariant under permuting unused fresh values.
+/// invariant under permuting unused fresh values. Zero levels yield one
+/// empty valuation. Levels may point into the enumerator itself, so it is
+/// built in place (neither copyable nor movable).
 class CanonicalValuationEnumerator {
  public:
+  /// One level: the variable it binds (for a tuple walk, the column
+  /// index) and its closed candidate list, or null when it is open.
+  struct Level {
+    VarId var;
+    const std::vector<Value>* values;
+  };
+
+  /// Levels `vars`, in order, over candidate lists the enumerator keeps.
   CanonicalValuationEnumerator(std::vector<OpenVarCandidate> vars,
                                std::vector<Value> base,
                                std::vector<Value> fresh);
+  /// Closed levels over lists that outlive the enumerator (a finite
+  /// domain, Adom): nothing is copied.
+  explicit CanonicalValuationEnumerator(std::vector<Level> levels);
 
-  /// Produces the next valuation; false when exhausted.
+  CanonicalValuationEnumerator(const CanonicalValuationEnumerator&) = delete;
+  CanonicalValuationEnumerator& operator=(
+      const CanonicalValuationEnumerator&) = delete;
+
+  /// Binds every level's variable to its next value; false when exhausted.
   bool Next(Valuation* mu);
+  /// Writes the next value of level i at column levels[i].var; false when
+  /// exhausted.
+  bool Next(Tuple* t);
 
  private:
+  bool Advance();
   size_t Limit(size_t level) const;
-  Value At(size_t level, size_t index) const;
-  void RecomputeFreshUsed();
+  const Value& At(size_t level) const;
 
-  std::vector<OpenVarCandidate> vars_;
+  std::vector<OpenVarCandidate> owned_;  // the lists of the first ctor
+  std::vector<Level> levels_;
   std::vector<Value> base_;
   std::vector<Value> fresh_;
-  std::vector<size_t> indices_;
-  std::vector<size_t> fresh_used_before_;  // per level
+  std::vector<size_t> index_;       // per level
+  std::vector<size_t> fresh_used_;  // fresh values taken by levels < i
   bool started_ = false;
   bool exhausted_ = false;
 };
@@ -124,10 +94,16 @@ CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
     const ConjunctiveQuery& q, const DatabaseSchema& schema,
     const AdomContext& adom, const Instance& around);
 
+/// The candidate tuples of `rel` over Adom, first column fastest: closed
+/// levels over the columns' candidate lists (pointing into `adom` and the
+/// schema, which must outlive it), last column first.
+CanonicalValuationEnumerator CandidateTuples(const RelationSchema& rel,
+                                             const AdomContext& adom);
+
 /// Enumerates the worlds of ModAdom(T, Dm, V): valuations µ over Adom whose
-/// µ(T) satisfies the CCs. Deduplicates worlds structurally, by their
-/// relations' sorted rows (different valuations can yield the same ground
-/// instance).
+/// µ(T) satisfies the CCs, the lowest variable id advancing fastest.
+/// Deduplicates worlds structurally, by their relations' sorted rows
+/// (different valuations can yield the same ground instance).
 class ModEnumerator {
  public:
   ModEnumerator(const CInstance& cinstance, const PreparedSetting& prepared,
@@ -143,12 +119,48 @@ class ModEnumerator {
  private:
   const CInstance& cinstance_;
   PreparedSetting prepared_;
-  SearchOptions options_;
   SearchStats* stats_;
-  ValuationEnumerator valuations_;
+  std::vector<OpenVarCandidate> vars_;  // the finite-domain lists
+  CanonicalValuationEnumerator valuations_;
   using WorldKey = std::vector<std::vector<Tuple>>;
   std::set<WorldKey> seen_;  // worlds returned so far
   SearchCheckpoint checkpoint_;
+};
+
+/// The bounded extension search: a depth-first walk over the extensions of
+/// a ground instance by at most `max_added` tuples over Adom, each visited
+/// once. The candidate tuples of every relation are materialized at
+/// construction, once per request, and added in canonical (relation,
+/// candidate) order; candidates already in the base are skipped. Every
+/// node, the root included, charges one checkpoint step and then goes to
+/// the caller's test, which decides whether the walk goes deeper, prunes
+/// the node's subtree, or stops.
+class ExtensionSearch {
+ public:
+  enum class Step { kDescend, kPrune, kStop };
+  /// The caller's node test: `extended` is the base plus `added` tuples.
+  using NodeTest =
+      std::function<Result<Step>(const Instance& extended, size_t added)>;
+
+  /// `what` and `loop` name the search's checkpoint (see SearchCheckpoint).
+  ExtensionSearch(const PreparedSetting& prepared, const AdomContext& adom,
+                  size_t max_added, const SearchOptions& options,
+                  const char* what, const char* loop);
+
+  /// Walks the extensions of `base` until the test stops the walk or none
+  /// is left.
+  Status Run(Instance base, const NodeTest& test);
+
+ private:
+  // Visits `current` (the base plus `added` tuples), then its extensions by
+  // the candidates from (rel, next) on. True once the test stopped the walk.
+  Result<bool> Explore(Instance* current, size_t added, size_t rel,
+                       size_t next, const NodeTest& test);
+
+  const PreparedSetting& prepared_;
+  size_t max_added_;
+  SearchCheckpoint checkpoint_;
+  std::vector<std::vector<Tuple>> candidates_;  // per relation
 };
 
 }  // namespace relcomp

@@ -346,9 +346,8 @@ Result<Instance> PreparedSetting::WithDelta(
 }
 
 AdomContext PreparedSetting::BuildAdomForGround(const Instance& instance,
-                                                const Query* query,
-                                                AdomOptions options) const {
-  return BuildAdom(CInstance::FromInstance(instance), query, options);
+                                                const Query* query) const {
+  return BuildAdom(CInstance::FromInstance(instance), query);
 }
 
 }  // namespace relcomp

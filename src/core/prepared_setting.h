@@ -75,12 +75,12 @@ class PreparedSetting {
                              const std::vector<DeltaRow>& delta) const;
 
   /// Adom builds over the shared seed: O(|T| + |Q|) each.
-  AdomContext BuildAdom(const CInstance& cinstance, const Query* query,
-                        AdomOptions options = {}) const {
-    return AdomContext::BuildFromSeed(adom_seed(), cinstance, query, options);
+  AdomContext BuildAdom(const CInstance& cinstance,
+                        const Query* query) const {
+    return AdomContext::BuildFromSeed(adom_seed(), cinstance, query);
   }
-  AdomContext BuildAdomForGround(const Instance& instance, const Query* query,
-                                 AdomOptions options = {}) const;
+  AdomContext BuildAdomForGround(const Instance& instance,
+                                 const Query* query) const;
 
  private:
   struct CcPlan;  // compiled CCs, defined in prepared_setting.cc

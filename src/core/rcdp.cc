@@ -115,7 +115,7 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
     if (!*got) break;
     for (size_t r = 0; r < rels.size(); ++r) {
       const Relation& existing = world.at(rels[r].name());
-      TupleEnumerator tuples(rels[r], adom);
+      CanonicalValuationEnumerator tuples = CandidateTuples(rels[r], adom);
       delta[0].rel = r;
       while (tuples.Next(&delta[0].tuple)) {
         RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());

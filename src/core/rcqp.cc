@@ -15,89 +15,6 @@ Result<bool> RcqpWeak(const Query& q) {
   return true;
 }
 
-namespace {
-
-// DFS over ground instances: tuples are added in a canonical order (relation
-// index, then tuple order) so each instance is generated once. CC violations
-// prune the subtree (CC bodies are monotone CQs).
-class RcqpSearcher {
- public:
-  RcqpSearcher(const Query& q, const PreparedSetting& prepared,
-               const AdomContext& adom, size_t max_tuples,
-               const SearchOptions& options, SearchStats* stats)
-      : q_(q),
-        prepared_(prepared),
-        adom_(adom),
-        max_tuples_(max_tuples),
-        options_(options),
-        stats_(stats),
-        checkpoint_(options_, "RCQP search", "rcqp-dfs") {
-    // Materialize candidate tuples per relation.
-    for (const RelationSchema& rel : prepared.schema().relations()) {
-      std::vector<Tuple> tuples;
-      TupleEnumerator it(rel, adom);
-      Tuple t;
-      while (it.Next(&t)) tuples.push_back(t);
-      candidates_.push_back(std::move(tuples));
-    }
-  }
-
-  Result<RcqpSearchResult> Run() {
-    Instance empty(prepared_.schema());
-    RcqpSearchResult result;
-    Result<bool> done = Explore(&empty, 0, 0, &result);
-    if (!done.ok()) return done.status();
-    if (!result.found) result.bound_exhausted = true;
-    return result;
-  }
-
- private:
-  // Explores instances extending `current` by adding tuples at position ≥
-  // (rel_index, tuple_index).
-  Result<bool> Explore(Instance* current, size_t rel_index,
-                       size_t tuple_index, RcqpSearchResult* result) {
-    RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
-    // Check the current instance.
-    Result<bool> closed = prepared_.SatisfiesCCs(*current);
-    if (!closed.ok()) return closed.status();
-    if (!*closed) return false;  // supersets can only stay violated
-    Result<bool> complete = IsCompleteGround(q_, *current, prepared_, adom_,
-                                             options_, stats_, nullptr);
-    if (!complete.ok()) return complete.status();
-    if (*complete) {
-      result->found = true;
-      result->witness = *current;
-      return true;
-    }
-    if (current->TotalTuples() >= max_tuples_) return false;
-    // Extend.
-    for (size_t r = rel_index; r < candidates_.size(); ++r) {
-      size_t start = (r == rel_index) ? tuple_index : 0;
-      const std::string& rel_name =
-          prepared_.schema().relations()[r].name();
-      for (size_t ti = start; ti < candidates_[r].size(); ++ti) {
-        current->AddTuple(rel_name, candidates_[r][ti]);
-        Result<bool> found = Explore(current, r, ti + 1, result);
-        current->RemoveTuple(rel_name, candidates_[r][ti]);
-        if (!found.ok()) return found.status();
-        if (*found) return true;
-      }
-    }
-    return false;
-  }
-
-  const Query& q_;
-  const PreparedSetting& prepared_;
-  const AdomContext& adom_;
-  size_t max_tuples_;
-  SearchOptions options_;
-  SearchStats* stats_;
-  std::vector<std::vector<Tuple>> candidates_;
-  SearchCheckpoint checkpoint_;
-};
-
-}  // namespace
-
 Result<RcqpSearchResult> RcqpStrongBounded(
     const Query& q, const PreparedSetting& prepared, size_t max_tuples,
     const SearchOptions& options, SearchStats* stats) {
@@ -109,8 +26,28 @@ Result<RcqpSearchResult> RcqpStrongBounded(
   }
   CInstance empty(prepared.schema());
   AdomContext adom = prepared.BuildAdom(empty, &q);
-  RcqpSearcher searcher(q, prepared, adom, max_tuples, options, stats);
-  return searcher.Run();
+  // Ground instances grow from ∅ in canonical tuple order, so each one is
+  // generated once; CC violations prune the subtree (CC bodies are
+  // monotone CQs).
+  ExtensionSearch search(prepared, adom, max_tuples, options, "RCQP search",
+                         "rcqp-dfs");
+  RcqpSearchResult result;
+  using Step = ExtensionSearch::Step;
+  auto test = [&](const Instance& candidate, size_t) -> Result<Step> {
+    Result<bool> closed = prepared.SatisfiesCCs(candidate);
+    if (!closed.ok()) return closed.status();
+    if (!*closed) return Step::kPrune;  // supersets can only stay violated
+    Result<bool> complete = IsCompleteGround(q, candidate, prepared, adom,
+                                             options, stats, nullptr);
+    if (!complete.ok()) return complete.status();
+    if (!*complete) return Step::kDescend;
+    result.found = true;
+    result.witness = candidate;
+    return Step::kStop;
+  };
+  RELCOMP_RETURN_IF_ERROR(search.Run(Instance(prepared.schema()), test));
+  if (!result.found) result.bound_exhausted = true;
+  return result;
 }
 
 bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,

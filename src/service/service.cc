@@ -727,7 +727,10 @@ void CompletenessService::Publish(Shard& shard, const Ticket& ticket,
       if (aborted) ReclassifyAbortLocked(shard.counters, decision);
       const bool memoize = shard.cache->capacity() > 0;
       if (memoize && IsCacheableDecision(decision)) {
-        const bool admitted = shard.cache->Put(ticket.key, decision);
+        // A profile attributes one evaluation: hits carry none.
+        Decision cached = decision;
+        cached.profile.reset();
+        const bool admitted = shard.cache->Put(ticket.key, std::move(cached));
         if (group.run_trace != nullptr) {
           group.run_trace->AnnotatePhase(admitted ? "admitted"
                                                   : "admission rejected");
@@ -748,6 +751,7 @@ void CompletenessService::Publish(Shard& shard, const Ticket& ticket,
     for (size_t i = 0; i < members.size(); ++i) {
       Decision& out = decisions.emplace_back(decision);
       if (i == billed) continue;  // charged at claim time
+      out.profile.reset();  // the run's attribution is the billed member's
       if (members[i].cancel.cancelled()) {
         ++shard.counters.cancelled;
         out = CancelledDecision();

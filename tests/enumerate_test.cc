@@ -1,8 +1,11 @@
-// Tests for the enumeration machinery: odometer valuations, tuple
-// enumeration, Mod(T) world enumeration, and the symmetry-broken canonical
-// enumerator (checked for equivalence against exhaustive enumeration).
+// Tests for the enumeration machinery: the one odometer over closed levels
+// (valuations and candidate tuples, checked against nested loops), Mod(T)
+// world enumeration, and its symmetry-broken open levels (checked for
+// equivalence against exhaustive enumeration).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
 #include <set>
 
 #include "core/enumerate.h"
@@ -15,38 +18,39 @@ using testing::I;
 using testing::S;
 using testing::V;
 
-TEST(ValuationEnumeratorTest, ZeroVariablesYieldOneEmptyValuation) {
-  ValuationEnumerator e({});
+using Level = CanonicalValuationEnumerator::Level;
+
+TEST(OdometerTest, ZeroVariablesYieldOneEmptyValuation) {
+  CanonicalValuationEnumerator e(std::vector<Level>{});
   Valuation mu;
   EXPECT_TRUE(e.Next(&mu));
   EXPECT_FALSE(e.Next(&mu));
-  EXPECT_EQ(e.TotalCount(), 1u);
 }
 
-TEST(ValuationEnumeratorTest, ProductCount) {
-  VarCandidateList vars;
-  vars.emplace_back(V(0), std::vector<Value>{I(0), I(1)});
-  vars.emplace_back(V(1), std::vector<Value>{I(0), I(1), I(2)});
-  ValuationEnumerator e(vars);
-  EXPECT_EQ(e.TotalCount(), 6u);
+TEST(OdometerTest, ProductCount) {
+  const std::vector<Value> two = {I(0), I(1)};
+  const std::vector<Value> three = {I(0), I(1), I(2)};
+  CanonicalValuationEnumerator e(std::vector<Level>{{V(0), &two},
+                                                    {V(1), &three}});
   std::set<std::string> seen;
   Valuation mu;
+  size_t count = 0;
   while (e.Next(&mu)) {
+    ++count;
     seen.insert(mu.Get(V(0))->ToString() + "," + mu.Get(V(1))->ToString());
   }
+  EXPECT_EQ(count, 6u);
   EXPECT_EQ(seen.size(), 6u);
 }
 
-TEST(ValuationEnumeratorTest, EmptyCandidateListMeansNoValuations) {
-  VarCandidateList vars;
-  vars.emplace_back(V(0), std::vector<Value>{});
-  ValuationEnumerator e(vars);
+TEST(OdometerTest, EmptyCandidateListMeansNoValuations) {
+  const std::vector<Value> none;
+  CanonicalValuationEnumerator e(std::vector<Level>{{V(0), &none}});
   Valuation mu;
   EXPECT_FALSE(e.Next(&mu));
-  EXPECT_EQ(e.TotalCount(), 0u);
 }
 
-TEST(TupleEnumeratorTest, RespectsFiniteDomains) {
+TEST(OdometerTest, CandidateTuplesRespectFiniteDomains) {
   RelationSchema schema(
       "R", {Attribute{"a", Domain::Boolean()},
             Attribute{"b", Domain::Finite({S("x"), S("y"), S("z")})}});
@@ -56,8 +60,7 @@ TEST(TupleEnumeratorTest, RespectsFiniteDomains) {
   CInstance empty(setting.schema);
   const PreparedSetting prepared = testing::MustPrepare(setting);
   AdomContext adom = prepared.BuildAdom(empty, nullptr);
-  TupleEnumerator e(schema, adom);
-  EXPECT_EQ(e.TotalCount(), 6u);
+  CanonicalValuationEnumerator e = CandidateTuples(schema, adom);
   Tuple t;
   size_t count = 0;
   while (e.Next(&t)) {
@@ -65,6 +68,58 @@ TEST(TupleEnumeratorTest, RespectsFiniteDomains) {
     EXPECT_TRUE(Domain::Boolean().Contains(t[0]));
   }
   EXPECT_EQ(count, 6u);
+}
+
+// The closed walks (Mod(T) valuations, candidate tuples) feed their levels
+// last first, so the odometer yields the cartesian product with the FIRST
+// level advancing fastest: the order every decider's counters and
+// witnesses were pinned under. Checked against nested loops on random
+// candidate lists, including zero levels, an empty list, and Int 1 next
+// to Sym "1".
+TEST(OdometerTest, ReversedClosedLevelsMatchNestedLoopsFirstLevelFastest) {
+  const Value pool[] = {I(1), S("1"), I(0), S("x"), I(7)};
+  std::mt19937 gen(20260);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::vector<Value>> lists(gen() % 5);
+    for (std::vector<Value>& list : lists) {
+      for (unsigned n = gen() % 4; n > 0; --n) list.push_back(pool[gen() % 5]);
+    }
+    // The reference: nested loops, level 0 innermost.
+    std::vector<std::vector<Value>> want;
+    std::vector<Value> row(lists.size());
+    std::function<void(size_t)> nest = [&](size_t level) {
+      if (level == 0) {
+        want.push_back(row);
+        return;
+      }
+      for (const Value& v : lists[level - 1]) {
+        row[level - 1] = v;
+        nest(level - 1);
+      }
+    };
+    nest(lists.size());
+
+    std::vector<Level> levels;
+    for (size_t i = lists.size(); i > 0; --i) {
+      levels.push_back({V(static_cast<int32_t>(i - 1)), &lists[i - 1]});
+    }
+    CanonicalValuationEnumerator valuations(levels);
+    CanonicalValuationEnumerator tuples(levels);
+    std::vector<std::vector<Value>> got;
+    Valuation mu;
+    Tuple t;
+    while (valuations.Next(&mu)) {
+      ASSERT_TRUE(tuples.Next(&t));
+      std::vector<Value> bound;
+      for (size_t i = 0; i < lists.size(); ++i) {
+        bound.push_back(*mu.Get(V(static_cast<int32_t>(i))));
+      }
+      EXPECT_EQ(bound, t);
+      got.push_back(std::move(bound));
+    }
+    EXPECT_FALSE(tuples.Next(&t));
+    EXPECT_EQ(got, want) << "trial " << trial;
+  }
 }
 
 TEST(ModEnumeratorTest, DeduplicatesIsomorphicWorlds) {

@@ -5,6 +5,8 @@
 
 #include <memory>
 
+#include "core/bounded.h"
+#include "core/consistency.h"
 #include "core/minp.h"
 #include "core/rcdp.h"
 #include "core/rcqp.h"
@@ -342,6 +344,147 @@ TEST(PreparedSettingTest, StrongSearchCountersArePinned) {
     EXPECT_EQ(stats.extensions, c.extensions) << c.name;
     EXPECT_EQ(stats.cc_checks, c.cc_checks) << c.name;
     EXPECT_EQ(stats.query_evals, c.query_evals) << c.name;
+  }
+}
+
+TEST(PreparedSettingTest, ExtensionSearchCountersArePinned) {
+  // The tuple and valuation walks and the bounded extension DFS visit their
+  // candidates in one fixed order (first column and lowest variable id
+  // fastest; relation, then candidate). These counts, witnesses and
+  // explored totals pin that order: a walk in another order reaches the
+  // same verdicts by different work. P(a ∈ [0, 2], b ∈ [0, 3]) under the
+  // non-IND CC π_b σ_{b ≠ 3} P ⊆ M = {0, 1}: every tuple with b = 2
+  // breaks it. Int constants only, so no count depends on the order in
+  // which symbols were interned.
+  struct Counts {
+    uint64_t valuations, worlds, extensions, cc_checks, query_evals;
+  };
+  auto expect_counts = [](const SearchStats& got, const Counts& want,
+                          const std::string& what) {
+    EXPECT_EQ(got.valuations, want.valuations) << what;
+    EXPECT_EQ(got.worlds, want.worlds) << what;
+    EXPECT_EQ(got.extensions, want.extensions) << what;
+    EXPECT_EQ(got.cc_checks, want.cc_checks) << what;
+    EXPECT_EQ(got.query_evals, want.query_evals) << what;
+  };
+  PartiallyClosedSetting setting;
+  setting.schema.AddRelation(RelationSchema(
+      "P", {Attribute{"a", Domain::IntRange(0, 2)},
+            Attribute{"b", Domain::IntRange(0, 3)}}));
+  setting.master_schema.AddRelation(
+      RelationSchema("M", {Attribute{"b", Domain::Infinite()}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.dm.AddTuple("M", {I(0)});
+  setting.dm.AddTuple("M", {I(1)});
+  setting.ccs.emplace_back(
+      "b_known",
+      ConjunctiveQuery({CTerm(V(1))}, {RelAtom{"P", {V(0), V(1)}}},
+                       {CondAtom{V(1), true, I(3)}}),
+      "M", std::vector<int>{0});
+  ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(setting));
+  ASSERT_FALSE(prepared.all_inds());
+  // Q(x, y) :- P(x, y); Q(y) :- P(x, y), x = 0; Q(x) :- P(x, y), y = k.
+  const Query all = Query::Cq(ConjunctiveQuery(
+      {CTerm(V(0)), CTerm(V(1))}, {RelAtom{"P", {V(0), V(1)}}}));
+  const Query x0 = Query::Cq(ConjunctiveQuery(
+      {CTerm(V(1))}, {RelAtom{"P", {V(0), V(1)}}},
+      {CondAtom{V(0), false, I(0)}}));
+  auto y_is = [](int64_t k) {
+    return Query::Cq(ConjunctiveQuery(
+        {CTerm(V(0))}, {RelAtom{"P", {V(0), V(1)}}},
+        {CondAtom{V(1), false, I(k)}}));
+  };
+  // Two rows over two variables: valuations (0,0), (1,0), (0,1), (1,1)
+  // survive the CC and give three distinct worlds.
+  CInstance swapped(setting.schema);
+  swapped.at("P").AddRow({Cell(V(0)), Cell(V(1))});
+  swapped.at("P").AddRow({Cell(V(1)), Cell(V(0))});
+
+  // RCQP, strong model: the bounded witness search (the CC is no IND).
+  {
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(r, RcqpStrongBounded(all, prepared, 2, {}, &stats));
+    EXPECT_FALSE(r.found);
+    EXPECT_TRUE(r.bound_exhausted);
+    expect_counts(stats, {57, 0, 47, 47, 46}, "rcqp all/2");
+  }
+  {
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(r, RcqpStrongBounded(x0, prepared, 3, {}, &stats));
+    EXPECT_TRUE(r.found);
+    EXPECT_EQ(r.witness.at("P").rows(),
+              (std::vector<Tuple>{{I(0), I(0)}, {I(0), I(1)}, {I(0), I(3)}}));
+    expect_counts(stats, {61, 0, 26, 26, 21}, "rcqp x0/3");
+  }
+
+  // Bounded incompleteness search around one ground instance.
+  Instance one(setting.schema);
+  one.AddTuple("P", {I(0), I(0)});
+  {
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        r, SearchIncompletenessGround(y_is(3), one, prepared, 2, {}, &stats));
+    EXPECT_TRUE(r.witness_found);
+    EXPECT_EQ(r.explored, 9u);
+    EXPECT_EQ(r.witness.answer, Tuple{I(0)});
+    EXPECT_EQ(r.witness.extension.at("P").rows(),
+              (std::vector<Tuple>{{I(0), I(0)}, {I(0), I(3)}, {I(1), I(0)}}));
+    expect_counts(stats, {0, 0, 9, 9, 7}, "ground y=3/2");
+  }
+  {
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        r, SearchIncompletenessGround(y_is(2), one, prepared, 2, {}, &stats));
+    EXPECT_FALSE(r.witness_found);
+    EXPECT_EQ(r.explored, 54u);
+    expect_counts(stats, {0, 0, 54, 54, 37}, "ground y=2/2");
+  }
+
+  // The same search in every world of Mod(T, Dm, V).
+  {
+    SearchStats stats;
+    const Query q = y_is(2);
+    ASSERT_OK_AND_ASSIGN(
+        r, SearchIncompletenessStrong(q, swapped, prepared, 1, {}, &stats));
+    EXPECT_FALSE(r.witness_found);
+    EXPECT_EQ(r.explored, 32u);
+    expect_counts(stats, {9, 3, 32, 41, 26}, "strong y=2/1");
+  }
+  {
+    SearchStats stats;
+    const Query q = y_is(3);
+    ASSERT_OK_AND_ASSIGN(
+        r, SearchIncompletenessStrong(q, swapped, prepared, 1, {}, &stats));
+    EXPECT_TRUE(r.witness_found);
+    EXPECT_EQ(r.explored, 9u);
+    EXPECT_EQ(r.witness.answer, Tuple{I(0)});
+    EXPECT_EQ(r.witness.world.at("P").rows(),
+              (std::vector<Tuple>{{I(0), I(0)}}));
+    expect_counts(stats, {1, 1, 9, 10, 7}, "strong y=3/1");
+  }
+
+  // Extensibility: the first closed single-tuple extension.
+  {
+    SearchStats stats;
+    ExtensionWitness witness;
+    Instance db(setting.schema);  // every tuple with b ∈ {0, 1}
+    for (int64_t b = 0; b <= 1; ++b) {
+      for (int64_t a = 0; a <= 2; ++a) db.AddTuple("P", {I(a), I(b)});
+    }
+    ASSERT_OK_AND_ASSIGN(
+        extensible, IsExtensible(prepared, db, {}, &stats, &witness));
+    EXPECT_TRUE(extensible);
+    EXPECT_EQ(witness.relation, "P");
+    EXPECT_EQ(witness.tuple, (Tuple{I(0), I(3)}));
+    expect_counts(stats, {0, 0, 10, 4, 0}, "extensible");
+  }
+
+  // Weak model over three worlds.
+  {
+    SearchStats stats;
+    ASSERT_OK_AND_ASSIGN(weak, RcdpWeak(all, swapped, prepared, {}, &stats));
+    EXPECT_TRUE(weak);
+    expect_counts(stats, {4, 4, 15, 17, 12}, "weak all");
   }
 }
 

@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -569,7 +571,6 @@ struct RandomAdomProblem {
   CInstance cinstance;
   Query query;
   bool with_query = false;
-  AdomOptions options;
   Instance around;  // a ground instance for the canonical enumerator
   Rng rng{0};
 
@@ -664,7 +665,7 @@ struct RandomAdomProblem {
     }
     if (rng.Int(3) == 0) head.push_back(Pick());
     query = Query::Cq(ConjunctiveQuery(std::move(head), std::move(atoms)));
-    options.extra_fresh = static_cast<size_t>(rng.Int(3));
+    rng.Int(3);  // an unused draw: keeps each seed's `around` instance
 
     around = Instance(setting.schema);
     for (int i = rng.Int(4); i > 0; --i) {
@@ -711,9 +712,9 @@ ReferenceAdom ReferenceAdomOf(const RandomAdomProblem& p) {
   }
   SortUnique(&ref.base);
   // New: "@new0", "@new1", ... minus S ∪ df, one per variable of T, V and
-  // Q, per column of the widest relation, and per requested extra.
-  size_t wanted = p.cinstance.Vars().size() + p.options.extra_fresh +
-                 static_cast<size_t>(CcMaxVarId(s.ccs) + 1) + max_arity;
+  // Q, and per column of the widest relation.
+  size_t wanted = p.cinstance.Vars().size() +
+                  static_cast<size_t>(CcMaxVarId(s.ccs) + 1) + max_arity;
   if (p.with_query) wanted += static_cast<size_t>(p.query.MaxVarId() + 1);
   for (size_t counter = 0; ref.fresh.size() < wanted; ++counter) {
     const Value name = Value::Sym("@new" + std::to_string(counter));
@@ -727,6 +728,51 @@ ReferenceAdom ReferenceAdomOf(const RandomAdomProblem& p) {
   return ref;
 }
 
+// Every variable of `cq` (atoms, builtins, head) with its candidates: the
+// intersection of the finite domains of its columns, or all of Adom
+// (`adom_values`) when no finite domain constrains it.
+std::map<int32_t, std::vector<Value>> ClosedCandidatesOf(
+    const ConjunctiveQuery& cq, const DatabaseSchema& schema,
+    const std::vector<Value>& adom_values) {
+  std::map<int32_t, std::optional<std::vector<Value>>> finite;
+  auto touch = [&finite](const CTerm& term) {
+    if (std::holds_alternative<VarId>(term)) {
+      finite.try_emplace(std::get<VarId>(term).id);
+    }
+  };
+  for (const RelAtom& atom : cq.atoms()) {
+    const RelationSchema& rel = *schema.Find(atom.rel);
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      touch(atom.args[i]);
+      const Domain& domain = rel.attribute(i).domain;
+      if (!std::holds_alternative<VarId>(atom.args[i]) ||
+          !domain.is_finite()) {
+        continue;
+      }
+      std::optional<std::vector<Value>>& acc =
+          finite[std::get<VarId>(atom.args[i]).id];
+      if (!acc.has_value()) {
+        acc = domain.values();
+        continue;
+      }
+      std::vector<Value> both;
+      std::set_intersection(acc->begin(), acc->end(), domain.values().begin(),
+                            domain.values().end(), std::back_inserter(both));
+      acc = std::move(both);
+    }
+  }
+  for (const CondAtom& b : cq.builtins()) {
+    touch(b.lhs);
+    touch(b.rhs);
+  }
+  for (const CTerm& t : cq.head()) touch(t);
+  std::map<int32_t, std::vector<Value>> out;
+  for (const auto& [id, values] : finite) {
+    out.emplace(id, values.has_value() ? *values : adom_values);
+  }
+  return out;
+}
+
 class AdomOracle : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AdomOracle, MatchesTheDefinition) {
@@ -737,8 +783,8 @@ TEST_P(AdomOracle, MatchesTheDefinition) {
   // A seed built afresh from the setting, and the one Prepare cached.
   const AdomContext direct = AdomContext::BuildFromSeed(
       std::make_shared<const AdomSeed>(AdomContext::SeedFor(p.setting)),
-      p.cinstance, q, p.options);
-  const AdomContext shared = prepared.BuildAdom(p.cinstance, q, p.options);
+      p.cinstance, q);
+  const AdomContext shared = prepared.BuildAdom(p.cinstance, q);
   for (const AdomContext* adom : {&direct, &shared}) {
     EXPECT_EQ(adom->values(), want.values);
     EXPECT_EQ(adom->base(), want.base);
@@ -751,8 +797,7 @@ TEST_P(AdomOracle, OpenFlagsAndCanonicalEnumerationKeepTheOldRule) {
   p.with_query = true;
   const ReferenceAdom want = ReferenceAdomOf(p);
   ASSERT_OK_AND_ASSIGN(prepared, PreparedSetting::Prepare(p.setting));
-  const AdomContext adom =
-      prepared.BuildAdom(p.cinstance, &p.query, p.options);
+  const AdomContext adom = prepared.BuildAdom(p.cinstance, &p.query);
   ASSERT_EQ(adom.fresh(), want.fresh);
   ASSERT_EQ(adom.values(), want.values);
   const ConjunctiveQuery& cq = p.query.cq();
@@ -760,15 +805,17 @@ TEST_P(AdomOracle, OpenFlagsAndCanonicalEnumerationKeepTheOldRule) {
 
   // The old rule: a variable is open iff its candidate list is all of Adom.
   const std::vector<OpenVarCandidate> open = CqVarCandidatesOpen(cq, schema);
-  const VarCandidateList closed = CqVarCandidates(cq, schema, adom);
+  const std::map<int32_t, std::vector<Value>> closed =
+      ClosedCandidatesOf(cq, schema, want.values);
   ASSERT_EQ(open.size(), closed.size());
   std::vector<OpenVarCandidate> old_rule;
-  for (size_t i = 0; i < open.size(); ++i) {
-    EXPECT_EQ(open[i].var, closed[i].first);
+  auto it = closed.begin();
+  for (size_t i = 0; i < open.size(); ++i, ++it) {
+    EXPECT_EQ(open[i].var, VarId{it->first});
     OpenVarCandidate entry;
-    entry.var = closed[i].first;
-    entry.open = closed[i].second == want.values;
-    if (!entry.open) entry.values = closed[i].second;
+    entry.var = VarId{it->first};
+    entry.open = it->second == want.values;
+    if (!entry.open) entry.values = it->second;
     EXPECT_EQ(open[i].open, entry.open) << cq.ToString();
     EXPECT_EQ(open[i].values, entry.values) << cq.ToString();
     old_rule.push_back(std::move(entry));
@@ -812,7 +859,7 @@ TEST(AdomLazyBuild, ConcurrentFirstCallsBuildOnce) {
   const ReferenceAdom want = ReferenceAdomOf(p);
   const Query* q = p.with_query ? &p.query : nullptr;
   const PreparedSetting prepared = testing::MustPrepare(p.setting);
-  const AdomContext adom = prepared.BuildAdom(p.cinstance, q, p.options);
+  const AdomContext adom = prepared.BuildAdom(p.cinstance, q);
   std::atomic<bool> go{false};
   const std::vector<Value>* values[2] = {nullptr, nullptr};
   const std::vector<Value>* base[2] = {nullptr, nullptr};

@@ -318,6 +318,55 @@ TEST(ServiceTest, CoalescedDuplicateBatchRecordsOneMiss) {
   }
 }
 
+TEST(ServiceTest, OnlyTheEvaluatingRequestCarriesTheSearchProfile) {
+  // A decision's profile attributes the evaluation that produced it: a
+  // cache hit, a coalesced copy and a hit restored from a snapshot carry
+  // none, so the cache holds no profile it does not weigh.
+  const std::string path = ::testing::TempDir() + "relcomp_profiles.rccs";
+  AuditFixture fx = MakeAuditFixture();
+  DecisionRequest request;
+  request.kind = ProblemKind::kRcdpStrong;
+  request.query = fx.by_patient;
+  request.cinstance = fx.audited;
+  {
+    CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+    const Decision miss = service.Decide(ServiceRequest{handle, request});
+    ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+    EXPECT_FALSE(miss.from_cache);
+    ASSERT_NE(miss.profile, nullptr);
+    EXPECT_TRUE(miss.profile->finished());
+    const Decision hit = service.Decide(ServiceRequest{handle, request});
+    EXPECT_TRUE(hit.from_cache);
+    EXPECT_EQ(hit.profile, nullptr);
+    EXPECT_OK(service.SaveCaches(path));
+  }
+  for (size_t workers : {0u, 2u}) {
+    CompletenessService service(MakeOptions(workers, /*cache=*/64));
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+    const std::vector<Decision> decisions = service.SubmitBatch(
+        std::vector<ServiceRequest>(2, ServiceRequest{handle, request}));
+    ASSERT_EQ(decisions.size(), 2u);
+    size_t profiled = 0;
+    for (const Decision& decision : decisions) {
+      ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
+      EXPECT_EQ(decision.profile != nullptr, !decision.from_cache)
+          << "workers=" << workers << ": " << decision.note;
+      if (decision.profile != nullptr) ++profiled;
+    }
+    EXPECT_EQ(profiled, 1u) << "workers=" << workers;
+  }
+  {
+    CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
+    ASSERT_OK_AND_ASSIGN(accepted, service.LoadCaches(path));
+    EXPECT_EQ(accepted, 1u);
+    ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
+    const Decision restored = service.Decide(ServiceRequest{handle, request});
+    EXPECT_TRUE(restored.from_cache);
+    EXPECT_EQ(restored.profile, nullptr);
+  }
+}
+
 TEST(ServiceTest, CoalescingWorksWithMemoizationDisabled) {
   AuditFixture fx = MakeAuditFixture();
   DecisionRequest request;

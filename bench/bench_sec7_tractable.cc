@@ -2,9 +2,13 @@
 // constant number of variables, RCDP / MINP scale polynomially in the data
 // size (|T| rows and |Dm|), in contrast to the exponential variable sweeps
 // of the combined-complexity benchmarks (BM_RcdpStrong_PatientsVsVars in
-// bench_table1_strong runs the same decider outside the regime).
+// bench_table1_strong runs the same decider outside the regime). Each bench
+// checks the regime once, before its timed loop, and then times the general
+// decider.
 #include <benchmark/benchmark.h>
 
+#include "core/minp.h"
+#include "core/rcdp.h"
 #include "core/tractable.h"
 #include "reductions/examples_fig1.h"
 
@@ -17,16 +21,28 @@ SearchOptions BigBudget() {
   return o;
 }
 
+// Prepares the setting once (q, t) is in the regime of at most 8
+// variables; skips the bench with the reason otherwise.
+Result<PreparedSetting> PrepareInRegime(benchmark::State& state,
+                                        const PartiallyClosedSetting& setting,
+                                        const Query& q, const CInstance& t) {
+  const TractabilityCheck regime = CheckDataComplexityRegime(q, t, 8);
+  Result<PreparedSetting> prepared = Status::InvalidArgument(regime.reason);
+  if (regime.ok) prepared = PreparedSetting::Prepare(setting);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+  }
+  return prepared;
+}
+
 void BM_RcdpStrongTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
-  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
-  if (!prepared.ok()) {
-    state.SkipWithError(prepared.status().ToString().c_str());
-    return;
-  }
+  Result<PreparedSetting> prepared =
+      PrepareInRegime(state, fx.setting, fx.q1, fx.ctable);
+  if (!prepared.ok()) return;
   for (auto _ : state) {
-    auto r = RcdpStrongTractable(fx.q1, fx.ctable, *prepared, 8, BigBudget());
+    auto r = RcdpStrong(fx.q1, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -36,13 +52,11 @@ BENCHMARK(BM_RcdpStrongTractable_VsRows)->Range(2, 16)->Complexity();
 void BM_RcdpWeakTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 1);
-  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
-  if (!prepared.ok()) {
-    state.SkipWithError(prepared.status().ToString().c_str());
-    return;
-  }
+  Result<PreparedSetting> prepared =
+      PrepareInRegime(state, fx.setting, fx.q1, fx.ctable);
+  if (!prepared.ok()) return;
   for (auto _ : state) {
-    auto r = RcdpWeakTractable(fx.q1, fx.ctable, *prepared, 8, BigBudget());
+    auto r = RcdpWeak(fx.q1, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -52,13 +66,11 @@ BENCHMARK(BM_RcdpWeakTractable_VsRows)->Range(2, 16)->Complexity();
 void BM_RcdpViableTractable_VsRows(benchmark::State& state) {
   PatientsFixture fx =
       MakeScaledPatientsFixture(static_cast<int>(state.range(0)), 2);
-  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
-  if (!prepared.ok()) {
-    state.SkipWithError(prepared.status().ToString().c_str());
-    return;
-  }
+  Result<PreparedSetting> prepared =
+      PrepareInRegime(state, fx.setting, fx.q4, fx.ctable);
+  if (!prepared.ok()) return;
   for (auto _ : state) {
-    auto r = RcdpViableTractable(fx.q4, fx.ctable, *prepared, 8, BigBudget());
+    auto r = RcdpViable(fx.q4, fx.ctable, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));
@@ -74,13 +86,11 @@ void BM_MinpWeakCqTractable_VsMaster(benchmark::State& state) {
                      Value::Int(1999), Value::Sym("Z"), Value::Sym("M")});
   }
   CInstance empty(fx.setting.schema);
-  Result<PreparedSetting> prepared = PreparedSetting::Prepare(fx.setting);
-  if (!prepared.ok()) {
-    state.SkipWithError(prepared.status().ToString().c_str());
-    return;
-  }
+  Result<PreparedSetting> prepared =
+      PrepareInRegime(state, fx.setting, fx.q1, empty);
+  if (!prepared.ok()) return;
   for (auto _ : state) {
-    auto r = MinpWeakCqTractable(fx.q1, empty, *prepared, 8, BigBudget());
+    auto r = MinpWeakCq(fx.q1, empty, *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
   state.SetComplexityN(state.range(0));

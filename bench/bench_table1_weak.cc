@@ -33,8 +33,8 @@ void BM_RcdpWeak_Sigma3Gadget(benchmark::State& state) {
   }
   for (auto _ : state) {
     SearchStats stats;
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, *prepared,
-                            BigBudget(), &stats);
+    auto r = RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                      *prepared, BigBudget(), &stats);
     benchmark::DoNotOptimize(r);
     state.counters["extensions"] = static_cast<double>(stats.extensions);
   }
@@ -52,8 +52,8 @@ void BM_RcdpWeak_FpCircuit(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    auto r = RcdpWeakGround(gadget.query, gadget.ground, *prepared,
-                            BigBudget());
+    auto r = RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                      *prepared, BigBudget());
     benchmark::DoNotOptimize(r);
   }
 }

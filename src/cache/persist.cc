@@ -15,7 +15,8 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'C', 'S'};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;  // magic, version, size, checksum
+// Magic, version, size, checksum.
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 // ------------------------------------------------------------- encoding --
 
@@ -137,7 +138,8 @@ class Reader {
     if (pos_ + 4 > size_) return Torn(what);
     *v = 0;
     for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
+      const uint32_t byte = static_cast<uint8_t>(data_[pos_++]);
+      *v |= byte << (8 * i);
     }
     return Status::OK();
   }
@@ -145,7 +147,8 @@ class Reader {
     if (pos_ + 8 > size_) return Torn(what);
     *v = 0;
     for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
+      const uint64_t byte = static_cast<uint8_t>(data_[pos_++]);
+      *v |= byte << (8 * i);
     }
     return Status::OK();
   }
@@ -286,7 +289,8 @@ class Reader {
     }
     std::string message;
     RELCOMP_RETURN_IF_ERROR(Str(&message, "status message"));
-    decision->status = Status(static_cast<StatusCode>(code), std::move(message));
+    decision->status =
+        Status(static_cast<StatusCode>(code), std::move(message));
     uint8_t answer = 0;
     RELCOMP_RETURN_IF_ERROR(U8(&answer, "answer"));
     decision->answer = answer != 0;
@@ -307,7 +311,8 @@ class Reader {
       uint64_t arity = 0;
       RELCOMP_RETURN_IF_ERROR(U64(&arity, "witness answer arity"));
       if (arity > size_ - pos_) return Torn("witness answer");
-      RELCOMP_RETURN_IF_ERROR(Row(static_cast<size_t>(arity), &witness->answer));
+      RELCOMP_RETURN_IF_ERROR(
+          Row(static_cast<size_t>(arity), &witness->answer));
       RELCOMP_RETURN_IF_ERROR(Str(&witness->note, "witness note"));
       decision->witness = std::move(witness);
     } else {

@@ -117,7 +117,8 @@ class ShardCache {
   /// requires `self` to be the shared_ptr owning this cache (the arbiter
   /// hands it to peer shards as a victim). `budget` must outlive this
   /// cache; the destructor deregisters.
-  void AttachBudget(CacheBudget* budget, const std::shared_ptr<ShardCache>& self,
+  void AttachBudget(CacheBudget* budget,
+                    const std::shared_ptr<ShardCache>& self,
                     size_t floor_bytes) EXCLUDES(mu_);
 
   /// Points cache events at live metric instruments. Call before the cache

@@ -23,9 +23,9 @@ Result<BoundedSearchResult> SearchAround(const Query& q, const Instance& base,
       ++stats->extensions;
       ++stats->cc_checks;
     }
-    Result<bool> closed = prepared.SatisfiesCCs(extended);
-    if (!closed.ok()) return closed.status();
-    if (!*closed) return Step::kPrune;  // supersets stay violated
+    if (!*prepared.SatisfiesCCs(extended)) {
+      return Step::kPrune;  // supersets stay violated
+    }
     if (stats != nullptr) ++stats->query_evals;
     Result<Relation> answers = EvalOverAdom(q, extended, adom);
     if (!answers.ok()) return answers.status();
@@ -57,6 +57,8 @@ Result<BoundedSearchResult> SearchIncompletenessGround(
     const Query& q, const Instance& instance,
     const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(instance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
   ExtensionSearch search(prepared, adom, max_added_tuples, options,
                          "bounded incompleteness search", "bounded-dfs");
@@ -67,6 +69,8 @@ Result<BoundedSearchResult> SearchIncompletenessStrong(
     const Query& q, const CInstance& cinstance,
     const PreparedSetting& prepared, size_t max_added_tuples,
     const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ExtensionSearch search(prepared, adom, max_added_tuples, options,
                          "bounded incompleteness search", "bounded-dfs");

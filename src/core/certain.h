@@ -18,7 +18,9 @@ struct CertainAnswersResult {
   uint64_t worlds = 0;        ///< distinct worlds intersected
 };
 
-/// Computes the certain answers of `q` over Mod(T, Dm, V).
+/// Computes the certain answers of `q` over Mod(T, Dm, V). Like
+/// IsCompleteGround, it takes an Adom its caller built, and T must be over
+/// prepared.schema(): the caller has checked it (CheckSchemaMatches).
 Result<CertainAnswersResult> CertainAnswers(
     const Query& q, const CInstance& cinstance,
     const PreparedSetting& prepared, const AdomContext& adom,

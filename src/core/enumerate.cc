@@ -1,6 +1,7 @@
 #include "core/enumerate.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 namespace relcomp {
@@ -273,9 +274,7 @@ Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
     Result<Instance> candidate = cinstance_.Apply(*mu_ptr);
     if (!candidate.ok()) return candidate.status();
     if (stats_ != nullptr) ++stats_->cc_checks;
-    Result<bool> closed = prepared_.SatisfiesCCs(*candidate);
-    if (!closed.ok()) return closed.status();
-    if (!*closed) continue;
+    if (!*prepared_.SatisfiesCCs(*candidate)) continue;
     // Structural key: the sorted rows of every relation. A rendered key
     // would take the symbol interner's lock per value and merge Int(1)
     // with Sym("1").
@@ -297,14 +296,30 @@ ExtensionSearch::ExtensionSearch(const PreparedSetting& prepared,
                                  const AdomContext& adom, size_t max_added,
                                  const SearchOptions& options,
                                  const char* what, const char* loop)
-    : prepared_(prepared),
-      max_added_(max_added),
-      checkpoint_(options, what, loop) {
+    : max_added_(max_added), checkpoint_(options, what, loop) {
+  // LINT:waive(checkpoint-coverage, one entry per relation and column)
   for (const RelationSchema& rel : prepared.schema().relations()) {
-    std::vector<Tuple>& tuples = candidates_.emplace_back();
-    CanonicalValuationEnumerator walk = CandidateTuples(rel, adom);
-    Tuple t;
-    while (walk.Next(&t)) tuples.push_back(t);
+    Candidates& candidates = candidates_.emplace_back();
+    for (const Attribute& attr : rel.attributes()) {
+      const std::vector<Value>& values = adom.Candidates(attr.domain);
+      candidates.columns.push_back(&values);
+      // The product saturates; the step budget ends any walk long before.
+      if (values.empty() || candidates.count <= SIZE_MAX / values.size()) {
+        candidates.count *= values.size();
+      } else {
+        candidates.count = SIZE_MAX;
+      }
+    }
+  }
+}
+
+void ExtensionSearch::Candidates::Decode(size_t i, Tuple* t) const {
+  t->resize(columns.size());
+  // LINT:waive(checkpoint-coverage, one digit per column)
+  for (size_t col = 0; col < columns.size(); ++col) {
+    const std::vector<Value>& values = *columns[col];
+    (*t)[col] = values[i % values.size()];
+    i /= values.size();
   }
 }
 
@@ -323,16 +338,15 @@ Result<bool> ExtensionSearch::Explore(Instance* current, size_t added,
   // Extend at positions ≥ (rel, next) only, so each set is built once. No
   // tuple at or after that position was added on the way here, so one
   // that `current` holds is a base tuple: skipped.
-  const std::vector<RelationSchema>& rels = prepared_.schema().relations();
+  Tuple t;
   for (size_t r = rel; r < candidates_.size(); ++r) {
-    const std::string& name = rels[r].name();
-    const Relation& present = current->at(name);
-    for (size_t i = r == rel ? next : 0; i < candidates_[r].size(); ++i) {
-      const Tuple& t = candidates_[r][i];
+    Relation& present = current->relations()[r];
+    for (size_t i = r == rel ? next : 0; i < candidates_[r].count; ++i) {
+      candidates_[r].Decode(i, &t);
       if (present.Contains(t)) continue;
-      current->AddTuple(name, t);
+      present.Insert(t);
       Result<bool> stopped = Explore(current, added + 1, r, i + 1, test);
-      current->RemoveTuple(name, t);
+      present.Erase(t);
       if (!stopped.ok() || *stopped) return stopped;
     }
   }

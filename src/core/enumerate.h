@@ -103,7 +103,8 @@ CanonicalValuationEnumerator CandidateTuples(const RelationSchema& rel,
 /// Enumerates the worlds of ModAdom(T, Dm, V): valuations µ over Adom whose
 /// µ(T) satisfies the CCs, the lowest variable id advancing fastest.
 /// Deduplicates worlds structurally, by their relations' sorted rows
-/// (different valuations can yield the same ground instance).
+/// (different valuations can yield the same ground instance). T must be
+/// over the setting's schema (the deciders check it at entry).
 class ModEnumerator {
  public:
   ModEnumerator(const CInstance& cinstance, const PreparedSetting& prepared,
@@ -129,12 +130,12 @@ class ModEnumerator {
 
 /// The bounded extension search: a depth-first walk over the extensions of
 /// a ground instance by at most `max_added` tuples over Adom, each visited
-/// once. The candidate tuples of every relation are materialized at
-/// construction, once per request, and added in canonical (relation,
-/// candidate) order; candidates already in the base are skipped. Every
-/// node, the root included, charges one checkpoint step and then goes to
-/// the caller's test, which decides whether the walk goes deeper, prunes
-/// the node's subtree, or stops.
+/// once. Tuples are added in canonical (relation, candidate) order, where a
+/// relation's candidates are decoded on demand in CandidateTuples' order
+/// (nothing is materialized up front); candidates already in the base are
+/// skipped. Every node, the root included, charges one checkpoint step and
+/// then goes to the caller's test, which decides whether the walk goes
+/// deeper, prunes the node's subtree, or stops.
 class ExtensionSearch {
  public:
   enum class Step { kDescend, kPrune, kStop };
@@ -143,24 +144,33 @@ class ExtensionSearch {
       std::function<Result<Step>(const Instance& extended, size_t added)>;
 
   /// `what` and `loop` name the search's checkpoint (see SearchCheckpoint).
+  /// `adom` must outlive the search.
   ExtensionSearch(const PreparedSetting& prepared, const AdomContext& adom,
                   size_t max_added, const SearchOptions& options,
                   const char* what, const char* loop);
 
-  /// Walks the extensions of `base` until the test stops the walk or none
-  /// is left.
+  /// Walks the extensions of `base`, an instance over the setting's schema,
+  /// until the test stops the walk or none is left.
   Status Run(Instance base, const NodeTest& test);
 
  private:
+  // The candidate tuples of one relation: candidate i is i in mixed radix
+  // over the columns' candidate lists, first column fastest.
+  struct Candidates {
+    std::vector<const std::vector<Value>*> columns;
+    size_t count = 1;  // the product of the list sizes, saturating
+
+    void Decode(size_t i, Tuple* t) const;
+  };
+
   // Visits `current` (the base plus `added` tuples), then its extensions by
   // the candidates from (rel, next) on. True once the test stopped the walk.
   Result<bool> Explore(Instance* current, size_t added, size_t rel,
                        size_t next, const NodeTest& test);
 
-  const PreparedSetting& prepared_;
   size_t max_added_;
   SearchCheckpoint checkpoint_;
-  std::vector<std::vector<Tuple>> candidates_;  // per relation
+  std::vector<Candidates> candidates_;  // per relation of the schema
 };
 
 }  // namespace relcomp

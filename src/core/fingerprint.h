@@ -12,12 +12,6 @@
 
 namespace relcomp {
 
-/// Fingerprint of a database schema (relation names, attributes, domains).
-uint64_t FingerprintSchema(const DatabaseSchema& schema);
-
-/// Fingerprint of a ground instance (schema-ordered, rows are sorted).
-uint64_t FingerprintInstance(const Instance& instance);
-
 /// Fingerprint of a c-instance including conditions.
 uint64_t FingerprintCInstance(const CInstance& cinstance);
 

@@ -3,16 +3,37 @@
 namespace relcomp {
 namespace {
 
-// ν(T_Q) as delta rows, reusing `delta`'s storage; fails like
-// ConjunctiveQuery::InstantiateTableau on an unbound variable or an unknown
+// The schema index of each tableau atom's relation, resolved once per
+// disjunct; fails like ConjunctiveQuery::InstantiateTableau on an unknown
 // relation.
-Status InstantiateDelta(const ConjunctiveQuery& q, const DatabaseSchema& schema,
-                        const Valuation& nu, std::vector<DeltaRow>* delta) {
+Result<std::vector<size_t>> AtomRelations(const ConjunctiveQuery& q,
+                                          const DatabaseSchema& schema) {
+  std::vector<size_t> rels;
+  rels.reserve(q.atoms().size());
+  // LINT:waive(checkpoint-coverage, one lookup per tableau atom)
+  for (const RelAtom& atom : q.atoms()) {
+    const int rel = schema.IndexOf(atom.rel);
+    if (rel < 0) {
+      return Status::NotFound("tableau atom over unknown relation '" +
+                              atom.rel + "'");
+    }
+    rels.push_back(static_cast<size_t>(rel));
+  }
+  return rels;
+}
+
+// ν(T_Q) as delta rows, reusing `delta`'s storage; `rels` holds each atom's
+// schema index. Fails like ConjunctiveQuery::InstantiateTableau on an
+// unbound variable.
+Status InstantiateDelta(const ConjunctiveQuery& q,
+                        const std::vector<size_t>& rels, const Valuation& nu,
+                        std::vector<DeltaRow>* delta) {
   delta->resize(q.atoms().size());
   // LINT:waive(checkpoint-coverage, one row per tableau atom)
   for (size_t a = 0; a < q.atoms().size(); ++a) {
     const RelAtom& atom = q.atoms()[a];
     DeltaRow& row = (*delta)[a];
+    row.rel = rels[a];
     row.tuple.clear();
     for (const CTerm& term : atom.args) {
       std::optional<Value> v = nu.Resolve(term);
@@ -22,12 +43,6 @@ Status InstantiateDelta(const ConjunctiveQuery& q, const DatabaseSchema& schema,
       }
       row.tuple.push_back(*v);
     }
-    const int rel = schema.IndexOf(atom.rel);
-    if (rel < 0) {
-      return Status::NotFound("tableau atom over unknown relation '" +
-                              atom.rel + "'");
-    }
-    row.rel = static_cast<size_t>(rel);
   }
   return Status::OK();
 }
@@ -46,9 +61,7 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
         QueryLanguageName(q.language()) +
         " (Theorem 4.1); use the bounded search in core/bounded.h");
   }
-  Result<bool> closed = prepared.SatisfiesCCs(instance);
-  if (!closed.ok()) return closed.status();
-  if (!*closed) {
+  if (!*prepared.SatisfiesCCs(instance)) {
     if (witness != nullptr) {
       witness->note = "instance is not partially closed: a CC is violated";
     }
@@ -65,6 +78,11 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   SearchCheckpoint checkpoint(options, "ground completeness search", "ground");
   std::vector<DeltaRow> delta;  // ν(T_Q), refilled per candidate
   for (const ConjunctiveQuery& disjunct : *disjuncts) {
+    // No ν satisfies contradictory builtins, so the disjunct adds nothing.
+    if (!disjunct.BuiltinsSatisfiable()) continue;
+    Result<std::vector<size_t>> rels =
+        AtomRelations(disjunct, prepared.schema());
+    if (!rels.ok()) return rels.status();
     // Fresh constants are interchangeable in this existential search, so a
     // symmetry-broken enumeration suffices (values of I stay pinned).
     CanonicalValuationEnumerator nus =
@@ -83,20 +101,15 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
       if (!head.ok()) return head.status();
       if (answers->Contains(*head)) continue;
       // Is I ∪ ν(T_Q) partially closed? I is, so only ν(T_Q) can break V.
-      RELCOMP_RETURN_IF_ERROR(
-          InstantiateDelta(disjunct, prepared.schema(), nu, &delta));
+      RELCOMP_RETURN_IF_ERROR(InstantiateDelta(disjunct, *rels, nu, &delta));
       if (stats != nullptr) {
         ++stats->extensions;
         ++stats->cc_checks;
       }
-      Result<bool> ext_closed = prepared.SatisfiesCCsDelta(instance, delta);
-      if (!ext_closed.ok()) return ext_closed.status();
-      if (!*ext_closed) continue;
+      if (!prepared.SatisfiesCCsDelta(instance, delta)) continue;
       if (witness != nullptr) {
-        Result<Instance> extended = prepared.WithDelta(instance, delta);
-        if (!extended.ok()) return extended.status();
         witness->world = instance;
-        witness->extension = std::move(extended).value();
+        witness->extension = PreparedSetting::WithDelta(instance, delta);
         witness->answer = *head;
         witness->note =
             "partially closed extension adds answer " + TupleToString(*head);
@@ -105,16 +118,6 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
     }
   }
   return true;
-}
-
-Result<bool> IsCompleteGroundAuto(const Query& q, const Instance& instance,
-                                  const PreparedSetting& prepared,
-                                  const SearchOptions& options,
-                                  SearchStats* stats,
-                                  CompletenessWitness* witness) {
-  AdomContext adom = prepared.BuildAdomForGround(instance, &q);
-  return IsCompleteGround(q, instance, prepared, adom, options, stats,
-                          witness);
 }
 
 }  // namespace relcomp

@@ -16,12 +16,13 @@ Result<bool> MinimalCompleteWorld(const Query& q, const Instance& instance,
       IsCompleteGround(q, instance, prepared, adom, options, stats, nullptr);
   if (!complete.ok()) return complete.status();
   if (!*complete) return false;
-  SearchCheckpoint checkpoint(options, "minimality single-removal sweep", "minp-sweep");
-  for (const Relation& rel : instance.relations()) {
-    for (const Tuple& t : rel.rows()) {
+  SearchCheckpoint checkpoint(options, "minimality single-removal sweep",
+                              "minp-sweep");
+  for (size_t r = 0; r < instance.relations().size(); ++r) {
+    for (const Tuple& t : instance.relations()[r].rows()) {
       RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
       Instance smaller = instance;
-      smaller.RemoveTuple(rel.schema().name(), t);
+      smaller.relations()[r].Erase(t);
       Result<bool> sub_complete = IsCompleteGround(q, smaller, prepared, adom,
                                                    options, stats, nullptr);
       if (!sub_complete.ok()) return sub_complete.status();
@@ -37,6 +38,8 @@ Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const SearchOptions& options,
                               SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(instance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
   return MinimalCompleteWorld(q, instance, prepared, adom, options, stats);
 }
@@ -44,6 +47,8 @@ Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
 Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
@@ -64,6 +69,8 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
 Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
@@ -82,6 +89,8 @@ Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
 Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
                       const PreparedSetting& prepared,
                       const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   Result<bool> complete = RcdpWeak(q, cinstance, prepared, options, stats);
   if (!complete.ok()) return complete.status();
   if (!*complete) return false;
@@ -92,7 +101,8 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
         std::to_string(positions.size()) + " is too many");
   }
   uint64_t combos = uint64_t{1} << positions.size();
-  SearchCheckpoint checkpoint(options, "weak-model minimality enumeration", "minp-weak");
+  SearchCheckpoint checkpoint(options, "weak-model minimality enumeration",
+                              "minp-weak");
   // Skip the empty removal (∆ = ∅); every other subset is removed.
   for (uint64_t mask = 1; mask < combos; ++mask) {
     RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
@@ -111,13 +121,14 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
 Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   if (q.language() != QueryLanguage::kCQ) {
     return Status::InvalidArgument(
         "MinpWeakCq implements the Lemma 5.7 dichotomy for CQ only");
   }
   CInstance empty(prepared.schema());
-  Result<bool> empty_complete =
-      RcdpWeak(q, empty, prepared, options, stats);
+  Result<bool> empty_complete = RcdpWeak(q, empty, prepared, options, stats);
   if (!empty_complete.ok()) return empty_complete.status();
   if (*empty_complete) {
     return cinstance.TotalRows() == 0;

@@ -207,43 +207,12 @@ class ViolationSearch {
 }  // namespace
 
 struct PreparedSetting::CcPlan {
-  struct Read {
-    size_t rel;
-    std::string name;
-    size_t arity;
-  };
-
   explicit CcPlan(const PartiallyClosedSetting& setting) {
     for (const ContainmentConstraint& cc : setting.ccs) {
       ccs.push_back(Compile(cc, setting));
-      const CompiledCc& compiled = ccs.back();
-      max_slots = std::max(max_slots, compiled.num_slots);
-      max_head = std::max(max_head, compiled.head.size());
-      for (const CompiledAtom& atom : compiled.atoms) {
-        const bool known =
-            std::any_of(reads.begin(), reads.end(),
-                        [&atom](const Read& r) { return r.rel == atom.rel; });
-        if (known) continue;
-        const RelationSchema& rel = setting.schema.relations()[atom.rel];
-        reads.push_back(Read{atom.rel, rel.name(), rel.arity()});
-      }
+      max_slots = std::max(max_slots, ccs.back().num_slots);
+      max_head = std::max(max_head, ccs.back().head.size());
     }
-  }
-
-  // An instance runs on the plan only when every relation a CC reads sits
-  // at the index, under the name and arity, it was compiled against; any
-  // other instance takes the reference path, which looks relations up by
-  // name.
-  bool Fits(const Instance& instance) const {
-    const std::vector<Relation>& rels = instance.relations();
-    for (const Read& read : reads) {
-      if (read.rel >= rels.size()) return false;
-      const RelationSchema& have = rels[read.rel].schema();
-      if (have.arity() != read.arity || have.name() != read.name) {
-        return false;
-      }
-    }
-    return true;
   }
 
   Scratch MakeScratch() const {
@@ -254,7 +223,6 @@ struct PreparedSetting::CcPlan {
   }
 
   std::vector<CompiledCc> ccs;  // parallel to the setting's CCs
-  std::vector<Read> reads;      // each relation the compiled CCs read, once
   size_t max_slots = 0;
   size_t max_head = 0;
 };
@@ -289,9 +257,6 @@ const PreparedSetting::CcPlan& PreparedSetting::plan() const {
 
 Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
   const CcPlan& plan = this->plan();
-  if (!plan.Fits(instance)) {
-    return relcomp::SatisfiesCCs(instance, dm(), ccs());
-  }
   Scratch scratch = plan.MakeScratch();
   for (const CompiledCc& cc : plan.ccs) {
     if (cc.never_fires) continue;
@@ -302,15 +267,9 @@ Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
   return true;
 }
 
-Result<bool> PreparedSetting::SatisfiesCCsDelta(
+bool PreparedSetting::SatisfiesCCsDelta(
     const Instance& closed, const std::vector<DeltaRow>& delta) const {
   const CcPlan& plan = this->plan();
-  if (!plan.Fits(closed)) {
-    // Off the plan: materialize I ∪ Δ and check it in full.
-    Result<Instance> extended = WithDelta(closed, delta);
-    if (!extended.ok()) return extended.status();
-    return SatisfiesCCs(*extended);
-  }
   Scratch scratch = plan.MakeScratch();
   for (const CompiledCc& cc : plan.ccs) {
     if (cc.never_fires) continue;
@@ -328,19 +287,11 @@ Result<bool> PreparedSetting::SatisfiesCCsDelta(
   return true;
 }
 
-Result<Instance> PreparedSetting::WithDelta(
-    const Instance& base, const std::vector<DeltaRow>& delta) const {
+Instance PreparedSetting::WithDelta(const Instance& base,
+                                    const std::vector<DeltaRow>& delta) {
   Instance out = base;
   for (const DeltaRow& row : delta) {
-    const std::string* name = row.rel < schema().size()
-                                  ? &schema().relations()[row.rel].name()
-                                  : nullptr;
-    if (name == nullptr || out.Find(*name) == nullptr) {
-      return Status::NotFound("delta row for relation #" +
-                              std::to_string(row.rel) +
-                              ", which the instance lacks");
-    }
-    out.AddTuple(*name, row.tuple);
+    out.relations()[row.rel].Insert(row.tuple);
   }
   return out;
 }

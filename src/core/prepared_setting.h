@@ -3,8 +3,10 @@
 // the setting-level Adom seed, the IND classification of the CCs
 // (Corollary 7.2), and the compiled CC plans that run every CC check on the
 // deciders' hot path. Every core decider takes a PreparedSetting, so Prepare
-// is the one place a setting is validated. The service (src/service/)
-// serves many requests over one PreparedSetting.
+// is the one place a setting is validated; each decider checks once, at
+// entry, that its T or I is over schema() (CheckSchemaMatches), so the
+// compiled plans are the only CC path. The service (src/service/) serves
+// many requests over one PreparedSetting.
 //
 // A PreparedSetting is a cheap, shareable handle (copying copies one
 // shared_ptr); it is immutable after construction and safe to use from many
@@ -57,22 +59,27 @@ class PreparedSetting {
   /// Stable fingerprint of (R, Rm, Dm, V); memoization key component.
   uint64_t fingerprint() const { return a_->fingerprint; }
 
-  /// (I, Dm) ⊨ V through the compiled CC plans — the prepared replacement
-  /// for SatisfiesCCs(I, dm(), ccs()), with the same verdicts and errors.
+  /// (I, Dm) ⊨ V through the compiled CC plans: the verdict of the
+  /// reference SatisfiesCCs(I, dm(), ccs()). I must be over schema() (the
+  /// deciders' input contract, CheckSchemaMatches): the plans read each
+  /// relation at its schema index. Never fails: the Result return stays
+  /// only because perfbench's replay calls ok() on it, so callers read the
+  /// verdict with `*`.
   Result<bool> SatisfiesCCs(const Instance& instance) const;
 
-  /// (I ∪ Δ, Dm) ⊨ V, for an instance I that is ALREADY partially closed:
-  /// semi-naive evaluation only visits CC bindings that use a row of Δ, so
-  /// a closed I gives the verdict of SatisfiesCCs(I ∪ Δ) at the cost of
-  /// the delta. On an I that is not closed the result is unspecified.
-  /// Rows of Δ may repeat or already be in I.
-  Result<bool> SatisfiesCCsDelta(const Instance& closed,
-                                 const std::vector<DeltaRow>& delta) const;
+  /// (I ∪ Δ, Dm) ⊨ V, for an instance I over schema() that is ALREADY
+  /// partially closed: semi-naive evaluation only visits CC bindings that
+  /// use a row of Δ, so a closed I gives the verdict of SatisfiesCCs(I ∪ Δ)
+  /// at the cost of the delta. On an I that is not closed the result is
+  /// unspecified. Rows of Δ may repeat or already be in I.
+  bool SatisfiesCCsDelta(const Instance& closed,
+                         const std::vector<DeltaRow>& delta) const;
 
-  /// I ∪ Δ as an instance: built only for the candidates a delta check
-  /// accepted (a returned witness, a query evaluation).
-  Result<Instance> WithDelta(const Instance& base,
-                             const std::vector<DeltaRow>& delta) const;
+  /// I ∪ Δ as an instance, for an I over schema(): built only for the
+  /// candidates a delta check accepted (a returned witness, a query
+  /// evaluation).
+  static Instance WithDelta(const Instance& base,
+                            const std::vector<DeltaRow>& delta);
 
   /// Adom builds over the shared seed: O(|T| + |Q|) each.
   AdomContext BuildAdom(const CInstance& cinstance,

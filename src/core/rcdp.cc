@@ -20,6 +20,8 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats,
                         CompletenessWitness* witness) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   RELCOMP_RETURN_IF_ERROR(RequireTableauLanguage(q, "RCDP (strong model)"));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
@@ -56,6 +58,8 @@ Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
                         const SearchOptions& options, SearchStats* stats,
                         Instance* witness_world) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   RELCOMP_RETURN_IF_ERROR(RequireTableauLanguage(q, "RCDP (viable model)"));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
@@ -79,6 +83,8 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
                       const PreparedSetting& prepared,
                       const SearchOptions& options, SearchStats* stats,
                       CompletenessWitness* witness) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   if (q.language() == QueryLanguage::kFO) {
     return Status::Undecidable(
         "RCDP (weak model) is undecidable for FO (Theorem 5.1); use the "
@@ -103,7 +109,8 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
   // extensions of all worlds (sufficient by monotonicity).
   bool any_extension = false;
   Relation extension_certain;
-  SearchCheckpoint checkpoint(options, "weak-model extension enumeration", "weak-ext");
+  SearchCheckpoint checkpoint(options, "weak-model extension enumeration",
+                              "weak-ext");
 
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   const std::vector<RelationSchema>& rels = prepared.schema().relations();
@@ -114,7 +121,7 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
     if (!got.ok()) return got.status();
     if (!*got) break;
     for (size_t r = 0; r < rels.size(); ++r) {
-      const Relation& existing = world.at(rels[r].name());
+      const Relation& existing = world.relations()[r];
       CanonicalValuationEnumerator tuples = CandidateTuples(rels[r], adom);
       delta[0].rel = r;
       while (tuples.Next(&delta[0].tuple)) {
@@ -123,13 +130,10 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
         if (existing.Contains(delta[0].tuple)) continue;
         // The world is closed, so only the added tuple can break V.
         if (stats != nullptr) ++stats->cc_checks;
-        Result<bool> closed = prepared.SatisfiesCCsDelta(world, delta);
-        if (!closed.ok()) return closed.status();
-        if (!*closed) continue;
-        Result<Instance> extended = prepared.WithDelta(world, delta);
-        if (!extended.ok()) return extended.status();
+        if (!prepared.SatisfiesCCsDelta(world, delta)) continue;
+        const Instance extended = PreparedSetting::WithDelta(world, delta);
         if (stats != nullptr) ++stats->query_evals;
-        Result<Relation> answers = EvalOverAdom(q, *extended, adom);
+        Result<Relation> answers = EvalOverAdom(q, extended, adom);
         if (!answers.ok()) return answers.status();
         if (!any_extension) {
           any_extension = true;
@@ -167,16 +171,10 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               const SearchOptions& options, SearchStats* stats,
                               CompletenessWitness* witness) {
   RELCOMP_RETURN_IF_ERROR(
-      RequireTableauLanguage(q, "RCDP (strong model, ground)"));
-  return IsCompleteGroundAuto(q, instance, prepared, options, stats, witness);
-}
-
-Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
-                            const PreparedSetting& prepared,
-                            const SearchOptions& options, SearchStats* stats,
-                            CompletenessWitness* witness) {
-  return RcdpWeak(q, CInstance::FromInstance(instance), prepared, options,
-                  stats, witness);
+      CheckSchemaMatches(instance.schema(), prepared.schema()));
+  AdomContext adom = prepared.BuildAdomForGround(instance, &q);
+  return IsCompleteGround(q, instance, prepared, adom, options, stats,
+                          witness);
 }
 
 }  // namespace relcomp

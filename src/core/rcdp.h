@@ -7,6 +7,12 @@
 // Decidable cases follow the paper's algorithms (Adom valuation search with
 // the Lemma 4.2/4.3 and Lemma 5.2 characterizations); undecidable cells of
 // Table I return kUndecidable and point to core/bounded.h.
+//
+// Input contract (every decider in src/core/ that takes T or I): T is a
+// c-instance of the setting's own schema R (Section 2.2), i.e. its relations
+// are prepared.schema()'s, in order, with the same arities and attribute
+// domains. Each decider checks this first (CheckSchemaMatches) and fails
+// with kInvalidArgument naming the first relation that differs.
 #ifndef RELCOMP_CORE_RCDP_H_
 #define RELCOMP_CORE_RCDP_H_
 
@@ -47,17 +53,14 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
                       SearchStats* stats = nullptr,
                       CompletenessWitness* witness = nullptr);
 
-/// Ground-instance conveniences (strong ≡ viable on ground instances).
+/// Ground instances (strong ≡ viable on ground instances): IsCompleteGround
+/// over an Adom built for I, without the Mod(T) walk. For the weak model,
+/// run RcdpWeak on CInstance::FromInstance(I).
 Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const SearchOptions& options = {},
                               SearchStats* stats = nullptr,
                               CompletenessWitness* witness = nullptr);
-Result<bool> RcdpWeakGround(const Query& q, const Instance& instance,
-                            const PreparedSetting& prepared,
-                            const SearchOptions& options = {},
-                            SearchStats* stats = nullptr,
-                            CompletenessWitness* witness = nullptr);
 
 }  // namespace relcomp
 

@@ -34,9 +34,9 @@ Result<RcqpSearchResult> RcqpStrongBounded(
   RcqpSearchResult result;
   using Step = ExtensionSearch::Step;
   auto test = [&](const Instance& candidate, size_t) -> Result<Step> {
-    Result<bool> closed = prepared.SatisfiesCCs(candidate);
-    if (!closed.ok()) return closed.status();
-    if (!*closed) return Step::kPrune;  // supersets can only stay violated
+    if (!*prepared.SatisfiesCCs(candidate)) {
+      return Step::kPrune;  // supersets can only stay violated
+    }
     Result<bool> complete = IsCompleteGround(q, candidate, prepared, adom,
                                              options, stats, nullptr);
     if (!complete.ok()) return complete.status();
@@ -121,7 +121,10 @@ Result<bool> RcqpStrongInd(const Query& q,
 
   SearchCheckpoint checkpoint(options, "IND RCQP valuation search", "rcqp-ind");
   for (const ConjunctiveQuery& disjunct : *disjuncts) {
-    if (IsBoundedDisjunct(disjunct, prepared.schema(), prepared.ccs())) {
+    // A bounded disjunct, or one whose builtins contradict each other (it
+    // has no valid valuation), leaves RCQ non-empty.
+    if (IsBoundedDisjunct(disjunct, prepared.schema(), prepared.ccs()) ||
+        !disjunct.BuiltinsSatisfiable()) {
       continue;
     }
     // Unbounded disjunct: RCQ is still non-empty iff it has no valid
@@ -141,9 +144,7 @@ Result<bool> RcqpStrongInd(const Query& q,
           disjunct.InstantiateTableau(nu, prepared.schema());
       if (!canonical.ok()) return canonical.status();
       if (stats != nullptr) ++stats->cc_checks;
-      Result<bool> closed = prepared.SatisfiesCCs(*canonical);
-      if (!closed.ok()) return closed.status();
-      if (*closed) {
+      if (*prepared.SatisfiesCCs(*canonical)) {
         has_valid = true;
         break;
       }

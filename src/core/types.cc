@@ -1,34 +1,15 @@
 #include "core/types.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace relcomp {
 
-Status PartiallyClosedSetting::Validate() const {
-  const std::vector<RelationSchema>& have = dm.schema().relations();
-  const std::vector<RelationSchema>& want = master_schema.relations();
-  if (have.size() != want.size()) {
-    return Status::InvalidArgument(
-        "master data does not match the master schema");
-  }
-  // The CC checks read each master from Dm by the master schema's layout.
-  for (size_t i = 0; i < want.size(); ++i) {
-    if (have[i].name() != want[i].name() ||
-        have[i].arity() != want[i].arity()) {
-      return Status::InvalidArgument(
-          "master data relation " + have[i].name() + "/" +
-          std::to_string(have[i].arity()) + " does not match master schema " +
-          "relation " + want[i].name() + "/" +
-          std::to_string(want[i].arity()));
-    }
-  }
-  for (const ContainmentConstraint& cc : ccs) {
-    RELCOMP_RETURN_IF_ERROR(cc.Validate(schema, master_schema));
-  }
-  return Status::OK();
-}
-
 namespace {
+
+std::string Signature(const RelationSchema& rel) {
+  return rel.name() + "/" + std::to_string(rel.arity());
+}
 
 // Smallest (power of two) - 1 covering `interval`, so `steps & mask == 0`
 // fires at most once per requested interval.
@@ -39,6 +20,53 @@ uint64_t PollMask(uint64_t interval) {
 }
 
 }  // namespace
+
+Status CheckSchemaMatches(const DatabaseSchema& have,
+                          const DatabaseSchema& want, const char* have_what,
+                          const char* want_what) {
+  const std::vector<RelationSchema>& got = have.relations();
+  const std::vector<RelationSchema>& expected = want.relations();
+  const size_t common = std::min(got.size(), expected.size());
+  for (size_t i = 0; i < common; ++i) {
+    const RelationSchema& a = got[i];
+    const RelationSchema& b = expected[i];
+    std::string why;
+    if (a.name() == b.name() && a.arity() == b.arity()) {
+      size_t col = 0;
+      while (col < a.arity() &&
+             a.attribute(col).domain == b.attribute(col).domain) {
+        ++col;
+      }
+      if (col == a.arity()) continue;
+      why = ": attribute " + b.attribute(col).name + " has another domain";
+    }
+    return Status::InvalidArgument(std::string(have_what) + " relation " +
+                                   Signature(a) + " does not match " +
+                                   want_what + " relation " + Signature(b) +
+                                   why);
+  }
+  if (got.size() < expected.size()) {
+    return Status::InvalidArgument(std::string(have_what) + " lacks " +
+                                   want_what + " relation " +
+                                   Signature(expected[common]));
+  }
+  if (got.size() > expected.size()) {
+    return Status::InvalidArgument(std::string(have_what) + " relation " +
+                                   Signature(got[common]) + " is not in the " +
+                                   want_what);
+  }
+  return Status::OK();
+}
+
+Status PartiallyClosedSetting::Validate() const {
+  // The CC checks read each master from Dm by the master schema's layout.
+  RELCOMP_RETURN_IF_ERROR(CheckSchemaMatches(dm.schema(), master_schema,
+                                             "master data", "master schema"));
+  for (const ContainmentConstraint& cc : ccs) {
+    RELCOMP_RETURN_IF_ERROR(cc.Validate(schema, master_schema));
+  }
+  return Status::OK();
+}
 
 void SearchProfile::Start(Clock::time_point now) {
   if (started_) return;

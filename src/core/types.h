@@ -27,10 +27,20 @@ struct PartiallyClosedSetting {
   Instance dm;
   CCSet ccs;
 
-  /// Validates Dm against the master schema (the same relation names and
-  /// arities, in order) and every CC against both schemas.
+  /// Validates Dm against the master schema (CheckSchemaMatches) and every
+  /// CC against both schemas.
   Status Validate() const;
 };
+
+/// The one input contract of every decider, and Validate()'s rule for Dm:
+/// `have` holds `want`'s relations in order, under the same names, with the
+/// same arities and attribute domains (attribute names may differ). Fails
+/// with kInvalidArgument naming the first relation, by position, that
+/// differs; `have_what` and `want_what` name the two sides in the message.
+Status CheckSchemaMatches(const DatabaseSchema& have,
+                          const DatabaseSchema& want,
+                          const char* have_what = "instance",
+                          const char* want_what = "setting schema");
 
 /// Per-evaluation search attribution: which core search loops ran, for how
 /// long, and how many steps each charged. A SearchProfile is a single-

@@ -83,7 +83,6 @@ class Condition {
   static Condition VarEqConst(VarId v, Value c);
   static Condition VarNeqVar(VarId a, VarId b);
 
-  void AddAtom(CondAtom atom) { atoms_.push_back(std::move(atom)); }
   const std::vector<CondAtom>& atoms() const { return atoms_; }
   bool IsTrivial() const { return atoms_.empty(); }
 

@@ -23,9 +23,6 @@ struct Qbf {
   std::vector<QuantifierBlock> blocks;
   Cnf3 matrix;
 
-  /// Total number of quantified variables; must equal matrix.num_vars.
-  int TotalVars() const;
-
   /// Brute-force truth evaluation (total vars ≤ ~20 practical).
   bool Eval() const;
 };

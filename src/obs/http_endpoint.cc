@@ -109,8 +109,8 @@ net::HttpResponse HttpEndpoint::Handle(const net::HttpRequest& request) {
     const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    Histogram* latency = registry_->GetHistogram(kMetricHttpHandlerLatencyMicros,
-                                                 {{"path", path_label}});
+    Histogram* latency = registry_->GetHistogram(
+        kMetricHttpHandlerLatencyMicros, {{"path", path_label}});
     if (latency != nullptr) latency->Record(static_cast<uint64_t>(micros));
     Counter* requests = registry_->GetCounter(
         kMetricHttpRequestsTotal,

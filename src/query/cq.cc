@@ -151,6 +151,41 @@ Result<bool> ConjunctiveQuery::BuiltinsSatisfied(const Valuation& nu) const {
   return true;
 }
 
+bool ConjunctiveQuery::BuiltinsSatisfiable() const {
+  // Union-find over the builtins' terms. Constants are nodes too, so a
+  // class holding two of them equates distinct constants.
+  std::vector<CTerm> terms;
+  std::vector<size_t> parent;
+  auto node = [&](const CTerm& t) {
+    for (size_t i = 0; i < terms.size(); ++i) {
+      if (terms[i] == t) return i;
+    }
+    terms.push_back(t);
+    parent.push_back(parent.size());
+    return parent.size() - 1;
+  };
+  auto find = [&parent](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (const CondAtom& b : builtins_) {
+    const size_t lhs = node(b.lhs);
+    const size_t rhs = node(b.rhs);
+    if (!b.neq) parent[find(lhs)] = find(rhs);
+  }
+  for (const CondAtom& b : builtins_) {
+    if (b.neq && find(node(b.lhs)) == find(node(b.rhs))) return false;
+  }
+  std::vector<size_t> constant_root(terms.size(), terms.size());
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (!std::holds_alternative<Value>(terms[i])) continue;
+    size_t& seen = constant_root[find(i)];
+    if (seen != terms.size()) return false;  // a second constant
+    seen = i;
+  }
+  return true;
+}
+
 std::string ConjunctiveQuery::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < head_.size(); ++i) {

@@ -72,6 +72,10 @@ class ConjunctiveQuery {
   bool BuiltinsPossiblySatisfied(const Valuation& nu) const;
   /// True if all builtins hold under a total valuation.
   Result<bool> BuiltinsSatisfied(const Valuation& nu) const;
+  /// False when no valuation satisfies the builtins: the `=` atoms put two
+  /// distinct constants in one class, or a `≠` atom joins a class to
+  /// itself. True otherwise (domains are not consulted).
+  bool BuiltinsSatisfiable() const;
 
   std::string ToString() const;
 

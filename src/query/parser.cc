@@ -213,10 +213,34 @@ class Parser {
       }
       if (!st.ok()) return st;
     }
+    RELCOMP_RETURN_IF_ERROR(Widen(program_.schema, &program_.instances));
+    RELCOMP_RETURN_IF_ERROR(
+        Widen(program_.master_schema, &program_.minstances));
     return std::move(program_);
   }
 
  private:
+  // A block holds the relations declared before it. Rebuilds each block over
+  // the whole `schema`, so every block is an instance of it whatever the
+  // order of the declarations.
+  static Status Widen(const DatabaseSchema& schema,
+                      std::map<std::string, Instance>* blocks) {
+    for (auto& [name, block] : *blocks) {
+      Instance whole(schema);
+      for (const Relation& rel : block.relations()) {
+        const std::string& rel_name = rel.schema().name();
+        if (schema.Find(rel_name)->arity() != rel.schema().arity()) {
+          return Status::ParseError("relation '" + rel_name +
+                                    "' was redeclared after block '" + name +
+                                    "' with another arity");
+        }
+        for (const Tuple& t : rel.rows()) whole.AddTuple(rel_name, t);
+      }
+      block = std::move(whole);
+    }
+    return Status::OK();
+  }
+
   const Token& Cur() const { return tokens_[pos_]; }
   const Token& Next() { return tokens_[pos_++]; }
   bool Accept(Tok kind) {
@@ -537,7 +561,8 @@ class Parser {
         (Cur().text == "exists" || Cur().text == "forall")) {
       bool exists = Next().text == "exists";
       std::vector<VarId> bound;
-      while (Cur().kind == Tok::kIdent && tokens_[pos_ + 1].kind != Tok::kLParen) {
+      while (Cur().kind == Tok::kIdent &&
+             tokens_[pos_ + 1].kind != Tok::kLParen) {
         Result<CTerm> t = ParseTerm(vars, next_var);
         if (!t.ok()) return t.status();
         bound.push_back(std::get<VarId>(*t));

@@ -25,7 +25,9 @@
 
 namespace relcomp {
 
-/// Everything a parsed program declares.
+/// Everything a parsed program declares. Each `instance` block is an
+/// instance of the whole `schema`, each `minstance` block of the whole
+/// `master_schema`, whatever the order of the declarations.
 struct ParsedProgram {
   DatabaseSchema schema;         ///< `schema` declarations.
   DatabaseSchema master_schema;  ///< `master` declarations.

@@ -56,7 +56,9 @@ class Query {
   int32_t MaxVarId() const;
 
   /// Underlying nodes (valid only for the matching language).
-  const ConjunctiveQuery& cq() const { return std::get<ConjunctiveQuery>(node_); }
+  const ConjunctiveQuery& cq() const {
+    return std::get<ConjunctiveQuery>(node_);
+  }
   const UnionQuery& ucq() const { return std::get<UnionQuery>(node_); }
   const FoQuery& fo() const { return std::get<FoQuery>(node_); }
   const FpProgram& fp() const { return std::get<FpProgram>(node_); }

@@ -29,9 +29,9 @@ GadgetProblem BuildRcdpWeakGadget(const Qbf& qbf) {
 
   // Master schema: gadget copies + binary empty relation.
   AddGadgetSchemas(&out.setting.master_schema, master_names);
-  out.setting.master_schema.AddRelation(RelationSchema(
-      "Rempty2",
-      {Attribute{"W", Domain::Infinite()}, Attribute{"W2", Domain::Infinite()}}));
+  out.setting.master_schema.AddRelation(
+      RelationSchema("Rempty2", {Attribute{"W", Domain::Infinite()},
+                                 Attribute{"W2", Domain::Infinite()}}));
   out.setting.dm = Instance(out.setting.master_schema);
   FillGadgetInstance(&out.setting.dm, master_names);
 

@@ -378,11 +378,9 @@ void CompletenessService::CountAdmission(const Shard& shard,
   }
 }
 
-void CompletenessService::FinishRequest(Shard* shard,
-                                        const std::shared_ptr<obs::Trace>& trace,
-                                        sched::TimePoint submit,
-                                        Decision* decision,
-                                        const char* kind) {
+void CompletenessService::FinishRequest(
+    Shard* shard, const std::shared_ptr<obs::Trace>& trace,
+    sched::TimePoint submit, Decision* decision, const char* kind) {
   const sched::TimePoint now = sched::Clock::now();
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::microseconds>(now - submit);
@@ -520,7 +518,8 @@ void CompletenessService::RecordSearchProfile(const Shard& shard,
 void CompletenessService::ExtendRunDeadline(FlightGroup& group,
                                             sched::TimePoint deadline) {
   const sched::Clock::rep candidate = deadline.time_since_epoch().count();
-  sched::Clock::rep current = group.run_deadline.load(std::memory_order_relaxed);
+  sched::Clock::rep current =
+      group.run_deadline.load(std::memory_order_relaxed);
   while (current < candidate &&
          !group.run_deadline.compare_exchange_weak(current, candidate,
                                                    std::memory_order_relaxed)) {
@@ -829,8 +828,8 @@ std::future<Decision> CompletenessService::SubmitAsync(ServiceRequest request) {
   return future;
 }
 
-void CompletenessService::SubmitAsync(ServiceRequest request,
-                                      std::function<void(Decision)> on_complete) {
+void CompletenessService::SubmitAsync(
+    ServiceRequest request, std::function<void(Decision)> on_complete) {
   // Routed at submission time: releasing the setting after admission does
   // not fail requests already in the system.
   const sched::TimePoint submit = sched::Clock::now();
@@ -1118,7 +1117,9 @@ void CompletenessService::RecorderLoop() {
       last_sample = now;
       obs::RecorderSample sample;
       sample.at = now;
-      if (inflight_gauge_ != nullptr) sample.inflight = inflight_gauge_->value();
+      if (inflight_gauge_ != nullptr) {
+        sample.inflight = inflight_gauge_->value();
+      }
       if (window_ != nullptr) {
         sample.rate_1s = window_->Rate(1, now);
         sample.rate_10s = window_->Rate(10, now);
@@ -1181,7 +1182,8 @@ std::string CompletenessService::ObsReport() const {
 
   const auto samples = recorder_.Snapshot();
   if (!samples.empty()) {
-    out << "flight recorder (" << samples.size() << " samples, oldest first):\n";
+    out << "flight recorder (" << samples.size()
+        << " samples, oldest first):\n";
     for (const obs::RecorderSample& sample : samples) {
       out << "  t-" << std::setprecision(1)
           << static_cast<double>(us_since(sample.at)) / 1e6 << "s ";

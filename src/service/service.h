@@ -278,7 +278,8 @@ class CompletenessService {
   /// computation; duplicates report from_cache = true with a coalescing
   /// note. Multiple batches may be submitted concurrently; under kFairShare
   /// their tenants share the pool by weight. Thread-safe.
-  std::vector<Decision> SubmitBatch(const std::vector<ServiceRequest>& requests);
+  std::vector<Decision> SubmitBatch(
+      const std::vector<ServiceRequest>& requests);
 
   /// Async path: admits the request (cache lookups and coalescing joins are
   /// resolved immediately, on the submitting thread; fresh work is enqueued

@@ -121,8 +121,10 @@ class [[nodiscard]] Status {
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : value_(std::move(value)) {}          // NOLINT(runtime/explicit)
-  Result(Status status) : status_(std::move(status)) {}  // NOLINT(runtime/explicit)
+  // NOLINTNEXTLINE(runtime/explicit)
+  Result(T value) : value_(std::move(value)) {}
+  // NOLINTNEXTLINE(runtime/explicit)
+  Result(Status status) : status_(std::move(status)) {}
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

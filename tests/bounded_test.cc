@@ -34,8 +34,9 @@ TEST(BoundedTest, NonMonotoneFoLosesAnswer) {
   setting.dm = Instance(setting.master_schema);
   // Q() := forall x (R1(x) -> R2(x)) written as !(exists x (R1(x) & !R2(x))).
   FoPtr bad = FoFormula::Exists(
-      {V(0)}, FoFormula::And({FoFormula::Atom({"R1", {V(0)}}),
-                              FoFormula::Not(FoFormula::Atom({"R2", {V(0)}}))}));
+      {V(0)},
+      FoFormula::And({FoFormula::Atom({"R1", {V(0)}}),
+                      FoFormula::Not(FoFormula::Atom({"R2", {V(0)}}))}));
   Query q = Query::Fo(FoQuery({}, FoFormula::Not(bad)));
   ASSERT_EQ(q.language(), QueryLanguage::kFO);
   Instance db(setting.schema);

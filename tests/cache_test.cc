@@ -42,7 +42,8 @@ Decision WitnessDecision() {
   auto witness = std::make_shared<CompletenessWitness>();
   Instance world(testing::EdgeSchema());
   for (int i = 0; i < 16; ++i) {
-    world.AddTuple("E", {Value::Int(i), S(("node-" + std::to_string(i)).c_str())});
+    world.AddTuple("E",
+                   {Value::Int(i), S(("node-" + std::to_string(i)).c_str())});
   }
   witness->world = world;
   witness->extension = world;
@@ -168,8 +169,8 @@ std::shared_ptr<cache::ShardCache> MakeBudgeted(cache::CacheBudget* budget,
 TEST(CacheBudgetTest, ColdestShardIsEvictedFirst) {
   // ~600-byte entries; budget fits about six of them.
   const size_t kNote = 512;
-  const size_t kEntry =
-      cache::WeighDecision(PaddedDecision(0, kNote)) + cache::kEntryOverheadBytes;
+  const size_t kEntry = cache::WeighDecision(PaddedDecision(0, kNote)) +
+                        cache::kEntryOverheadBytes;
   cache::CacheBudget budget(6 * kEntry);
   auto cold = MakeBudgeted(&budget, 64, /*floor=*/0);
   auto warm = MakeBudgeted(&budget, 64, /*floor=*/0);
@@ -196,8 +197,8 @@ TEST(CacheBudgetTest, ColdestShardIsEvictedFirst) {
 
 TEST(CacheBudgetTest, FloorShieldsATenantFromPeerPressure) {
   const size_t kNote = 512;
-  const size_t kEntry =
-      cache::WeighDecision(PaddedDecision(0, kNote)) + cache::kEntryOverheadBytes;
+  const size_t kEntry = cache::WeighDecision(PaddedDecision(0, kNote)) +
+                        cache::kEntryOverheadBytes;
   cache::CacheBudget budget(6 * kEntry);
   // The protected tenant's floor covers two entries.
   auto shielded = MakeBudgeted(&budget, 64, /*floor=*/2 * kEntry);

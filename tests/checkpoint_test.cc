@@ -196,7 +196,7 @@ TEST(DeciderCheckpointTest, GroundCertainAndConsistencySearchesAbort) {
   Instance ground(fx.setting.schema);
   ground.AddTuple("Visit", {S("nhs-0"), S("EDI")});
 
-  Result<bool> ground_abort = IsCompleteGroundAuto(
+  Result<bool> ground_abort = RcdpStrongGround(
       fx.by_patient, ground, prepared, WithPoisonedCancel());
   EXPECT_EQ(ground_abort.status().code(), StatusCode::kCancelled);
 

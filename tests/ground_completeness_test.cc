@@ -3,7 +3,7 @@
 // against Armstrong closure.
 #include <gtest/gtest.h>
 
-#include "core/ground.h"
+#include "core/rcdp.h"
 #include "reductions/prop31_fd.h"
 #include "test_util.h"
 
@@ -43,7 +43,7 @@ TEST(GroundCompletenessTest, CompleteWhenAllMasterRowsPresent) {
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   db.AddTuple("Visit", {S("n2"), S("EDI")});
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, prepared));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrongGround(fx.q_edi, db, prepared));
   EXPECT_TRUE(complete);
 }
 
@@ -53,8 +53,8 @@ TEST(GroundCompletenessTest, IncompleteWhenMasterRowMissing) {
   db.AddTuple("Visit", {S("n1"), S("EDI")});
   CompletenessWitness witness;
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(fx.q_edi, db, prepared,
-                                                      {}, nullptr, &witness));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrongGround(fx.q_edi, db, prepared, {},
+                                                  nullptr, &witness));
   EXPECT_FALSE(complete);
   // The witness extension adds the missing n2 visit.
   EXPECT_EQ(witness.answer, Tuple({S("n2")}));
@@ -67,7 +67,7 @@ TEST(GroundCompletenessTest, OpenWorldQueryNeverComplete) {
   Instance db(fx.setting.schema);
   db.AddTuple("Visit", {S("n1"), S("LON")});
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q_lon, db, prepared));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrongGround(q_lon, db, prepared));
   EXPECT_FALSE(complete);  // London is unconstrained: new names can appear
 }
 
@@ -76,8 +76,7 @@ TEST(GroundCompletenessTest, NotPartiallyClosedIsNotComplete) {
   Instance db(fx.setting.schema);
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   db.AddTuple("Visit", {S("unknown"), S("EDI")});  // violates the CC
-  ASSERT_OK_AND_ASSIGN(complete,
-                       IsCompleteGroundAuto(fx.q_edi, db, prepared));
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrongGround(fx.q_edi, db, prepared));
   EXPECT_FALSE(complete);
 }
 
@@ -95,7 +94,7 @@ TEST(GroundCompletenessTest, UcqDisjunctsAllChecked) {
   db.AddTuple("Visit", {S("n2"), S("EDI")});
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   ASSERT_OK_AND_ASSIGN(
-      complete, IsCompleteGroundAuto(Query::Ucq(ucq), db, prepared));
+      complete, RcdpStrongGround(Query::Ucq(ucq), db, prepared));
   EXPECT_FALSE(complete);
 }
 
@@ -104,28 +103,31 @@ TEST(GroundCompletenessTest, FoAndFpAreUndecidable) {
   Instance db(fx.setting.schema);
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"Visit", {S("a"), S("b")}})));
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  Result<bool> r = IsCompleteGroundAuto(Query::Fo(fo), db, prepared);
+  Result<bool> r = RcdpStrongGround(Query::Fo(fo), db, prepared);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUndecidable);
 
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"Visit", {V(0), V(1)}}}, {}});
   p.set_output("T");
-  Result<bool> r2 = IsCompleteGroundAuto(Query::Fp(p), db, prepared);
+  Result<bool> r2 = RcdpStrongGround(Query::Fp(p), db, prepared);
   EXPECT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kUndecidable);
 }
 
 TEST(GroundCompletenessTest, EmptyInstanceCompleteForContradictoryQuery) {
   VisitFixture fx;
-  // Q(n) :- Visit(n, c), c = EDI, c = LON — unsatisfiable builtins.
+  // Q(n) :- Visit(n, c), c = EDI, c = LON — unsatisfiable builtins. The
+  // search skips the disjunct instead of testing them under every ν.
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(V(0))}, {RelAtom{"Visit", {V(0), V(1)}}},
       {CondAtom{V(1), false, S("EDI")}, CondAtom{V(1), false, S("LON")}}));
   Instance db(fx.setting.schema);
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  ASSERT_OK_AND_ASSIGN(complete, IsCompleteGroundAuto(q, db, prepared));
+  SearchStats stats;
+  ASSERT_OK_AND_ASSIGN(complete, RcdpStrongGround(q, db, prepared, {}, &stats));
   EXPECT_TRUE(complete);
+  EXPECT_EQ(stats.valuations, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +146,7 @@ TEST_P(Prop31Sweep, FdImplicationMatchesArmstrong) {
   EXPECT_OK(gadget.setting.Validate());
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      complete,
-      IsCompleteGroundAuto(gadget.query, gadget.ground, prepared));
+      complete, RcdpStrongGround(gadget.query, gadget.ground, prepared));
   bool implied = FdImplies(theta, phi, kAttrs);
   EXPECT_EQ(complete, implied)
       << "theta[0]=" << (theta.empty() ? "-" : theta[0].ToString())

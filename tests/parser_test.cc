@@ -143,7 +143,8 @@ TEST(ParserTest, ErrorsCarryLocation) {
 }
 
 TEST(ParserTest, UnterminatedStringRejected) {
-  Result<ParsedProgram> r = ParseProgram("schema E(a: sym). instance d { E(\"x). }");
+  Result<ParsedProgram> r =
+      ParseProgram("schema E(a: sym). instance d { E(\"x). }");
   EXPECT_FALSE(r.ok());
 }
 
@@ -161,6 +162,38 @@ TEST(ParserTest, ArityMismatchInInstanceRejected) {
     instance db { E(1). }
   )");
   EXPECT_FALSE(r.ok());
+}
+
+TEST(ParserTest, BlocksHoldRelationsDeclaredAfterThem) {
+  // Each block is an instance of the whole schema, as the deciders require
+  // of T and Dm, whatever the order of the declarations.
+  ASSERT_OK_AND_ASSIGN(p, ParseProgram(R"(
+    schema E(a: int).
+    master M(a: int).
+    instance db { E(1). }
+    minstance dm { M(1). }
+    schema F(b: {"x", "y"}).
+    master N(b: sym).
+  )"));
+  const Instance& db = p.instances.at("db");
+  ASSERT_EQ(db.relations().size(), 2u);
+  EXPECT_EQ(db.schema().relations()[1].attribute(0).domain,
+            p.schema.relations()[1].attribute(0).domain);
+  EXPECT_TRUE(db.at("E").Contains({I(1)}));
+  EXPECT_TRUE(db.at("F").empty());
+  const Instance& dm = p.minstances.at("dm");
+  ASSERT_EQ(dm.relations().size(), 2u);
+  EXPECT_TRUE(dm.at("M").Contains({I(1)}));
+  EXPECT_TRUE(dm.at("N").empty());
+}
+
+TEST(ParserTest, ArityRedeclaredAfterABlockRejected) {
+  Result<ParsedProgram> r = ParseProgram(R"(
+    schema E(a: int).
+    instance db { E(1). }
+    schema E(a: int, b: int).
+  )");
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
 TEST(ParserTest, NegativeNumbers) {

@@ -3,6 +3,7 @@
 // fingerprints must be stable and discriminating.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "core/bounded.h"
@@ -173,6 +174,22 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
                       std::string("master data relation ") + name +
                           (narrow ? "/1" : "/2") +
                           " does not match master schema relation M2/2"});
+  }
+
+  // Dm whose M2 differs from the master schema's only in the domain of b.
+  {
+    PartiallyClosedSetting setting = base;
+    DatabaseSchema dm_schema;
+    dm_schema.AddRelation(RelationSchema("M1", {Attribute{"a", inf}}));
+    dm_schema.AddRelation(RelationSchema(
+        "M2", {Attribute{"a", inf}, Attribute{"b", Domain::IntRange(0, 1)}}));
+    setting.dm = Instance(dm_schema);
+    setting.dm.AddTuple("M1", {I(0)});
+    setting.dm.AddTuple("M2", {I(0), I(1)});
+    broken.push_back({"Dm domain", std::move(setting),
+                      StatusCode::kInvalidArgument,
+                      "master data relation M2/2 does not match master "
+                      "schema relation M2/2: attribute b has another domain"});
   }
 
   // CCs that do not validate, alone and after a CC that does.
@@ -529,6 +546,131 @@ TEST(PreparedSettingTest, AllIndsClassificationIsCached) {
                                        {RelAtom{"Visit", {VarId{0}}}}));
   ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared_ind));
   EXPECT_TRUE(nonempty);  // the IND bounds the only head variable
+}
+
+TEST(PreparedSettingTest, DecidersRefuseAnInstanceOffTheSchema) {
+  // R(a), S(b ∈ {x, y}) and the master M(a), with the CC π_a R ⊆ M: every
+  // decider that takes T or I checks first that it is over this schema.
+  const Domain inf = Domain::Infinite();
+  const RelationSchema r("R", {Attribute{"a", inf}});
+  const RelationSchema s("S",
+                         {Attribute{"b", Domain::Finite({S("x"), S("y")})}});
+  const RelationSchema s_sym("S", {Attribute{"b", inf}});
+  PartiallyClosedSetting setting;
+  setting.schema = DatabaseSchema({r, s});
+  setting.master_schema.AddRelation(RelationSchema("M", {Attribute{"a", inf}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.dm.AddTuple("M", {S("r0")});
+  setting.ccs.emplace_back(
+      "r_in_m", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}}), "M",
+      std::vector<int>{0});
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  const Query q =
+      Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}}));
+
+  // T = I = {R(r0)} over `schema`.
+  auto on_t = [](const DatabaseSchema& schema) {
+    CInstance t(schema);
+    t.at("R").AddRow({Cell(S("r0"))});
+    return t;
+  };
+  auto on_i = [](const DatabaseSchema& schema) {
+    Instance i(schema);
+    i.AddTuple("R", {S("r0")});
+    return i;
+  };
+  // The 13 deciders, with their answers on the setting's own schema.
+  using C = const CInstance&;
+  using G = const Instance&;
+  auto found = [](Result<BoundedSearchResult> got) -> Result<bool> {
+    if (!got.ok()) return got.status();
+    return got->witness_found;
+  };
+  const struct {
+    const char* name;
+    std::function<Result<bool>(C, G)> run;
+    bool control;
+  } deciders[] = {
+      {"RcdpStrong", [&](C t, G) { return RcdpStrong(q, t, prepared); }, true},
+      {"RcdpViable", [&](C t, G) { return RcdpViable(q, t, prepared); }, true},
+      {"RcdpWeak", [&](C t, G) { return RcdpWeak(q, t, prepared); }, true},
+      {"RcdpStrongGround",
+       [&](C, G i) { return RcdpStrongGround(q, i, prepared); }, true},
+      {"MinpStrong", [&](C t, G) { return MinpStrong(q, t, prepared); }, true},
+      {"MinpViable", [&](C t, G) { return MinpViable(q, t, prepared); }, true},
+      {"MinpWeak", [&](C t, G) { return MinpWeak(q, t, prepared); }, false},
+      {"MinpWeakCq", [&](C t, G) { return MinpWeakCq(q, t, prepared); },
+       false},
+      {"MinpStrongGround",
+       [&](C, G i) { return MinpStrongGround(q, i, prepared); }, true},
+      {"IsConsistent", [&](C t, G) { return IsConsistent(prepared, t); },
+       true},
+      {"IsExtensible", [&](C, G i) { return IsExtensible(prepared, i); },
+       true},
+      {"SearchIncompletenessGround",
+       [&](C, G i) {
+         return found(SearchIncompletenessGround(q, i, prepared, 1));
+       },
+       false},
+      {"SearchIncompletenessStrong",
+       [&](C t, G) {
+         return found(SearchIncompletenessStrong(q, t, prepared, 1));
+       },
+       false},
+  };
+
+  const struct {
+    const char* what;
+    DatabaseSchema schema;
+    std::string message;
+  } bad[] = {
+      {"without S", DatabaseSchema({r}),
+       "instance lacks setting schema relation S/1"},
+      {"S before R", DatabaseSchema({s, r}),
+       "instance relation S/1 does not match setting schema relation R/1"},
+      {"S.b typed sym", DatabaseSchema({r, s_sym}),
+       "instance relation S/1 does not match setting schema relation S/1: "
+       "attribute b has another domain"},
+  };
+  for (const auto& d : deciders) {
+    const Result<bool> answer =
+        d.run(on_t(setting.schema), on_i(setting.schema));
+    ASSERT_TRUE(answer.ok()) << d.name << ": " << answer.status().ToString();
+    EXPECT_EQ(*answer, d.control) << d.name;
+    for (const auto& b : bad) {
+      const Status refused = d.run(on_t(b.schema), on_i(b.schema)).status();
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+          << d.name << " on T " << b.what << ": " << refused.ToString();
+      EXPECT_EQ(refused.message(), b.message) << d.name << " on T " << b.what;
+    }
+  }
+
+  // The service returns the refusal as the decision of every kind that
+  // reads T, and the next valid request still succeeds.
+  ServiceOptions options;
+  options.num_workers = 0;
+  CompletenessService service(options);
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(setting));
+  for (ProblemKind kind : AllProblemKinds()) {
+    if (kind == ProblemKind::kRcqpStrong || kind == ProblemKind::kRcqpWeak) {
+      continue;
+    }
+    DecisionRequest request;
+    request.kind = kind;
+    request.query = q;
+    for (const auto& b : bad) {
+      request.cinstance = on_t(b.schema);
+      const Decision refused = service.Decide({handle, request});
+      EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+          << ProblemKindName(kind) << " on T " << b.what;
+      EXPECT_EQ(refused.status.message(), b.message)
+          << ProblemKindName(kind) << " on T " << b.what;
+    }
+    request.cinstance = on_t(setting.schema);
+    const Decision valid = service.Decide({handle, request});
+    EXPECT_TRUE(valid.status.ok())
+        << ProblemKindName(kind) << ": " << valid.status.ToString();
+  }
 }
 
 }  // namespace

@@ -167,6 +167,35 @@ TEST(CqTest, BuiltinsSatisfiedChecks) {
   EXPECT_TRUE(ok);
 }
 
+TEST(CqTest, BuiltinsSatisfiableUnionsTheEqualities) {
+  auto satisfiable = [](std::vector<CondAtom> builtins) {
+    return ConjunctiveQuery({}, {RelAtom{"E", {V(0), V(1)}}},
+                            std::move(builtins))
+        .BuiltinsSatisfiable();
+  };
+  const bool kEq = false;
+  const bool kNeq = true;
+  EXPECT_TRUE(satisfiable({}));
+  EXPECT_TRUE(satisfiable({{V(0), kEq, S("a")}, {V(0), kEq, S("a")}}));
+  EXPECT_TRUE(satisfiable({{V(0), kNeq, V(1)}, {V(0), kEq, S("a")}}));
+  EXPECT_TRUE(satisfiable({{S("a"), kEq, S("a")}}));
+  EXPECT_TRUE(satisfiable({{I(1), kNeq, S("1")}}));
+  // Two distinct constants in one class, directly or through variables.
+  EXPECT_FALSE(satisfiable({{V(0), kEq, S("a")}, {V(0), kEq, S("b")}}));
+  EXPECT_FALSE(satisfiable({{V(0), kEq, S("a")},
+                            {V(1), kEq, V(0)},
+                            {V(1), kEq, S("b")}}));
+  EXPECT_FALSE(satisfiable({{V(0), kEq, I(1)}, {V(0), kEq, S("1")}}));
+  EXPECT_FALSE(satisfiable({{S("a"), kEq, S("b")}}));
+  // A ≠ inside one class.
+  EXPECT_FALSE(satisfiable({{V(0), kNeq, V(0)}}));
+  EXPECT_FALSE(satisfiable({{S("a"), kNeq, S("a")}}));
+  EXPECT_FALSE(satisfiable(
+      {{V(0), kEq, V(1)}, {V(1), kEq, V(2)}, {V(2), kNeq, V(0)}}));
+  EXPECT_FALSE(satisfiable(
+      {{V(0), kEq, S("a")}, {V(1), kEq, S("a")}, {V(0), kNeq, V(1)}}));
+}
+
 TEST(CqTest, ToStringIsReadable) {
   ConjunctiveQuery q({CTerm(V(0))}, {RelAtom{"E", {V(0), I(1)}}},
                      {CondAtom{V(0), true, I(2)}});

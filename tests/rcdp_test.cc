@@ -275,7 +275,8 @@ TEST_P(Thm51Sweep, RcdpWeakMatchesQbfOracle) {
   EXPECT_OK(gadget.setting.Validate());
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
+      weak, RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                     prepared));
   // Claim: ϕ true ⇔ I is NOT weakly complete.
   EXPECT_EQ(!weak, qbf.Eval()) << qbf.matrix.ToString();
 }

@@ -123,13 +123,16 @@ TEST(RcqpIndTest, UncoveredHeadVariableIsUnbounded) {
 
 TEST(RcqpIndTest, UnboundedButUnsatisfiableQueryStillFine) {
   IndFixture fx;
-  // Q(y) :- Visit(n, y), y = a, y = b: no valid valuation.
+  // Q(y) :- Visit(n, y), y = a, y = b: no valid valuation, found without
+  // enumerating any.
   Query q = Query::Cq(ConjunctiveQuery(
       {CTerm(V(1))}, {RelAtom{"Visit", {V(0), V(1)}}},
       {CondAtom{V(1), false, S("a")}, CondAtom{V(1), false, S("b")}}));
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared));
+  SearchStats stats;
+  ASSERT_OK_AND_ASSIGN(nonempty, RcqpStrongInd(q, prepared, {}, &stats));
   EXPECT_TRUE(nonempty);
+  EXPECT_EQ(stats.valuations, 0u);
 }
 
 TEST(RcqpIndTest, FiniteDomainHeadIsBounded) {

@@ -24,7 +24,8 @@ TEST(Thm51FpTest, TautologyCircuitIsWeaklyComplete) {
   EXPECT_OK(gadget.setting.Validate());
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
+      weak, RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                     prepared));
   EXPECT_TRUE(weak);
 }
 
@@ -36,7 +37,8 @@ TEST(Thm51FpTest, NonTautologyIsNotWeaklyComplete) {
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
+      weak, RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                     prepared));
   EXPECT_FALSE(weak);
 }
 
@@ -48,7 +50,8 @@ TEST(Thm51FpTest, AndOfInputsNotTaut) {
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
+      weak, RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                     prepared));
   EXPECT_FALSE(weak);
 }
 
@@ -60,7 +63,8 @@ TEST_P(CircuitSweep, WeakCompletenessMatchesTautologyOracle) {
   GadgetProblem gadget = BuildSuccinctTautGadget(c);
   const PreparedSetting prepared = testing::MustPrepare(gadget.setting);
   ASSERT_OK_AND_ASSIGN(
-      weak, RcdpWeakGround(gadget.query, gadget.ground, prepared));
+      weak, RcdpWeak(gadget.query, CInstance::FromInstance(gadget.ground),
+                     prepared));
   EXPECT_EQ(weak, c.IsTautology()) << c.ToString();
 }
 

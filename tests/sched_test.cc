@@ -634,7 +634,8 @@ TEST(SchedServiceTest, SubmitStreamMatchesSubmitBatch) {
         // error slots through both paths.
         out->push_back(ServiceRequest{*a, DistinctWorkload(fx_a)[0]});
         out->push_back(ServiceRequest{*a, DistinctWorkload(fx_a)[0]});
-        out->push_back(ServiceRequest{SettingHandle{999}, DistinctWorkload(fx_a)[1]});
+        out->push_back(
+            ServiceRequest{SettingHandle{999}, DistinctWorkload(fx_a)[1]});
       };
 
       CompletenessService batch_service(options);

@@ -19,7 +19,7 @@ struct CertainAnswersResult {
 };
 
 /// Computes the certain answers of `q` over Mod(T, Dm, V). Like
-/// IsCompleteGround, it takes an Adom its caller built, and T must be over
+/// GroundCheck, it takes an Adom its caller built, and T must be over
 /// prepared.schema(): the caller has checked it (CheckSchemaMatches).
 Result<CertainAnswersResult> CertainAnswers(
     const Query& q, const CInstance& cinstance,

@@ -75,19 +75,6 @@ std::vector<OpenVarCandidate> CInstanceVarCandidates(
   return collector.Candidates();
 }
 
-// Closed levels for Mod(T) over `vars`, highest id first so the lowest id
-// advances fastest; an open variable ranges over all of Adom.
-std::vector<CanonicalValuationEnumerator::Level> WorldLevels(
-    const std::vector<OpenVarCandidate>& vars, const AdomContext& adom) {
-  std::vector<CanonicalValuationEnumerator::Level> levels;
-  levels.reserve(vars.size());
-  // LINT:waive(checkpoint-coverage, one level per variable)
-  for (auto it = vars.rbegin(); it != vars.rend(); ++it) {
-    levels.push_back({it->var, it->open ? &adom.values() : &it->values});
-  }
-  return levels;
-}
-
 }  // namespace
 
 std::vector<OpenVarCandidate> CqVarCandidatesOpen(
@@ -144,9 +131,7 @@ CanonicalValuationEnumerator::CanonicalValuationEnumerator(
 
 CanonicalValuationEnumerator::CanonicalValuationEnumerator(
     std::vector<Level> levels)
-    : levels_(std::move(levels)),
-      index_(levels_.size(), 0),
-      fresh_used_(levels_.size() + 1, 0) {
+    : levels_(std::move(levels)), index_(levels_.size(), 0) {
   // LINT:waive(checkpoint-coverage, constructor scan, bounded by #levels)
   for (const Level& level : levels_) {
     if (level.values == nullptr || level.values->empty()) exhausted_ = true;
@@ -186,6 +171,9 @@ bool CanonicalValuationEnumerator::Advance() {
     }
   }
   started_ = true;
+  // Only open levels read the fresh values taken before them; a walk over
+  // closed levels alone (the second constructor) keeps no count.
+  if (fresh_used_.empty()) return true;
   // LINT:waive(checkpoint-coverage, one pass over the changed levels)
   for (size_t i = pos; i < levels_.size(); ++i) {
     size_t used = fresh_used_[i];
@@ -258,38 +246,181 @@ ModEnumerator::ModEnumerator(const CInstance& cinstance,
                              const PreparedSetting& prepared,
                              const AdomContext& adom,
                              const SearchOptions& options, SearchStats* stats)
-    : cinstance_(cinstance),
-      prepared_(prepared),
+    : prepared_(prepared),
       stats_(stats),
       vars_(CInstanceVarCandidates(cinstance)),
-      valuations_(WorldLevels(vars_, adom)),
-      checkpoint_(options, "Mod(T, Dm, V) enumeration", "mod-enum") {}
+      built_(cinstance.schema()),
+      mu_(cinstance.VarUniverseSize()),
+      checkpoint_(options, "Mod(T, Dm, V) enumeration", "mod-enum") {
+  // LINT:waive(checkpoint-coverage, one candidate list per variable)
+  for (const OpenVarCandidate& v : vars_) {
+    const std::vector<Value>* values = v.open ? &adom.values() : &v.values;
+    if (values->empty()) done_ = true;  // no valuation at all
+    all_vars_.push_back({v.var, values});
+  }
+  auto level_of = [this](VarId var) {
+    return *std::lower_bound(
+        all_vars_.begin(), all_vars_.end(), var,
+        [](const Level& level, VarId v) { return level.var < v; });
+  };
+  auto add_once = [](std::vector<Level>* levels, const Level& level) {
+    // LINT:waive(checkpoint-coverage, bounded by the row's width)
+    for (const Level& have : *levels) {
+      if (have.var == level.var) return;
+    }
+    levels->push_back(level);
+  };
+  std::vector<VarId> cond_vars;
+  rows_.reserve(cinstance.TotalRows());
+  // LINT:waive(checkpoint-coverage, scans the input c-instance once)
+  for (size_t r = 0; r < cinstance.tables().size(); ++r) {
+    for (const CRow& row : cinstance.tables()[r].rows()) {
+      Row& step = rows_.emplace_back();
+      step.rel = r;
+      step.row = &row;
+      cond_vars.clear();
+      row.condition.CollectVars(&cond_vars);
+      for (VarId v : cond_vars) add_once(&step.cond_vars, level_of(v));
+      for (const Cell& cell : row.cells) {
+        if (!std::holds_alternative<VarId>(cell)) continue;
+        const Level level = level_of(std::get<VarId>(cell));
+        const bool in_cond = std::any_of(
+            step.cond_vars.begin(), step.cond_vars.end(),
+            [&level](const Level& c) { return c.var == level.var; });
+        if (!in_cond) add_once(&step.cell_vars, level);
+      }
+    }
+  }
+  frames_ = std::vector<Frame>(rows_.size());
+}
+
+void ModEnumerator::Enter(size_t depth) {
+  // The row's variables that no earlier row bound, fed last first so the
+  // first one advances fastest.
+  auto unbound = [this](const std::vector<Level>& vars,
+                        std::vector<Level>* levels) {
+    levels->clear();
+    // LINT:waive(checkpoint-coverage, one level per variable of the row)
+    for (auto it = vars.rbegin(); it != vars.rend(); ++it) {
+      if (!mu_.IsBound(it->var)) levels->push_back(*it);
+    }
+  };
+  Frame& frame = frames_[depth];
+  unbound(rows_[depth].cond_vars, &frame.cond_levels);
+  unbound(rows_[depth].cell_vars, &frame.cell_levels);
+  frame.cond.emplace(frame.cond_levels);
+  frame.cells.reset();
+  frame.inserted = false;
+}
+
+void ModEnumerator::Unbind(const std::vector<Level>& levels) {
+  // LINT:waive(checkpoint-coverage, one variable per level)
+  for (const Level& level : levels) mu_.Unbind(level.var);
+}
+
+Result<bool> ModEnumerator::Advance(size_t depth) {
+  const Row& row = rows_[depth];
+  Frame& frame = frames_[depth];
+  Relation& rel = built_.relations()[row.rel];
+  DeltaRow& added = delta_[0];
+  if (frame.inserted) {
+    rel.Erase(frame.tuple);
+    frame.inserted = false;
+  }
+  while (true) {
+    if (frame.cells.has_value()) {
+      if (frame.cells->Next(&mu_)) {
+        RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
+        if (stats_ != nullptr) ++stats_->valuations;
+        added.rel = row.rel;
+        added.tuple.clear();
+        for (const Cell& cell : row.row->cells) {
+          added.tuple.push_back(std::holds_alternative<Value>(cell)
+                                    ? std::get<Value>(cell)
+                                    : *mu_.Get(std::get<VarId>(cell)));
+        }
+        // A row equal to one an earlier row built adds nothing to check,
+        // and is not erased on the way back.
+        if (rel.Contains(added.tuple)) return true;
+        if (stats_ != nullptr) ++stats_->cc_checks;
+        if (!prepared_.SatisfiesCCsDelta(built_, delta_)) continue;
+        frame.inserted = rel.Insert(added.tuple);
+        frame.tuple.swap(added.tuple);
+        return true;
+      }
+      frame.cells.reset();
+      Unbind(frame.cell_levels);
+    }
+    if (!frame.cond->Next(&mu_)) {
+      Unbind(frame.cond_levels);
+      return false;
+    }
+    if (!*row.row->condition.Eval(mu_)) {
+      // A dropped row: its cell variables stay unbound for later rows.
+      RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
+      if (stats_ != nullptr) ++stats_->valuations;
+      return true;
+    }
+    frame.cells.emplace(frame.cell_levels);
+  }
+}
+
+bool ModEnumerator::Emit(Valuation* mu, Instance* world) {
+  // Structural key: the sorted rows of every relation. A rendered key
+  // would take the symbol interner's lock per value and merge Int(1) with
+  // Sym("1").
+  WorldKey key;
+  key.reserve(built_.relations().size());
+  // LINT:waive(checkpoint-coverage, one row vector per relation)
+  for (const Relation& rel : built_.relations()) key.push_back(rel.rows());
+  if (!seen_.insert(std::move(key)).second) return false;
+  if (stats_ != nullptr) ++stats_->worlds;
+  if (world != nullptr) *world = built_;
+  if (mu != nullptr) {
+    *mu = mu_;
+    // Variables of dropped rows only: any candidate gives this world.
+    // LINT:waive(checkpoint-coverage, one binding per variable)
+    for (const Level& level : all_vars_) {
+      if (!mu->IsBound(level.var)) mu->Bind(level.var, level.values->front());
+    }
+  }
+  return true;
+}
 
 Result<bool> ModEnumerator::Next(Valuation* mu, Instance* world) {
-  Valuation local_mu;
-  Valuation* mu_ptr = mu != nullptr ? mu : &local_mu;
-  while (valuations_.Next(mu_ptr)) {
-    RELCOMP_RETURN_IF_ERROR(checkpoint_.Tick());
-    if (stats_ != nullptr) ++stats_->valuations;
-    Result<Instance> candidate = cinstance_.Apply(*mu_ptr);
-    if (!candidate.ok()) return candidate.status();
+  if (done_) return false;
+  if (!started_) {
+    started_ = true;
+    // The walk's base case: ∅ is partially closed unless a CC with an
+    // empty body fails, and then so does every world.
     if (stats_ != nullptr) ++stats_->cc_checks;
-    if (!*prepared_.SatisfiesCCs(*candidate)) continue;
-    // Structural key: the sorted rows of every relation. A rendered key
-    // would take the symbol interner's lock per value and merge Int(1)
-    // with Sym("1").
-    WorldKey key;
-    key.reserve(candidate->relations().size());
-    // LINT:waive(checkpoint-coverage, one row vector per relation)
-    for (const Relation& rel : candidate->relations()) {
-      key.push_back(rel.rows());
+    if (!*prepared_.SatisfiesCCs(built_)) {
+      done_ = true;
+      return false;
     }
-    if (!seen_.insert(std::move(key)).second) continue;
-    if (stats_ != nullptr) ++stats_->worlds;
-    if (world != nullptr) *world = std::move(candidate).value();
-    return true;
+    if (rows_.empty()) {
+      done_ = true;
+      return Emit(mu, world);
+    }
+    Enter(0);
   }
-  return false;
+  // Resume at the row that moves next: the last row once a world was
+  // returned.
+  while (true) {
+    Result<bool> moved = Advance(depth_);
+    if (!moved.ok()) return moved.status();
+    if (!*moved) {
+      if (depth_ == 0) {
+        done_ = true;
+        return false;
+      }
+      --depth_;
+    } else if (depth_ + 1 < rows_.size()) {
+      Enter(++depth_);
+    } else if (Emit(mu, world)) {
+      return true;
+    }
+  }
 }
 
 ExtensionSearch::ExtensionSearch(const PreparedSetting& prepared,

@@ -1,12 +1,14 @@
 // Enumeration machinery shared by all deciders: per-variable candidates
 // (respecting finite attribute domains), the one odometer every decider
-// walks — valuations of T over Adom, valuations of a query tableau, the
-// candidate tuples of a relation — the Mod(T, Dm, V) world enumerator, and
-// the one bounded extension search.
+// walks — the bindings of one c-table row, valuations of a query tableau,
+// the candidate tuples of a relation — the Mod(T, Dm, V) world enumerator
+// (a row-at-a-time backtracking walk with delta CC pruning), and the one
+// bounded extension search.
 #ifndef RELCOMP_CORE_ENUMERATE_H_
 #define RELCOMP_CORE_ENUMERATE_H_
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -81,7 +83,8 @@ class CanonicalValuationEnumerator {
   std::vector<Value> base_;
   std::vector<Value> fresh_;
   std::vector<size_t> index_;       // per level
-  std::vector<size_t> fresh_used_;  // fresh values taken by levels < i
+  std::vector<size_t> fresh_used_;  // fresh values taken by levels < i;
+                                    // empty for closed levels only
   bool started_ = false;
   bool exhausted_ = false;
 };
@@ -100,29 +103,79 @@ CanonicalValuationEnumerator MakeCanonicalCqEnumerator(
 CanonicalValuationEnumerator CandidateTuples(const RelationSchema& rel,
                                              const AdomContext& adom);
 
-/// Enumerates the worlds of ModAdom(T, Dm, V): valuations µ over Adom whose
-/// µ(T) satisfies the CCs, the lowest variable id advancing fastest.
-/// Deduplicates worlds structurally, by their relations' sorted rows
-/// (different valuations can yield the same ground instance). T must be
-/// over the setting's schema (the deciders check it at entry).
+/// Enumerates the worlds of ModAdom(T, Dm, V) by backtracking over T's rows,
+/// tables in schema order and rows in table order. The rows built so far
+/// form one instance, changed in place; a world is copied out only when it
+/// is returned. At each row the walk first binds the row's still-unbound
+/// condition variables and decides the condition: a false condition drops
+/// the row. It then binds the row's unbound cell variables and checks the
+/// row with SatisfiesCCsDelta against the rows so far. Those rows are
+/// partially closed by induction from ∅, which is checked once in full, and
+/// CC bodies are monotone CQs, so a violation prunes every completion and no
+/// world is lost. A variable ranges over the odometer's candidate list: the
+/// intersection of its columns' finite domains, or all of Adom when it is
+/// open (condition-only variables are open); one with an empty list empties
+/// Mod. A variable that occurs only in dropped rows is bound once, to its
+/// first candidate. Worlds are deduplicated structurally, by their
+/// relations' sorted rows: two bindings can give one world (rows that swap
+/// values). T must be over the setting's schema (the deciders check it at
+/// entry).
 class ModEnumerator {
  public:
   ModEnumerator(const CInstance& cinstance, const PreparedSetting& prepared,
                 const AdomContext& adom, const SearchOptions& options,
                 SearchStats* stats);
 
-  /// Produces the next distinct world; `mu` and/or `world` may be null.
-  /// Returns false when exhausted; fails with kResourceExhausted if the
-  /// step budget runs out, or kDeadlineExceeded / kCancelled when a
-  /// checkpoint observes the options' deadline or cancellation token.
+  /// Produces the next distinct world and a µ that binds every variable of
+  /// T with µ(T) = world; `mu` and/or `world` may be null. Returns false
+  /// when exhausted; fails with kResourceExhausted if the step budget runs
+  /// out, or kDeadlineExceeded / kCancelled when a checkpoint observes the
+  /// options' deadline or cancellation token. Each binding of a row's
+  /// variables is one step and one SearchStats::valuations; each delta
+  /// check, and the one full check of ∅, is one cc_checks.
   Result<bool> Next(Valuation* mu, Instance* world);
 
  private:
-  const CInstance& cinstance_;
+  using Level = CanonicalValuationEnumerator::Level;
+
+  // One row of T, with its variables in order of first occurrence and
+  // their candidate lists. A variable of the condition is not repeated
+  // among the cells.
+  struct Row {
+    size_t rel = 0;  // the row's table, by schema index
+    const CRow* row = nullptr;
+    std::vector<Level> cond_vars;
+    std::vector<Level> cell_vars;
+  };
+  // The walk at one row: odometers over the row's variables that were
+  // unbound when the walk reached it, and the tuple the current binding
+  // added to the instance, if it was new there.
+  struct Frame {
+    std::vector<Level> cond_levels;
+    std::vector<Level> cell_levels;
+    std::optional<CanonicalValuationEnumerator> cond;
+    std::optional<CanonicalValuationEnumerator> cells;
+    bool inserted = false;
+    Tuple tuple;  // the inserted tuple, while `inserted`
+  };
+
+  void Enter(size_t depth);
+  Result<bool> Advance(size_t depth);
+  void Unbind(const std::vector<Level>& levels);
+  bool Emit(Valuation* mu, Instance* world);
+
   PreparedSetting prepared_;
   SearchStats* stats_;
   std::vector<OpenVarCandidate> vars_;  // the finite-domain lists
-  CanonicalValuationEnumerator valuations_;
+  std::vector<Level> all_vars_;         // every variable, for Emit
+  std::vector<Row> rows_;
+  std::vector<Frame> frames_;  // one per row, sized once
+  Instance built_;             // the rows kept so far
+  Valuation mu_;               // the bindings so far
+  std::vector<DeltaRow> delta_{1};  // the row being checked
+  size_t depth_ = 0;  // the row whose binding moves next
+  bool started_ = false;
+  bool done_ = false;
   using WorldKey = std::vector<std::vector<Tuple>>;
   std::set<WorldKey> seen_;  // worlds returned so far
   SearchCheckpoint checkpoint_;

@@ -1,5 +1,7 @@
 #include "core/ground.h"
 
+#include <algorithm>
+
 namespace relcomp {
 namespace {
 
@@ -47,13 +49,68 @@ Status InstantiateDelta(const ConjunctiveQuery& q,
   return Status::OK();
 }
 
+// True when `phi` binds its variables to pairwise distinct values.
+bool Injective(const Valuation& phi, size_t size) {
+  std::vector<Value> images;
+  // LINT:waive(checkpoint-coverage, one image per fresh constant of a ν)
+  for (size_t j = 0; j < size; ++j) {
+    images.push_back(*phi.Get(VarId{static_cast<int32_t>(j)}));
+  }
+  std::sort(images.begin(), images.end());
+  return std::adjacent_find(images.begin(), images.end()) == images.end();
+}
+
 }  // namespace
 
-Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
-                              const PreparedSetting& prepared,
-                              const AdomContext& adom,
-                              const SearchOptions& options, SearchStats* stats,
-                              CompletenessWitness* witness) {
+AdmissibleValuations::AdmissibleValuations(const ConjunctiveQuery& disjunct,
+                                           const PreparedSetting& prepared,
+                                           const AdomContext& adom)
+    : disjunct_(disjunct),
+      prepared_(prepared),
+      empty_(prepared.schema()),
+      rels_(AtomRelations(disjunct, prepared.schema())),
+      // Fresh constants are interchangeable in this existential search, so
+      // a symmetry-broken enumeration suffices. Contradictory builtins need
+      // none: Next returns before enumerating, and Adom stays unread.
+      nus_(disjunct.BuiltinsSatisfiable()
+               ? MakeCanonicalCqEnumerator(disjunct, prepared.schema(), adom,
+                                           empty_)
+               : CanonicalValuationEnumerator(
+                     std::vector<CanonicalValuationEnumerator::Level>{})) {}
+
+Result<bool> AdmissibleValuations::Next(SearchCheckpoint* checkpoint,
+                                        SearchStats* stats, Valuation* nu,
+                                        std::vector<DeltaRow>* delta) {
+  // No ν satisfies contradictory builtins, so the disjunct adds nothing.
+  if (!disjunct_.BuiltinsSatisfiable()) return false;
+  if (!rels_.ok()) return rels_.status();
+  while (nus_.Next(nu)) {
+    RELCOMP_RETURN_IF_ERROR(checkpoint->Tick());
+    if (stats != nullptr) ++stats->valuations;
+    Result<bool> builtins_ok = disjunct_.BuiltinsSatisfied(*nu);
+    if (!builtins_ok.ok()) return builtins_ok.status();
+    if (!*builtins_ok) continue;
+    RELCOMP_RETURN_IF_ERROR(InstantiateDelta(disjunct_, *rels_, *nu, delta));
+    if (stats != nullptr) ++stats->cc_checks;
+    if (prepared_.SatisfiesCCsDelta(empty_, *delta)) return true;
+  }
+  return false;
+}
+
+GroundCheck::GroundCheck(const Query& q, const PreparedSetting& prepared,
+                         const AdomContext& adom)
+    : q_(&q), prepared_(&prepared), adom_(&adom) {
+  const std::vector<Value>& fresh = adom.fresh();
+  // LINT:waive(checkpoint-coverage, one entry per fresh constant)
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    fresh_index_.emplace_back(fresh[i], i);
+  }
+  std::sort(fresh_index_.begin(), fresh_index_.end());
+}
+
+Result<GroundCheck> GroundCheck::For(const Query& q,
+                                     const PreparedSetting& prepared,
+                                     const AdomContext& adom) {
   if (q.language() == QueryLanguage::kFO ||
       q.language() == QueryLanguage::kFP) {
     return Status::Undecidable(
@@ -61,60 +118,142 @@ Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
         QueryLanguageName(q.language()) +
         " (Theorem 4.1); use the bounded search in core/bounded.h");
   }
-  if (!*prepared.SatisfiesCCs(instance)) {
-    if (witness != nullptr) {
-      witness->note = "instance is not partially closed: a CC is violated";
+  return GroundCheck(q, prepared, adom);
+}
+
+int GroundCheck::FreshIndex(const Value& v) const {
+  auto it = std::lower_bound(
+      fresh_index_.begin(), fresh_index_.end(), v,
+      [](const std::pair<Value, size_t>& entry, const Value& value) {
+        return entry.first < value;
+      });
+  if (it == fresh_index_.end() || it->first != v) return -1;
+  return static_cast<int>(it->second);
+}
+
+Result<bool> GroundCheck::FindAdmissible(SearchCheckpoint* checkpoint,
+                                         SearchStats* stats) {
+  Valuation nu;
+  std::vector<DeltaRow> delta;
+  while (true) {
+    if (walk_ == nullptr) {
+      if (next_disjunct_ == disjuncts_->size()) return false;
+      walk_ = std::make_unique<AdmissibleValuations>(
+          (*disjuncts_)[next_disjunct_++], *prepared_, *adom_);
     }
-    return false;
+    Result<bool> found = walk_->Next(checkpoint, stats, &nu, &delta);
+    if (!found.ok()) return found.status();
+    if (!*found) {
+      walk_.reset();
+      continue;
+    }
+    Result<Tuple> head = (*disjuncts_)[next_disjunct_ - 1].InstantiateHead(nu);
+    if (!head.ok()) return head.status();
+    size_t fresh = 0;
+    // LINT:waive(checkpoint-coverage, one slot per variable of ν)
+    for (size_t v = 0; v < nu.num_slots(); ++v) {
+      const std::optional<Value> value = nu.Get(VarId{static_cast<int32_t>(v)});
+      if (!value.has_value()) continue;
+      fresh = std::max(fresh, static_cast<size_t>(FreshIndex(*value) + 1));
+    }
+    admissible_.push_back({std::move(delta), std::move(head).value(), fresh});
+    return true;
+  }
+}
+
+Result<bool> GroundCheck::IsComplete(const Instance& closed,
+                                     const SearchOptions& options,
+                                     SearchStats* stats,
+                                     CompletenessWitness* witness) {
+  if (stats != nullptr) ++stats->query_evals;
+  Result<Relation> answers = EvalOverAdom(*q_, closed, *adom_);
+  if (!answers.ok()) return answers.status();
+  if (!disjuncts_.has_value()) {
+    Result<std::vector<ConjunctiveQuery>> disjuncts = q_->Disjuncts();
+    if (!disjuncts.ok()) return disjuncts.status();
+    disjuncts_ = std::move(disjuncts).value();
   }
 
-  if (stats != nullptr) ++stats->query_evals;
-  Result<Relation> answers = EvalOverAdom(q, instance, adom);
-  if (!answers.ok()) return answers.status();
-
-  Result<std::vector<ConjunctiveQuery>> disjuncts = q.Disjuncts();
-  if (!disjuncts.ok()) return disjuncts.status();
+  // The fresh constants I mentions, and the rest in adom.fresh() order: a
+  // ν's renamings map its fresh constants injectively onto the first, or
+  // onto the next unused one of the second, as the canonical enumeration
+  // around I would bind them.
+  std::vector<Value> pinned;
+  // LINT:waive(checkpoint-coverage, one pass over the instance's values)
+  for (const Relation& rel : closed.relations()) {
+    for (const Tuple& t : rel.rows()) {
+      for (const Value& v : t) {
+        if (FreshIndex(v) >= 0) pinned.push_back(v);
+      }
+    }
+  }
+  std::sort(pinned.begin(), pinned.end());
+  pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
+  std::vector<Value> unused;
+  if (!pinned.empty()) {
+    // LINT:waive(checkpoint-coverage, filters the fresh constants once)
+    for (const Value& f : adom_->fresh()) {
+      if (!std::binary_search(pinned.begin(), pinned.end(), f)) {
+        unused.push_back(f);
+      }
+    }
+  }
 
   SearchCheckpoint checkpoint(options, "ground completeness search", "ground");
-  std::vector<DeltaRow> delta;  // ν(T_Q), refilled per candidate
-  for (const ConjunctiveQuery& disjunct : *disjuncts) {
-    // No ν satisfies contradictory builtins, so the disjunct adds nothing.
-    if (!disjunct.BuiltinsSatisfiable()) continue;
-    Result<std::vector<size_t>> rels =
-        AtomRelations(disjunct, prepared.schema());
-    if (!rels.ok()) return rels.status();
-    // Fresh constants are interchangeable in this existential search, so a
-    // symmetry-broken enumeration suffices (values of I stay pinned).
-    CanonicalValuationEnumerator nus =
-        MakeCanonicalCqEnumerator(disjunct, prepared.schema(), adom, instance);
-    Valuation nu;
-    while (nus.Next(&nu)) {
+  // Is I ∪ Δ partially closed with the new answer `head`? I is, so only Δ
+  // can break V.
+  auto extends = [&](const std::vector<DeltaRow>& delta, const Tuple& head) {
+    if (answers->Contains(head)) return false;
+    if (stats != nullptr) {
+      ++stats->extensions;
+      ++stats->cc_checks;
+    }
+    if (!prepared_->SatisfiesCCsDelta(closed, delta)) return false;
+    if (witness != nullptr) {
+      witness->world = closed;
+      witness->extension = PreparedSetting::WithDelta(closed, delta);
+      witness->answer = head;
+      witness->note =
+          "partially closed extension adds answer " + TupleToString(head);
+    }
+    return true;
+  };
+  std::vector<DeltaRow> renamed_delta;
+  Tuple renamed_head;
+  for (size_t i = 0;; ++i) {
+    if (i == admissible_.size()) {
+      Result<bool> found = FindAdmissible(&checkpoint, stats);
+      if (!found.ok()) return found.status();
+      if (!*found) break;
+    }
+    const Admissible& nu = admissible_[i];
+    if (pinned.empty() || nu.fresh == 0) {
       RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
-      if (stats != nullptr) ++stats->valuations;
-      // The canonical extension only produces a new answer if the builtins
-      // hold under ν.
-      Result<bool> builtins_ok = disjunct.BuiltinsSatisfied(nu);
-      if (!builtins_ok.ok()) return builtins_ok.status();
-      if (!*builtins_ok) continue;
-      // Cheap test first: the candidate new answer ν(u_Q).
-      Result<Tuple> head = disjunct.InstantiateHead(nu);
-      if (!head.ok()) return head.status();
-      if (answers->Contains(*head)) continue;
-      // Is I ∪ ν(T_Q) partially closed? I is, so only ν(T_Q) can break V.
-      RELCOMP_RETURN_IF_ERROR(InstantiateDelta(disjunct, *rels, nu, &delta));
-      if (stats != nullptr) {
-        ++stats->extensions;
-        ++stats->cc_checks;
+      if (extends(nu.delta, nu.head)) return false;
+      continue;
+    }
+    std::vector<OpenVarCandidate> fresh_of_nu(nu.fresh);
+    for (size_t j = 0; j < nu.fresh; ++j) {
+      fresh_of_nu[j] = {VarId{static_cast<int32_t>(j)}, {}, true};
+    }
+    CanonicalValuationEnumerator renamings(std::move(fresh_of_nu), pinned,
+                                           unused);
+    Valuation phi;
+    auto rename = [&](const Value& v) {
+      const int j = FreshIndex(v);
+      return j >= 0 && static_cast<size_t>(j) < nu.fresh ? *phi.Get(VarId{j})
+                                                          : v;
+    };
+    while (renamings.Next(&phi)) {
+      if (!Injective(phi, nu.fresh)) continue;
+      RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
+      renamed_delta = nu.delta;
+      for (DeltaRow& row : renamed_delta) {
+        for (Value& v : row.tuple) v = rename(v);
       }
-      if (!prepared.SatisfiesCCsDelta(instance, delta)) continue;
-      if (witness != nullptr) {
-        witness->world = instance;
-        witness->extension = PreparedSetting::WithDelta(instance, delta);
-        witness->answer = *head;
-        witness->note =
-            "partially closed extension adds answer " + TupleToString(*head);
-      }
-      return false;
+      renamed_head = nu.head;
+      for (Value& v : renamed_head) v = rename(v);
+      if (extends(renamed_delta, renamed_head)) return false;
     }
   }
   return true;

@@ -5,15 +5,15 @@
 namespace relcomp {
 namespace {
 
-// Is the ground world `instance` a *minimal* complete instance? Uses
-// Lemma 4.7(b): it suffices to test single-tuple removals.
-Result<bool> MinimalCompleteWorld(const Query& q, const Instance& instance,
-                                  const PreparedSetting& prepared,
-                                  const AdomContext& adom,
+// Is the partially closed ground world `instance` a *minimal* complete
+// instance? Uses Lemma 4.7(b): it suffices to test single-tuple removals.
+// Each removal leaves a subset of a closed instance, which is closed too
+// (CCs are monotone).
+Result<bool> MinimalCompleteWorld(GroundCheck& ground,
+                                  const Instance& instance,
                                   const SearchOptions& options,
                                   SearchStats* stats) {
-  Result<bool> complete =
-      IsCompleteGround(q, instance, prepared, adom, options, stats, nullptr);
+  Result<bool> complete = ground.IsComplete(instance, options, stats);
   if (!complete.ok()) return complete.status();
   if (!*complete) return false;
   SearchCheckpoint checkpoint(options, "minimality single-removal sweep",
@@ -23,8 +23,7 @@ Result<bool> MinimalCompleteWorld(const Query& q, const Instance& instance,
       RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
       Instance smaller = instance;
       smaller.relations()[r].Erase(t);
-      Result<bool> sub_complete = IsCompleteGround(q, smaller, prepared, adom,
-                                                   options, stats, nullptr);
+      Result<bool> sub_complete = ground.IsComplete(smaller, options, stats);
       if (!sub_complete.ok()) return sub_complete.status();
       if (*sub_complete) return false;  // a smaller complete instance exists
     }
@@ -41,7 +40,12 @@ Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(instance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
-  return MinimalCompleteWorld(q, instance, prepared, adom, options, stats);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
+  // The one instance here that may not be partially closed.
+  if (stats != nullptr) ++stats->cc_checks;
+  if (!*prepared.SatisfiesCCs(instance)) return false;
+  return MinimalCompleteWorld(*ground, instance, options, stats);
 }
 
 Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
@@ -50,6 +54,8 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   bool any = false;
@@ -58,8 +64,7 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
     if (!got.ok()) return got.status();
     if (!*got) break;
     any = true;
-    Result<bool> minimal =
-        MinimalCompleteWorld(q, world, prepared, adom, options, stats);
+    Result<bool> minimal = MinimalCompleteWorld(*ground, world, options, stats);
     if (!minimal.ok()) return minimal.status();
     if (!*minimal) return false;
   }
@@ -72,14 +77,15 @@ Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   while (true) {
     Result<bool> got = worlds.Next(nullptr, &world);
     if (!got.ok()) return got.status();
     if (!*got) break;
-    Result<bool> minimal =
-        MinimalCompleteWorld(q, world, prepared, adom, options, stats);
+    Result<bool> minimal = MinimalCompleteWorld(*ground, world, options, stats);
     if (!minimal.ok()) return minimal.status();
     if (*minimal) return true;
   }

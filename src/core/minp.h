@@ -3,7 +3,10 @@
 //  - Strong/viable models go through Lemma 4.7: a complete ground instance
 //    is non-minimal iff removing a single tuple leaves it complete; for a
 //    c-instance, strong minimality quantifies over all worlds (Πp3 — Thm
-//    4.8) and viable minimality over some world (Σp3 — Cor 6.3).
+//    4.8) and viable minimality over some world (Σp3 — Cor 6.3). One
+//    GroundCheck per call serves every world and every removal: its
+//    admissible tableau valuations do not depend on the instance, and the
+//    subsets of a partially closed world are partially closed too.
 //  - Weak model: the general subset-removal algorithm (Πp4 for UCQ/∃FO⁺,
 //    coNEXPTIME for FP — Thm 5.6) plus the coDP dichotomy for CQ
 //    (Lemma 5.7).

@@ -124,12 +124,19 @@ CompiledCc Compile(const ContainmentConstraint& cc,
   return out;
 }
 
-// Per-call scratch: the variable slots and the head buffer. Lives on the
-// caller's stack, so one plan serves any number of concurrent checks.
+// Check scratch: the variable slots and the head buffer. Each thread keeps
+// one (ThreadScratch), so one plan serves any number of concurrent checks
+// and a check allocates nothing once its thread has run a wider one.
 struct Scratch {
   std::vector<Value> slots;
   Tuple head;
 };
+
+Scratch& ThreadScratch(size_t slots) {
+  thread_local Scratch scratch;
+  if (scratch.slots.size() < slots) scratch.slots.resize(slots);
+  return scratch;
+}
 
 bool Matches(const CompiledAtom& atom, const Tuple& tuple,
              std::vector<Value>& slots) {
@@ -211,20 +218,11 @@ struct PreparedSetting::CcPlan {
     for (const ContainmentConstraint& cc : setting.ccs) {
       ccs.push_back(Compile(cc, setting));
       max_slots = std::max(max_slots, ccs.back().num_slots);
-      max_head = std::max(max_head, ccs.back().head.size());
     }
-  }
-
-  Scratch MakeScratch() const {
-    Scratch scratch;
-    scratch.slots.resize(max_slots);
-    scratch.head.reserve(max_head);
-    return scratch;
   }
 
   std::vector<CompiledCc> ccs;  // parallel to the setting's CCs
   size_t max_slots = 0;
-  size_t max_head = 0;
 };
 
 PreparedSetting::Artifacts::~Artifacts() = default;
@@ -257,7 +255,7 @@ const PreparedSetting::CcPlan& PreparedSetting::plan() const {
 
 Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
   const CcPlan& plan = this->plan();
-  Scratch scratch = plan.MakeScratch();
+  Scratch& scratch = ThreadScratch(plan.max_slots);
   for (const CompiledCc& cc : plan.ccs) {
     if (cc.never_fires) continue;
     if (ViolationSearch(cc, instance, nullptr, 0, &scratch).Found()) {
@@ -270,7 +268,7 @@ Result<bool> PreparedSetting::SatisfiesCCs(const Instance& instance) const {
 bool PreparedSetting::SatisfiesCCsDelta(
     const Instance& closed, const std::vector<DeltaRow>& delta) const {
   const CcPlan& plan = this->plan();
-  Scratch scratch = plan.MakeScratch();
+  Scratch& scratch = ThreadScratch(plan.max_slots);
   for (const CompiledCc& cc : plan.ccs) {
     if (cc.never_fires) continue;
     for (size_t d = 0; d < cc.atoms.size(); ++d) {

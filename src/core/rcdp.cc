@@ -1,20 +1,6 @@
 #include "core/rcdp.h"
 
 namespace relcomp {
-namespace {
-
-Status RequireTableauLanguage(const Query& q, const char* problem) {
-  if (q.language() == QueryLanguage::kFO ||
-      q.language() == QueryLanguage::kFP) {
-    return Status::Undecidable(
-        std::string(problem) + " is undecidable for " +
-        QueryLanguageName(q.language()) +
-        " (Table I); use the bounded procedures in core/bounded.h");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
                         const PreparedSetting& prepared,
@@ -22,8 +8,9 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
                         CompletenessWitness* witness) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
-  RELCOMP_RETURN_IF_ERROR(RequireTableauLanguage(q, "RCDP (strong model)"));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Valuation mu;
   Instance world;
@@ -33,8 +20,7 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
     if (!got.ok()) return got.status();
     if (!*got) break;
     any = true;
-    Result<bool> complete =
-        IsCompleteGround(q, world, prepared, adom, options, stats, witness);
+    Result<bool> complete = ground->IsComplete(world, options, stats, witness);
     if (!complete.ok()) return complete.status();
     if (!*complete) {
       if (witness != nullptr) {
@@ -60,16 +46,16 @@ Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
                         Instance* witness_world) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
-  RELCOMP_RETURN_IF_ERROR(RequireTableauLanguage(q, "RCDP (viable model)"));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   while (true) {
     Result<bool> got = worlds.Next(nullptr, &world);
     if (!got.ok()) return got.status();
     if (!*got) break;
-    Result<bool> complete =
-        IsCompleteGround(q, world, prepared, adom, options, stats, nullptr);
+    Result<bool> complete = ground->IsComplete(world, options, stats);
     if (!complete.ok()) return complete.status();
     if (*complete) {
       if (witness_world != nullptr) *witness_world = world;
@@ -173,8 +159,17 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(instance.schema(), prepared.schema()));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
-  return IsCompleteGround(q, instance, prepared, adom, options, stats,
-                          witness);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
+  // The one instance here that may not be partially closed.
+  if (stats != nullptr) ++stats->cc_checks;
+  if (!*prepared.SatisfiesCCs(instance)) {
+    if (witness != nullptr) {
+      witness->note = "instance is not partially closed: a CC is violated";
+    }
+    return false;
+  }
+  return ground->IsComplete(instance, options, stats, witness);
 }
 
 }  // namespace relcomp

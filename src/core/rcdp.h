@@ -6,7 +6,10 @@
 //   viable: some world is complete                             (Thm 6.1)
 // Decidable cases follow the paper's algorithms (Adom valuation search with
 // the Lemma 4.2/4.3 and Lemma 5.2 characterizations); undecidable cells of
-// Table I return kUndecidable and point to core/bounded.h.
+// Table I return kUndecidable and point to core/bounded.h. The strong and
+// viable deciders walk Mod(T, Dm, V) row by row (ModEnumerator) and test
+// each world with one GroundCheck per call, which enumerates the query's
+// tableau valuations at most once.
 //
 // Input contract (every decider in src/core/ that takes T or I): T is a
 // c-instance of the setting's own schema R (Section 2.2), i.e. its relations
@@ -53,9 +56,9 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
                       SearchStats* stats = nullptr,
                       CompletenessWitness* witness = nullptr);
 
-/// Ground instances (strong ≡ viable on ground instances): IsCompleteGround
-/// over an Adom built for I, without the Mod(T) walk. For the weak model,
-/// run RcdpWeak on CInstance::FromInstance(I).
+/// Ground instances (strong ≡ viable on ground instances): a full CC check
+/// of I, then GroundCheck over an Adom built for I, without the Mod(T)
+/// walk. For the weak model, run RcdpWeak on CInstance::FromInstance(I).
 Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               const PreparedSetting& prepared,
                               const SearchOptions& options = {},

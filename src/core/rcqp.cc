@@ -26,9 +26,11 @@ Result<RcqpSearchResult> RcqpStrongBounded(
   }
   CInstance empty(prepared.schema());
   AdomContext adom = prepared.BuildAdom(empty, &q);
+  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
+  if (!ground.ok()) return ground.status();
   // Ground instances grow from ∅ in canonical tuple order, so each one is
   // generated once; CC violations prune the subtree (CC bodies are
-  // monotone CQs).
+  // monotone CQs), and a node that passes is closed for the ground check.
   ExtensionSearch search(prepared, adom, max_tuples, options, "RCQP search",
                          "rcqp-dfs");
   RcqpSearchResult result;
@@ -37,8 +39,7 @@ Result<RcqpSearchResult> RcqpStrongBounded(
     if (!*prepared.SatisfiesCCs(candidate)) {
       return Step::kPrune;  // supersets can only stay violated
     }
-    Result<bool> complete = IsCompleteGround(q, candidate, prepared, adom,
-                                             options, stats, nullptr);
+    Result<bool> complete = ground->IsComplete(candidate, options, stats);
     if (!complete.ok()) return complete.status();
     if (!*complete) return Step::kDescend;
     result.found = true;
@@ -120,36 +121,20 @@ Result<bool> RcqpStrongInd(const Query& q,
   AdomContext adom = prepared.BuildAdom(empty, &q);
 
   SearchCheckpoint checkpoint(options, "IND RCQP valuation search", "rcqp-ind");
+  Valuation nu;
+  std::vector<DeltaRow> delta;
   for (const ConjunctiveQuery& disjunct : *disjuncts) {
-    // A bounded disjunct, or one whose builtins contradict each other (it
-    // has no valid valuation), leaves RCQ non-empty.
-    if (IsBoundedDisjunct(disjunct, prepared.schema(), prepared.ccs()) ||
-        !disjunct.BuiltinsSatisfiable()) {
+    // A bounded disjunct leaves RCQ non-empty.
+    if (IsBoundedDisjunct(disjunct, prepared.schema(), prepared.ccs())) {
       continue;
     }
     // Unbounded disjunct: RCQ is still non-empty iff it has no valid
     // valuation (no partially closed canonical instance with an answer).
-    bool has_valid = false;
-    Instance empty_instance(prepared.schema());
-    CanonicalValuationEnumerator nus = MakeCanonicalCqEnumerator(
-        disjunct, prepared.schema(), adom, empty_instance);
-    Valuation nu;
-    while (nus.Next(&nu)) {
-      RELCOMP_RETURN_IF_ERROR(checkpoint.Tick());
-      if (stats != nullptr) ++stats->valuations;
-      Result<bool> builtins_ok = disjunct.BuiltinsSatisfied(nu);
-      if (!builtins_ok.ok()) return builtins_ok.status();
-      if (!*builtins_ok) continue;
-      Result<Instance> canonical =
-          disjunct.InstantiateTableau(nu, prepared.schema());
-      if (!canonical.ok()) return canonical.status();
-      if (stats != nullptr) ++stats->cc_checks;
-      if (*prepared.SatisfiesCCs(*canonical)) {
-        has_valid = true;
-        break;
-      }
-    }
-    if (has_valid) return false;
+    // ∅ is partially closed: an IND's body is one atom.
+    AdmissibleValuations valid(disjunct, prepared, adom);
+    Result<bool> has_valid = valid.Next(&checkpoint, stats, &nu, &delta);
+    if (!has_valid.ok()) return has_valid.status();
+    if (*has_valid) return false;
   }
   return true;
 }

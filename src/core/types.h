@@ -247,10 +247,16 @@ class SearchCheckpoint {
 /// Counters reported by the deciders; benchmarks use them to show the
 /// complexity-class shapes of Table I.
 struct SearchStats {
-  uint64_t valuations = 0;   ///< c-instance / tableau valuations enumerated
-  uint64_t worlds = 0;       ///< worlds of Mod(T, Dm, V) visited
-  uint64_t extensions = 0;   ///< candidate extensions examined
-  uint64_t cc_checks = 0;    ///< CC satisfaction tests
+  /// Bindings enumerated: one per binding of a c-table row's variables in
+  /// the Mod walk (a dropped row's included), plus the tableau valuations,
+  /// which a ground check enumerates at most once per request.
+  uint64_t valuations = 0;
+  uint64_t worlds = 0;  ///< distinct worlds of Mod(T, Dm, V) returned
+  /// Candidate extensions examined: an admissible tableau valuation whose
+  /// new answer is delta-checked against an instance, a single-tuple
+  /// candidate of the weak model or extensibility, a bounded-search node.
+  uint64_t extensions = 0;
+  uint64_t cc_checks = 0;    ///< CC satisfaction tests, full or delta
   uint64_t query_evals = 0;  ///< full query evaluations
 
   /// Field-wise accumulation, for aggregating per-request stats.

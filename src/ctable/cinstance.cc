@@ -1,7 +1,7 @@
 #include "ctable/cinstance.h"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace relcomp {
 
@@ -24,18 +24,11 @@ const CTable& CInstance::at(const std::string& rel) const {
   for (const CTable& t : tables_) {
     if (t.schema().name() == rel) return t;
   }
-  assert(false && "unknown relation");
-  static CTable empty;
-  return empty;
+  DieUnknownRelation(rel);
 }
 
 CTable& CInstance::at(const std::string& rel) {
-  for (CTable& t : tables_) {
-    if (t.schema().name() == rel) return t;
-  }
-  assert(false && "unknown relation");
-  static CTable empty;
-  return empty;
+  return const_cast<CTable&>(std::as_const(*this).at(rel));
 }
 
 size_t CInstance::TotalRows() const {

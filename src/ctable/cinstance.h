@@ -28,7 +28,8 @@ class CInstance {
   const std::vector<CTable>& tables() const { return tables_; }
   std::vector<CTable>& tables() { return tables_; }
 
-  /// C-table accessor by relation name; must exist.
+  /// C-table accessor by relation name. An unknown name aborts the process
+  /// in every build type (DieUnknownRelation).
   const CTable& at(const std::string& rel) const;
   CTable& at(const std::string& rel);
 

@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 namespace relcomp {
+
+void DieUnknownRelation(const std::string& rel) {
+  std::fprintf(stderr, "relcomp: unknown relation '%s'\n", rel.c_str());
+  std::fflush(stderr);
+  std::abort();
+}
 
 Instance::Instance(DatabaseSchema schema) : schema_(std::move(schema)) {
   relations_.reserve(schema_.size());
@@ -14,17 +23,12 @@ Instance::Instance(DatabaseSchema schema) : schema_(std::move(schema)) {
 
 const Relation& Instance::at(const std::string& rel) const {
   const Relation* found = Find(rel);
-  assert(found != nullptr && "unknown relation");
+  if (found == nullptr) DieUnknownRelation(rel);
   return *found;
 }
 
 Relation& Instance::at(const std::string& rel) {
-  for (Relation& r : relations_) {
-    if (r.schema().name() == rel) return r;
-  }
-  assert(false && "unknown relation");
-  static Relation empty;
-  return empty;
+  return const_cast<Relation&>(std::as_const(*this).at(rel));
 }
 
 const Relation* Instance::Find(const std::string& rel) const {

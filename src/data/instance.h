@@ -14,6 +14,10 @@
 
 namespace relcomp {
 
+/// Prints "relcomp: unknown relation '<rel>'" to stderr and aborts: how the
+/// by-name accessors of Instance and CInstance fail, in every build type.
+[[noreturn]] void DieUnknownRelation(const std::string& rel);
+
 /// A ground database instance: one Relation per relation schema.
 class Instance {
  public:
@@ -25,7 +29,8 @@ class Instance {
   const std::vector<Relation>& relations() const { return relations_; }
   std::vector<Relation>& relations() { return relations_; }
 
-  /// Relation accessor by name; must exist.
+  /// Relation accessor by name. An unknown name aborts the process in every
+  /// build type (DieUnknownRelation).
   const Relation& at(const std::string& rel) const;
   Relation& at(const std::string& rel);
   /// Relation accessor by name; nullptr if absent.

@@ -133,7 +133,7 @@ const std::vector<ProblemKind>& AbortableKinds() {
 }
 
 TEST(DeciderCheckpointTest, EveryKindAbortsOnAPoisonedToken) {
-  SlowFixture fx = MakeSlowFixture(/*master_rows=*/8, /*vars=*/3);
+  SlowFixture fx = MakeSlowFixture(/*rows=*/8);
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   for (ProblemKind kind : AbortableKinds()) {
     DecisionRequest request = fx.Request(kind);
@@ -145,7 +145,7 @@ TEST(DeciderCheckpointTest, EveryKindAbortsOnAPoisonedToken) {
 }
 
 TEST(DeciderCheckpointTest, EveryKindAbortsOnAnExpiredDeadline) {
-  SlowFixture fx = MakeSlowFixture(/*master_rows=*/8, /*vars=*/3);
+  SlowFixture fx = MakeSlowFixture(/*rows=*/8);
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   for (ProblemKind kind : AbortableKinds()) {
     DecisionRequest request = fx.Request(kind);
@@ -240,10 +240,10 @@ TEST(DeciderCheckpointTest, LargeIntervalNeverFiresOnShortSearches) {
 // ---------------------------------------------------------------------------
 
 TEST(MidRunAbortTest, ConcurrentCancelStopsASlowSearchWithPartialStats) {
-  // ~48^6 valuations to exhaust — unfinishable within the budget; the
+  // ~98.6M row bindings to exhaust — unfinishable within the budget; the
   // cancel lands while the enumeration runs and must stop it at the next
   // checkpoint, leaving the partial stats in place.
-  SlowFixture fx = MakeSlowFixture(/*master_rows=*/40, /*vars=*/6);
+  SlowFixture fx = MakeSlowFixture(/*rows=*/11);
   CancelSource source;
   DecisionRequest request = fx.Request();
   request.options.max_steps = 20'000'000;
@@ -268,7 +268,7 @@ TEST(MidRunAbortTest, ConcurrentCancelStopsASlowSearchWithPartialStats) {
 }
 
 TEST(MidRunAbortTest, DeadlineExpiringMidRunAbortsTheSearch) {
-  SlowFixture fx = MakeSlowFixture(/*master_rows=*/40, /*vars=*/6);
+  SlowFixture fx = MakeSlowFixture(/*rows=*/11);
   const PreparedSetting prepared = testing::MustPrepare(fx.setting);
   DecisionRequest request = fx.Request();
   request.options.max_steps = 20'000'000;

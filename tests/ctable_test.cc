@@ -209,5 +209,22 @@ TEST(CInstanceTest, FromInstanceIsGround) {
   EXPECT_EQ(ci.TotalRows(), 1u);
 }
 
+class CInstanceDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Re-execute the binary for the death branch instead of forking it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+};
+
+TEST_F(CInstanceDeathTest, UnknownRelationAbortsInBothAccessors) {
+  CInstance ci(testing::EdgeSchema());
+  const CInstance& read_only = ci;
+  EXPECT_DEATH(read_only.at("F"), "unknown relation 'F'");
+  EXPECT_DEATH(ci.at("F").AddRow({Cell(I(1)), Cell(I(2))}),
+               "unknown relation 'F'");
+  EXPECT_EQ(ci.TotalRows(), 0u);
+}
+
 }  // namespace
 }  // namespace relcomp

@@ -223,5 +223,25 @@ TEST(InstanceTest, EqualityIsTupleSetEquality) {
   EXPECT_NE(a, b);
 }
 
+class InstanceDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Re-execute the binary for the death branch instead of forking it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+};
+
+TEST_F(InstanceDeathTest, UnknownRelationAbortsInEveryAccessor) {
+  // A misspelled name fails loudly in every build type: it neither reads
+  // through a null pointer nor writes into a shared empty relation.
+  Instance db(testing::EdgeSchema());
+  const Instance& read_only = db;
+  EXPECT_DEATH(read_only.at("F"), "unknown relation 'F'");
+  EXPECT_DEATH(db.at("F"), "unknown relation 'F'");
+  EXPECT_DEATH(db.AddTuple("F", {I(1), I(2)}), "unknown relation 'F'");
+  EXPECT_DEATH(db.RemoveTuple("F", {I(1), I(2)}), "unknown relation 'F'");
+  EXPECT_TRUE(db.Empty());
+}
+
 }  // namespace
 }  // namespace relcomp

@@ -70,12 +70,12 @@ TEST(OdometerTest, CandidateTuplesRespectFiniteDomains) {
   EXPECT_EQ(count, 6u);
 }
 
-// The closed walks (Mod(T) valuations, candidate tuples) feed their levels
-// last first, so the odometer yields the cartesian product with the FIRST
-// level advancing fastest: the order every decider's counters and
-// witnesses were pinned under. Checked against nested loops on random
-// candidate lists, including zero levels, an empty list, and Int 1 next
-// to Sym "1".
+// The closed walks (a c-table row's bindings, candidate tuples) feed
+// their levels last first, so the odometer yields the cartesian product
+// with the FIRST level advancing fastest: the order every decider's
+// counters and witnesses were pinned under. Checked against nested loops
+// on random candidate lists, including zero levels, an empty list, and
+// Int 1 next to Sym "1".
 TEST(OdometerTest, ReversedClosedLevelsMatchNestedLoopsFirstLevelFastest) {
   const Value pool[] = {I(1), S("1"), I(0), S("x"), I(7)};
   std::mt19937 gen(20260);
@@ -123,7 +123,8 @@ TEST(OdometerTest, ReversedClosedLevelsMatchNestedLoopsFirstLevelFastest) {
 }
 
 TEST(ModEnumeratorTest, DeduplicatesIsomorphicWorlds) {
-  // Two variables in one Boolean column: 4 valuations, 3 distinct worlds
+  // Two variables in one Boolean column: 2 bindings of the first row and 2
+  // of the second under each, 4 bindings of both rows, 3 distinct worlds
   // ({0}, {1}, {0,1}).
   PartiallyClosedSetting setting;
   setting.schema.AddRelation(
@@ -145,7 +146,7 @@ TEST(ModEnumeratorTest, DeduplicatesIsomorphicWorlds) {
     ++count;
   }
   EXPECT_EQ(count, 3);
-  EXPECT_EQ(stats.valuations, 4u);
+  EXPECT_EQ(stats.valuations, 6u);
 }
 
 // ---------------------------------------------------------------------------

@@ -410,7 +410,7 @@ ServiceOptions DeepObsOptions() {
 }
 
 TEST(ServiceObsDeepTest, SlowLogEntriesEmbedSearchProfiles) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   CompletenessService service(DeepObsOptions());
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 
@@ -442,7 +442,7 @@ TEST(ServiceObsDeepTest, SlowLogEntriesEmbedSearchProfiles) {
 }
 
 TEST(ServiceObsDeepTest, DumpTracesEmitsPerLoopSubSlices) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   CompletenessService service(DeepObsOptions());
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 
@@ -466,7 +466,7 @@ TEST(ServiceObsDeepTest, DumpTracesEmitsPerLoopSubSlices) {
 }
 
 TEST(ServiceObsDeepTest, DumpMetricsReportsWindowedRatesAndRecentLatency) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/3, /*vars=*/2);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/6);
   CompletenessService service(DeepObsOptions());
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
 
@@ -496,7 +496,7 @@ TEST(ServiceObsDeepTest, DumpMetricsReportsWindowedRatesAndRecentLatency) {
 }
 
 TEST(ServiceObsDeepTest, SearchStepMetricsAttributePerLoop) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   CompletenessService service(DeepObsOptions());
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));
   DecisionRequest request = slow.Request();
@@ -534,7 +534,7 @@ struct StallGate {
 };
 
 TEST(ServiceObsDeepTest, WatchdogFlagsStalledEvaluationWithinThreshold) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   ServiceOptions options = DeepObsOptions();
   options.num_workers = 1;
   options.watchdog_stall_micros = 20'000;  // 20ms: aggressive but safe
@@ -595,7 +595,7 @@ TEST(ServiceObsDeepTest, WatchdogFlagsStalledEvaluationWithinThreshold) {
 }
 
 TEST(ServiceObsDeepTest, ObsReportShowsVitalsAndRecorderSamples) {
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/3, /*vars=*/2);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/6);
   ServiceOptions options = DeepObsOptions();
   options.recorder_interval_ms = 5;
   CompletenessService service(options);
@@ -639,7 +639,7 @@ TEST(ServiceObsDeepTest, ObsPipelineStress) {
   const uint64_t watchdog_us =
       watchdog_env ? std::strtoull(watchdog_env, nullptr, 10) : 500'000;
 
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   ServiceOptions options = DeepObsOptions();
   options.num_workers = 4;
   options.trace_sample = 2;

@@ -766,7 +766,7 @@ TEST(ServiceObsTest, CoalescedWaiterTraceRecordsTheJoin) {
   // One worker, one expensive request submitted twice: the second
   // submission must join the first's flight group, and its trace must say
   // so instead of showing an evaluation of its own.
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/6, /*vars=*/4);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/10);
   ServiceOptions options = ObsOptions(/*workers=*/1, /*trace_sample=*/1,
                                       /*slow_log=*/16);
   CompletenessService service(options);
@@ -805,7 +805,7 @@ TEST(ServiceObsTest, CoalescedWaiterTraceRecordsTheJoin) {
 TEST(ServiceObsTest, EvaluationProgressMarksLandInTraces) {
   // A search long enough to cross checkpoint polls turns them into
   // eval: marks on the sampled trace (SearchCheckpoint's progress hook).
-  SlowFixture slow = MakeSlowFixture(/*master_rows=*/4, /*vars=*/3);
+  SlowFixture slow = MakeSlowFixture(/*rows=*/7);
   CompletenessService service(ObsOptions(/*workers=*/0, /*trace_sample=*/1,
                                          /*slow_log=*/4));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(slow.setting));

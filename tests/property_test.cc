@@ -13,14 +13,20 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/adom.h"
+#include "core/consistency.h"
 #include "core/enumerate.h"
+#include "core/minp.h"
 #include "core/prepared_setting.h"
 #include "core/rcdp.h"
+#include "core/rcqp.h"
+#include "reductions/examples_fig1.h"
+#include "reference_deciders.h"
 #include "service/service.h"
 #include "test_util.h"
 
@@ -269,6 +275,450 @@ TEST_P(DeciderAgreement, EveryFrontDoorMatchesTheDirectCall) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeciderAgreement,
                          ::testing::Range<uint64_t>(0, 24));
+
+// --------------------------------------------------------------------------
+// The row-at-a-time Mod walk and the once-per-request ground check = the
+// reference loops of tests/reference_deciders.h.
+// --------------------------------------------------------------------------
+
+// A random problem outside the §7 regime: 1-3 relations of arity 1-2 with
+// finite and infinite columns; 3-5 variables, at most two of them open
+// (infinite columns and conditions only); row conditions x ≠ c and x = y,
+// across rows and over condition-only variables; rows that swap two
+// variables; IND, builtin and EncodeFdAsCc self-join CCs; a CQ or a
+// two-disjunct UCQ. Variables and query widths stay small so that the
+// reference odometer can walk |Adom|^open · |domain|^closed valuations.
+RandomProblem MakeWideProblem(uint64_t seed) {
+  Rng rng{seed};
+  RandomProblem p;
+  const Value kPool[] = {I(0), I(1), I(2), testing::S("a")};
+  const Domain kDomains[] = {Domain::Finite({I(0), I(1)}),
+                             Domain::Finite({I(0), I(1), I(2)}),
+                             Domain::Infinite(), Domain::Infinite()};
+  const int num_rels = 1 + rng.Int(3);
+  for (int r = 0; r < num_rels; ++r) {
+    std::vector<Attribute> attrs;
+    for (int c = 1 + rng.Int(2); c > 0; --c) {
+      attrs.push_back(Attribute{"c" + std::to_string(attrs.size()),
+                                kDomains[rng.Int(4)]});
+    }
+    p.setting.schema.AddRelation(
+        RelationSchema("R" + std::to_string(r), std::move(attrs)));
+  }
+  const Domain inf = Domain::Infinite();
+  p.setting.master_schema.AddRelation(
+      RelationSchema("M", {Attribute{"a", inf}}));
+  p.setting.master_schema.AddRelation(
+      RelationSchema("Empty1", {Attribute{"w", inf}}));
+  p.setting.dm = Instance(p.setting.master_schema);
+  for (int i = 1 + rng.Int(3); i > 0; --i) {
+    p.setting.dm.AddTuple("M", {kPool[rng.Int(4)]});
+  }
+  auto random_rel = [&]() -> const RelationSchema& {
+    return p.setting.schema.relations()[static_cast<size_t>(
+        rng.Int(num_rels))];
+  };
+  for (int c = 1 + rng.Int(3); c > 0; --c) {
+    const RelationSchema& rel = random_rel();
+    const int arity = static_cast<int>(rel.arity());
+    std::vector<CTerm> args;
+    for (int i = 0; i < arity; ++i) args.push_back(V(i));
+    const int col = rng.Int(arity);
+    const std::string name = "cc" + std::to_string(p.setting.ccs.size());
+    const int kind = rng.Int(3);
+    if (kind == 2 && arity == 2) {
+      p.setting.ccs.push_back(
+          EncodeFdAsCc(rel, {col}, 1 - col, "Empty1").value());
+      continue;
+    }
+    std::vector<CondAtom> builtins;
+    if (kind == 1) {
+      builtins.push_back(
+          CondAtom{V(rng.Int(arity)), rng.Int(2) == 0, kPool[rng.Int(4)]});
+    }
+    p.setting.ccs.emplace_back(
+        name,
+        ConjunctiveQuery({CTerm(V(col))}, {RelAtom{rel.name(), args}},
+                         std::move(builtins)),
+        "M", std::vector<int>{0});
+  }
+
+  // Variables [0, open) go to infinite columns and conditions only; the
+  // rest to finite columns only.
+  const int num_vars = 3 + rng.Int(3);
+  const int open = 1 + rng.Int(2);
+  std::vector<VarId> in_cells;
+  auto cell_for = [&](const Domain& domain) -> Cell {
+    if (rng.Int(2) == 0 || (!domain.is_finite() && open == 0)) {
+      if (!domain.is_finite()) return kPool[rng.Int(4)];
+      return domain.values()[static_cast<size_t>(
+          rng.Int(static_cast<int>(domain.values().size())))];
+    }
+    const VarId v = domain.is_finite() ? V(open + rng.Int(num_vars - open))
+                                       : V(rng.Int(open));
+    in_cells.push_back(v);
+    return v;
+  };
+  // A condition over the variables placed so far and the open ones, which
+  // it may be the only place of.
+  auto condition_var = [&]() {
+    const int n = static_cast<int>(in_cells.size()) + open;
+    const int pick = rng.Int(n);
+    return pick < open ? V(pick) : in_cells[static_cast<size_t>(pick - open)];
+  };
+  p.cinstance = CInstance(p.setting.schema);
+  for (const RelationSchema& rel : p.setting.schema.relations()) {
+    for (int i = 1 + rng.Int(3); i > 0; --i) {
+      CRow row;
+      for (const Attribute& attr : rel.attributes()) {
+        row.cells.push_back(cell_for(attr.domain));
+      }
+      if (in_cells.size() + static_cast<size_t>(open) > 0) {
+        const int kind = rng.Int(4);
+        if (kind == 0) {
+          row.condition = Condition::VarNeqConst(condition_var(),
+                                                 kPool[rng.Int(4)]);
+        } else if (kind == 1) {
+          row.condition =
+              Condition({CondAtom{condition_var(), false, condition_var()}});
+        }
+      }
+      p.cinstance.at(rel.name()).AddRow(std::move(row));
+    }
+  }
+  // Two rows that swap two variables of one domain.
+  const RelationSchema& swap_rel = random_rel();
+  if (rng.Int(2) == 0 && swap_rel.arity() == 2 &&
+      swap_rel.attribute(0).domain == swap_rel.attribute(1).domain) {
+    const bool finite = swap_rel.attribute(0).domain.is_finite();
+    if (finite || open > 0) {
+      const int lo = finite ? open : 0;
+      const int width = finite ? num_vars - open : open;
+      const VarId x = V(lo + rng.Int(width));
+      const VarId y = V(lo + rng.Int(width));
+      p.cinstance.at(swap_rel.name()).AddRow({Cell(x), Cell(y)});
+      p.cinstance.at(swap_rel.name()).AddRow({Cell(y), Cell(x)});
+    }
+  }
+
+  // Query variables 0-2: the fresh budget grows with the largest id.
+  const int head_arity = 1 + rng.Int(2);
+  auto random_cq = [&]() {
+    std::vector<RelAtom> atoms;
+    std::vector<CTerm> used;
+    for (int a = 1 + rng.Int(2); a > 0; --a) {
+      const RelationSchema& rel = random_rel();
+      RelAtom atom{rel.name(), {}};
+      for (size_t i = 0; i < rel.arity(); ++i) {
+        if (rng.Int(4) == 0) {
+          atom.args.push_back(kPool[rng.Int(4)]);
+        } else {
+          atom.args.push_back(V(rng.Int(3)));
+          used.push_back(atom.args.back());
+        }
+      }
+      atoms.push_back(std::move(atom));
+    }
+    std::vector<CTerm> head;
+    for (int h = 0; h < head_arity; ++h) {
+      head.push_back(used.empty() ? CTerm(kPool[rng.Int(4)])
+                                  : used[static_cast<size_t>(rng.Int(
+                                        static_cast<int>(used.size())))]);
+    }
+    return ConjunctiveQuery(std::move(head), std::move(atoms));
+  };
+  if (rng.Int(3) == 0) {
+    ConjunctiveQuery first = random_cq();
+    p.query = Query::Ucq(UnionQuery({std::move(first), random_cq()}));
+  } else {
+    p.query = Query::Cq(random_cq());
+  }
+  return p;
+}
+
+// Sorted by their rows, so two world lists compare as sets.
+std::vector<Instance> SortedWorlds(std::vector<Instance> worlds) {
+  auto key = [](const Instance& w) {
+    std::vector<std::vector<Tuple>> k;
+    for (const Relation& rel : w.relations()) k.push_back(rel.rows());
+    return k;
+  };
+  std::sort(worlds.begin(), worlds.end(),
+            [&key](const Instance& a, const Instance& b) {
+              return key(a) < key(b);
+            });
+  return worlds;
+}
+
+// What the oracle saw on one input, for the coverage check.
+struct OracleCoverage {
+  bool fresh_world = false;   // a world mentions a fresh constant
+  bool dropped_row = false;   // some world drops a row by its condition
+  bool shared_world = false;  // two row-walk bindings give one world
+  bool empty_mod = false;
+  bool yes = false;  // RcdpStrong's verdict
+  bool no = false;
+};
+
+// A NO witness of a strong decision must check on its own: µ binds every
+// variable of T and µ(T) is the world, both instances satisfy V by the
+// free check, the extension contains the world, and the answer is new.
+void ExpectWitnessChecks(const Query& q, const CInstance* t,
+                         const CompletenessWitness& w,
+                         const PartiallyClosedSetting& setting,
+                         const std::string& what) {
+  if (t != nullptr) {
+    for (VarId v : t->Vars()) {
+      EXPECT_TRUE(w.world_valuation.IsBound(v)) << what << " x" << v.id;
+    }
+    ASSERT_OK_AND_ASSIGN(applied, t->Apply(w.world_valuation));
+    EXPECT_EQ(applied, w.world) << what;
+  }
+  ASSERT_OK_AND_ASSIGN(world_closed, SatisfiesCCs(w.world, setting.dm,
+                                                  setting.ccs));
+  ASSERT_OK_AND_ASSIGN(ext_closed, SatisfiesCCs(w.extension, setting.dm,
+                                                setting.ccs));
+  EXPECT_TRUE(world_closed) << what;
+  EXPECT_TRUE(ext_closed) << what;
+  EXPECT_TRUE(w.world.IsSubsetOf(w.extension)) << what;
+  ASSERT_OK_AND_ASSIGN(before, q.Eval(w.world));
+  ASSERT_OK_AND_ASSIGN(after, q.Eval(w.extension));
+  EXPECT_TRUE(after.Contains(w.answer)) << what;
+  EXPECT_FALSE(before.Contains(w.answer)) << what;
+}
+
+// The three checks on one input: the world set, every decider's verdict
+// against the one built from the reference loops, and every NO witness.
+// `bounded_tuples` sizes RcqpStrongBounded's search; `check_weak` runs
+// RcdpWeak, whose single-tuple extensions range over |Adom|^arity
+// candidates per world on either side.
+OracleCoverage CheckAgainstReference(const PartiallyClosedSetting& setting,
+                                     const CInstance& t, const Query& q,
+                                     size_t bounded_tuples, bool check_weak,
+                                     const std::string& what) {
+  OracleCoverage seen;
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+
+  // World sets, the row walk's µ, and what the reference saw on the way.
+  const AdomContext adom = prepared.BuildAdom(t, &q);
+  std::vector<Instance> got;
+  ModEnumerator walk(t, prepared, adom, {}, nullptr);
+  Valuation mu;
+  Instance world;
+  while (true) {
+    Result<bool> more = walk.Next(&mu, &world);
+    EXPECT_TRUE(more.ok()) << what << ": " << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    for (VarId v : t.Vars()) {
+      EXPECT_TRUE(mu.IsBound(v)) << what << " x" << v.id;
+    }
+    Result<Instance> applied = t.Apply(mu);
+    EXPECT_TRUE(applied.ok() && *applied == world)
+        << what << " " << mu.ToString();
+    got.push_back(world);
+  }
+  std::vector<Instance> want;
+  // The row walk binds a row's cell variables only where the row is kept:
+  // two valid valuations that differ on those (or on any condition
+  // variable) are two of its bindings.
+  std::map<std::vector<std::vector<Tuple>>, std::set<std::string>> bindings;
+  {
+    reference::ModWalk ref(
+        t, prepared, adom, [&](const Valuation& nu, const Instance& w) {
+          std::string relevant;
+          for (const CTable& table : t.tables()) {
+            for (const CRow& row : table.rows()) {
+              std::vector<VarId> vars;
+              row.condition.CollectVars(&vars);
+              if (*row.condition.Eval(nu)) {
+                for (const Cell& cell : row.cells) {
+                  if (std::holds_alternative<VarId>(cell)) {
+                    vars.push_back(std::get<VarId>(cell));
+                  }
+                }
+              } else {
+                seen.dropped_row = true;
+              }
+              for (VarId v : vars) {
+                relevant += "x" + std::to_string(v.id) + "=" +
+                            nu.Get(v)->ToString() + ";";
+              }
+            }
+          }
+          std::vector<std::vector<Tuple>> key;
+          for (const Relation& rel : w.relations()) key.push_back(rel.rows());
+          bindings[key].insert(relevant);
+        });
+    while (ref.Next(nullptr, &world)) want.push_back(world);
+  }
+  for (const auto& [key, relevant] : bindings) {
+    if (relevant.size() > 1) seen.shared_world = true;
+  }
+  for (const Instance& w : want) {
+    for (const Value& v : w.ActiveDomain()) {
+      if (std::find(adom.fresh().begin(), adom.fresh().end(), v) !=
+          adom.fresh().end()) {
+        seen.fresh_world = true;
+      }
+    }
+  }
+  seen.empty_mod = want.empty();
+  const std::vector<Instance> got_sorted = SortedWorlds(got);
+  EXPECT_EQ(got_sorted.size(), got.size()) << what;
+  EXPECT_TRUE(got_sorted == SortedWorlds(want))
+      << what << ": " << got.size() << " worlds, reference " << want.size();
+  for (size_t i = 1; i < got_sorted.size(); ++i) {
+    EXPECT_NE(got_sorted[i - 1], got_sorted[i]) << what << ": a duplicate";
+  }
+
+  // Verdicts, and the strong NO witnesses.
+  auto same = [&what](const char* name, const Result<bool>& got_answer,
+                      const Result<bool>& want_answer) {
+    ASSERT_TRUE(got_answer.ok()) << what << " " << name << ": "
+                                 << got_answer.status().ToString();
+    ASSERT_TRUE(want_answer.ok()) << what << " " << name << ": "
+                                  << want_answer.status().ToString();
+    EXPECT_EQ(*got_answer, *want_answer) << what << " " << name;
+  };
+  CompletenessWitness witness;
+  const Result<bool> strong = RcdpStrong(q, t, prepared, {}, nullptr, &witness);
+  same("RcdpStrong", strong, reference::RcdpStrong(q, want, prepared, adom));
+  if (strong.ok()) {
+    seen.yes = *strong;
+    seen.no = !*strong;
+    if (!*strong && !want.empty()) {
+      ExpectWitnessChecks(q, &t, witness, setting, what + " RcdpStrong");
+    }
+  }
+  same("RcdpViable", RcdpViable(q, t, prepared),
+       reference::RcdpViable(q, want, prepared, adom));
+  if (check_weak) {
+    same("RcdpWeak", RcdpWeak(q, t, prepared),
+         reference::RcdpWeak(q, want, prepared, adom));
+  }
+  same("MinpStrong", MinpStrong(q, t, prepared),
+       reference::MinpStrong(q, want, prepared, adom));
+  same("MinpViable", MinpViable(q, t, prepared),
+       reference::MinpViable(q, want, prepared, adom));
+  same("IsConsistent", IsConsistent(prepared, t),
+       reference::IsConsistent(prepared, t));
+  {
+    Result<RcqpSearchResult> got_rcqp =
+        RcqpStrongBounded(q, prepared, bounded_tuples);
+    Result<RcqpSearchResult> want_rcqp =
+        reference::RcqpStrongBounded(q, prepared, bounded_tuples);
+    EXPECT_TRUE(got_rcqp.ok() && want_rcqp.ok()) << what;
+    if (got_rcqp.ok() && want_rcqp.ok()) {
+      EXPECT_EQ(got_rcqp->found, want_rcqp->found) << what << " RCQP";
+    }
+  }
+
+  // Ground instances: a world that may mention fresh constants, and T
+  // with every variable at its first candidate, which may violate V.
+  std::vector<Instance> grounds;
+  if (!want.empty()) grounds.push_back(want.front());
+  Valuation first;
+  for (VarId v : t.Vars()) {
+    const std::vector<Value> values =
+        reference::VarCandidates(t)[v.id].value_or(adom.values());
+    if (!values.empty()) first.Bind(v, values.front());
+  }
+  if (Result<Instance> applied = t.Apply(first); applied.ok()) {
+    grounds.push_back(std::move(applied).value());
+  }
+  for (const Instance& ground : grounds) {
+    const std::string on = what + " on " + ground.ToString();
+    CompletenessWitness ground_witness;
+    const Result<bool> complete =
+        RcdpStrongGround(q, ground, prepared, {}, nullptr, &ground_witness);
+    same("RcdpStrongGround", complete,
+         reference::RcdpStrongGround(q, ground, prepared));
+    if (complete.ok() && !*complete &&
+        SatisfiesCCs(ground, setting.dm, setting.ccs).value()) {
+      ExpectWitnessChecks(q, nullptr, ground_witness, setting,
+                          on + " RcdpStrongGround");
+    }
+    same("MinpStrongGround", MinpStrongGround(q, ground, prepared),
+         reference::MinpStrongGround(q, ground, prepared));
+  }
+  return seen;
+}
+
+TEST(ModOracle, WideProblemsMatchTheReferenceLoops) {
+  constexpr uint64_t kSeeds = 256;
+  size_t fresh = 0, dropped = 0, shared = 0, empty = 0, yes = 0, no = 0;
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const RandomProblem p = MakeWideProblem(seed * 104729 + 7);
+    const std::string what = "seed " + std::to_string(seed) + ": " +
+                             p.query.ToString() + " on " +
+                             p.cinstance.ToString();
+    const OracleCoverage seen = CheckAgainstReference(
+        p.setting, p.cinstance, p.query, /*bounded_tuples=*/1,
+        /*check_weak=*/true, what);
+    fresh += seen.fresh_world;
+    dropped += seen.dropped_row;
+    shared += seen.shared_world;
+    empty += seen.empty_mod;
+    yes += seen.yes;
+    no += seen.no;
+  }
+  // Each shape the walk and the ground check treat specially shows up on
+  // at least one seed in eight.
+  const size_t floor = kSeeds / 8;
+  EXPECT_GE(fresh, floor) << "worlds with a fresh constant";
+  EXPECT_GE(dropped, floor) << "dropped rows";
+  EXPECT_GE(shared, floor) << "two bindings of one world";
+  EXPECT_GE(empty, floor) << "empty Mod";
+  EXPECT_GE(yes, floor) << "YES verdicts";
+  EXPECT_GE(no, floor) << "NO verdicts";
+}
+
+TEST(ModOracle, AWorldPinsItsFreshConstants) {
+  // R(a) under σ_{a = 0} R ⊆ Empty1, so Adom's base is {0} and no 0 may
+  // enter R. T = {R(x)} has a world R(f) for each fresh constant f, and
+  // each is incomplete for Q(y) :- R(y) only through a ν that takes a
+  // fresh constant other than f. A ν that kept its own fresh constant
+  // would meet f itself in R(@new0), call that world complete, and make
+  // the viable model answer YES.
+  PartiallyClosedSetting setting;
+  const Domain inf = Domain::Infinite();
+  setting.schema.AddRelation(RelationSchema("R", {Attribute{"a", inf}}));
+  setting.master_schema.AddRelation(
+      RelationSchema("Empty1", {Attribute{"w", inf}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.ccs.emplace_back(
+      "no_zero",
+      ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}},
+                       {CondAtom{V(0), false, I(0)}}),
+      "Empty1", std::vector<int>{0});
+  CInstance t(setting.schema);
+  t.at("R").AddRow({Cell(V(0))});
+  const Query q =
+      Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}}));
+  const OracleCoverage seen = CheckAgainstReference(
+      setting, t, q, /*bounded_tuples=*/1, /*check_weak=*/true, "pinned");
+  EXPECT_TRUE(seen.fresh_world);
+  ASSERT_OK_AND_ASSIGN(viable,
+                       RcdpViable(q, t, testing::MustPrepare(setting)));
+  EXPECT_FALSE(viable);
+}
+
+TEST(ModOracle, Fig1FixturesMatchTheReferenceLoops) {
+  // RCQP's search stays at ∅: one 8-column MVisit tuple already has about
+  // 4 · 10^5 candidates. Q3's weak decision is NO, so both sides try all
+  // of them in each of the 21 worlds (about 15 s each); Q1, Q2 and Q4
+  // stop early.
+  const PatientsFixture fx = MakePatientsFixture();
+  for (const Query* q : {&fx.q1, &fx.q2, &fx.q3, &fx.q4}) {
+    CheckAgainstReference(fx.setting, fx.ctable, *q, /*bounded_tuples=*/0,
+                          /*check_weak=*/q != &fx.q3,
+                          "Fig. 1 " + q->ToString());
+  }
+  const PatientsFixture scaled = MakeScaledPatientsFixture(2, 2);
+  CheckAgainstReference(scaled.setting, scaled.ctable, scaled.q1,
+                        /*bounded_tuples=*/0, /*check_weak=*/true,
+                        "scaled(2, 2) " + scaled.q1.ToString());
+}
 
 // --------------------------------------------------------------------------
 // Compiled CC plans = reference path.

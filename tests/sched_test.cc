@@ -805,8 +805,7 @@ TEST(SchedServiceTest, RunningEvaluationAbortsOnMidRunDeadline) {
   // The headline bugfix: a deadline that expires while the decider is
   // ALREADY RUNNING must abort it at a checkpoint — before this PR the
   // evaluation ran to its (here unreachable within the deadline) budget.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
-                                                     /*vars=*/6);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/11);
   ServiceOptions options;
   options.num_workers = 1;
   CompletenessService service(options);
@@ -856,8 +855,7 @@ TEST(SchedServiceTest, RunningEvaluationAbortsOnMidRunDeadline) {
 TEST(SchedServiceTest, RunningFlightGroupAbortsOnlyWhenLastWaiterCancels) {
   // Two waiters coalesce on one slow evaluation. The first Cancel() must
   // NOT stop the running computation; the second (last) one must.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
-                                                     /*vars=*/6);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/11);
   ServiceOptions options;
   options.num_workers = 1;
   CompletenessService service(options);
@@ -902,14 +900,13 @@ TEST(SchedServiceTest, LateDeadlinelessJoinerLiftsARunningDeadline) {
   // already-running evaluation without a deadline must LIFT the run's
   // deadline — the original waiter's deadline expiring mid-run must not
   // rob the live joiner of its answer.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
-                                                     /*vars=*/3);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/9);
   ServiceOptions options;
   options.num_workers = 1;
   CompletenessService service(options);
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 
-  DecisionRequest slow = fx.Request();  // ~64^3 steps: slow but finite
+  DecisionRequest slow = fx.Request();  // ~877k steps: slow but finite
   ServiceRequest deadlined{handle, slow};
   deadlined.request.options.deadline = sched::DeadlineAfterMs(400);
   std::future<Decision> first = service.SubmitAsync(std::move(deadlined));
@@ -935,8 +932,7 @@ TEST(SchedServiceTest, SubmitStreamCancellationStopsProducingPromptly) {
   // mid-drain must abort the running evaluation AND shed everything still
   // queued, so the stream finishes promptly with kCancelled decisions
   // instead of grinding through the remaining searches.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/40,
-                                                     /*vars=*/6);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/11);
   ServiceOptions options;
   options.num_workers = 1;
   CompletenessService service(options);

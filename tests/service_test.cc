@@ -602,8 +602,7 @@ TEST(ServiceTest, MaxStepsReachesDecidersPerRequest) {
   // ran with the built-in 50M budget).
   // The slow fixture's Mod(T) enumeration has no early exit, so a 1-step
   // budget always exhausts and a few-thousand-step budget always finishes.
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
-                                                     /*vars=*/3);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/8);
   CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
 
   ASSERT_OK_AND_ASSIGN(plain, service.RegisterSetting(fx.setting));
@@ -619,8 +618,7 @@ TEST(ServiceTest, ExhaustedEvaluationIsNeverCachedAndCountsAsError) {
   // kResourceExhausted is a resource verdict, not an answer: with
   // memoization ON it must not be replayed from the LRU, and the counter
   // partition must stay intact (exhaustions are misses + errors).
-  testing::SlowFixture fx = testing::MakeSlowFixture(/*master_rows=*/8,
-                                                     /*vars=*/3);
+  testing::SlowFixture fx = testing::MakeSlowFixture(/*rows=*/8);
   CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
   ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(fx.setting));
 

@@ -105,14 +105,17 @@ inline AuditFixture MakeAuditFixture(int city_offset = 0) {
   return fx;
 }
 
-/// A deliberately expensive decision: the audited c-instance carries `vars`
-/// distinct variables in an infinite-domain column plus one ground "ghost"
-/// row that violates the IND CC in every world, so Mod(T, Dm, V) is empty
-/// but proving it exhausts the FULL |Adom|^vars valuation space (no early
-/// exit) — |Adom| ≈ master_rows + a handful. The canonical use: a search
-/// that runs long enough (or forever, up to the step budget) for a
-/// mid-run deadline/cancellation checkpoint to fire, with per-step cost
-/// dominated by Apply + CC checks.
+/// A deliberately expensive decision that stays expensive under any sound
+/// row order: a pigeonhole. The audited c-instance holds `rows` rows
+/// Visit("nhs-i", x_i) with distinct keys, the slot column ranges over
+/// rows − 1 values, and the FD slot → nhs (an EncodeFdAsCc CC into the
+/// empty master Empty1) forbids two rows in one slot. So Mod(T, Dm, V) is
+/// empty and no world is ever stored, but proving it takes
+/// (rows − 1)·Σₖ P(rows − 1, k) row bindings, each one step with a delta CC
+/// check: 1,630 at 6 rows, 11,742 at 7, 95,900 at 8, 876,808 at 9, about
+/// 8.9M at 10 and 98.6M at 11. The canonical use: a search that runs long
+/// enough (or, past the step budget, forever) for a mid-run
+/// deadline/cancellation checkpoint to fire. `rows` must be at least 2.
 struct SlowFixture {
   PartiallyClosedSetting setting;
   CInstance audited;
@@ -127,35 +130,26 @@ struct SlowFixture {
   }
 };
 
-inline SlowFixture MakeSlowFixture(int master_rows, int vars) {
+inline SlowFixture MakeSlowFixture(int rows) {
   SlowFixture fx;
-  fx.setting.schema.AddRelation(RelationSchema(
+  const RelationSchema visit(
       "Visit", {Attribute{"nhs", Domain::Infinite()},
-                Attribute{"city", Domain::Finite({S("EDI"), S("LON")})}}));
+                Attribute{"slot", Domain::IntRange(1, rows - 1)}});
+  fx.setting.schema.AddRelation(visit);
   fx.setting.master_schema.AddRelation(
-      RelationSchema("Patientm", {Attribute{"nhs", Domain::Infinite()}}));
+      RelationSchema("Empty1", {Attribute{"w", Domain::Infinite()}}));
   fx.setting.dm = Instance(fx.setting.master_schema);
-  for (int i = 0; i < master_rows; ++i) {
-    fx.setting.dm.AddTuple("Patientm",
-                           {Value::Sym("nhs-" + std::to_string(i))});
-  }
-  ConjunctiveQuery proj({CTerm(VarId{0})},
-                        {RelAtom{"Visit", {VarId{0}, VarId{1}}}});
-  fx.setting.ccs.emplace_back("visits_known", std::move(proj), "Patientm",
-                              std::vector<int>{0});
+  fx.setting.ccs.push_back(
+      EncodeFdAsCc(visit, /*lhs=*/{1}, /*rhs=*/0, "Empty1").value());
 
   fx.audited = CInstance(fx.setting.schema);
   CTable& visits = fx.audited.at("Visit");
-  visits.AddRow({Cell(S("ghost")), Cell(S("EDI"))});  // never in Patientm
-  for (int v = 0; v < vars; ++v) {
-    visits.AddRow({Cell(VarId{v}), Cell(S("EDI"))});
+  for (int v = 0; v < rows; ++v) {
+    visits.AddRow({Cell(Value::Sym("nhs-" + std::to_string(v))),
+                   Cell(VarId{v})});
   }
-
-  // Query variables keep small ids: the fresh-constant budget scales with
-  // the variable universe (max id + 1), and a large id would inflate Adom
-  // far beyond master_rows.
   fx.query = Query::Cq(ConjunctiveQuery(
-      {CTerm(VarId{20})}, {RelAtom{"Visit", {VarId{21}, VarId{20}}}}));
+      {CTerm(VarId{0})}, {RelAtom{"Visit", {VarId{1}, VarId{0}}}}));
   return fx;
 }
 

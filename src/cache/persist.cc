@@ -14,7 +14,7 @@ namespace cache {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'C', 'S'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 // Magic, version, size, checksum.
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
 

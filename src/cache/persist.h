@@ -7,7 +7,8 @@
 // moved) is skipped rather than served.
 //
 // Format (all integers little-endian):
-//   "RCCS" magic | u32 version | u64 payload size | u64 FNV-1a(payload)
+//   "RCCS" magic | u32 version | u64 payload size | u64 checksum
+//   (StableHasher over the payload)
 //   payload: u64 shard count, then per shard:
 //     setting fingerprint (2 × u64, the dual-digest registry key)
 //     u64 entry count, then per entry:
@@ -17,6 +18,10 @@
 //       instances serialize their schemas and every Value symbolically
 //       (symbol TEXT, not interner id: interner ids are assigned in first-
 //       touch order and do not survive a restart).
+//
+// Version 2 keys entries by the structural fingerprints (core/fingerprint.h);
+// a version 1 snapshot's keys were derived from rendered text and can never
+// match, so it is refused with kVersionMismatch.
 //
 // Entries are ordered coldest → hottest so a restore replayed in file order
 // reproduces the cache's recency order. Loading verifies magic, version,

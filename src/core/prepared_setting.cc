@@ -241,6 +241,7 @@ Result<PreparedSetting> PreparedSetting::Prepare(PartiallyClosedSetting setting,
       std::make_shared<const AdomSeed>(AdomContext::SeedFor(setting));
   a->all_inds = AllInds(setting.ccs);
   a->fingerprint = fingerprint;
+  a->schema_fingerprint = FingerprintSchema(setting.schema);
   a->setting =
       std::make_shared<const PartiallyClosedSetting>(std::move(setting));
   return PreparedSetting(std::move(a));

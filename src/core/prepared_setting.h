@@ -59,6 +59,10 @@ class PreparedSetting {
   /// Stable fingerprint of (R, Rm, Dm, V); memoization key component.
   uint64_t fingerprint() const { return a_->fingerprint; }
 
+  /// FingerprintSchema(schema()): a request over schema() reuses it instead
+  /// of hashing its schema again.
+  uint64_t schema_fingerprint() const { return a_->schema_fingerprint; }
+
   /// (I, Dm) ⊨ V through the compiled CC plans: the verdict of the
   /// reference SatisfiesCCs(I, dm(), ccs()). I must be over schema() (the
   /// deciders' input contract, CheckSchemaMatches): the plans read each
@@ -104,6 +108,7 @@ class PreparedSetting {
     mutable std::unique_ptr<const CcPlan> plan;
     bool all_inds = false;
     uint64_t fingerprint = 0;
+    uint64_t schema_fingerprint = 0;
   };
 
   explicit PreparedSetting(std::shared_ptr<const Artifacts> a)

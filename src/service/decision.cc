@@ -1,6 +1,7 @@
 #include "service/decision.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "core/fingerprint.h"
 #include "core/minp.h"
@@ -244,16 +245,19 @@ Decision DecideCold(const DecisionRequest& request,
 
 RequestCacheKey RequestKeyFor(const PreparedSetting& prepared,
                               const DecisionRequest& request) {
-  // Serialize the request's canonical material once; both digests then mix
+  // Walk the request's query and c-instance once; both digests then mix
   // the same handful of words from independently-seeded states.
-  const char* kind = ProblemKindName(request.kind);
+  const std::string_view kind = ProblemKindName(request.kind);
   const uint64_t query_print = FingerprintQuery(request.query);
   // RCQP quantifies over all instances; leaving T out of its key lets
   // audits of different databases share one RCQP verdict per query.
   const bool keyed_on_instance = request.kind != ProblemKind::kRcqpStrong &&
                                  request.kind != ProblemKind::kRcqpWeak;
   const uint64_t cinstance_print =
-      keyed_on_instance ? FingerprintCInstance(request.cinstance) : 0;
+      keyed_on_instance
+          ? FingerprintCInstance(request.cinstance, prepared.schema(),
+                                 prepared.schema_fingerprint())
+          : 0;
 
   auto digest = [&](StableHasher h) {
     h.Mix(prepared.fingerprint());

@@ -172,10 +172,15 @@ struct RequestCacheKeyHash {
   }
 };
 
-/// Stable memoization / coalescing key of `request` under `prepared`.
-/// RCQP kinds leave the audited instance out of the key (the problem
-/// quantifies over all instances), so audits of different databases share
-/// one RCQP verdict per query.
+/// Stable memoization / coalescing key of `request` under `prepared`. The
+/// query and c-instance enter as their structural fingerprints
+/// (core/fingerprint.h), which keep every value's type: requests that
+/// differ only in 1 vs "1", or in the variable x0 vs the constant "x0",
+/// get different keys. A c-instance over prepared.schema() reuses the
+/// setting's schema digest instead of hashing its schema again. RCQP kinds
+/// leave the audited instance out of the key (the problem quantifies over
+/// all instances), so audits of different databases share one RCQP
+/// verdict per query.
 RequestCacheKey RequestKeyFor(const PreparedSetting& prepared,
                               const DecisionRequest& request);
 

@@ -224,9 +224,8 @@ void CompletenessService::WorkerLoop(int worker_index) {
 
 Result<SettingHandle> CompletenessService::RegisterSetting(
     PartiallyClosedSetting setting, const ShardOptions& shard_options) {
-  const SettingKey key{FingerprintSetting(setting),
-                       FingerprintSettingSeeded(setting,
-                                                /*seed=*/0x5e771465eed2ULL)};
+  const SettingFingerprints prints = FingerprintSettingWide(setting);
+  const SettingKey key{prints.primary, prints.check};
   {
     MutexLock lock(registry_mu_);
     auto it = handle_by_fingerprint_.find(key);

@@ -4,9 +4,12 @@
 //
 // Interned names are never freed. Each costs its bytes plus about 24 B of
 // bookkeeping: a 4-byte length in an append-only arena of 64 KiB chunks, an
-// 8-byte record pointer, and its share of an open-addressing index of
-// 4-byte ids kept at most half full. Over 200k 16-character names that
-// measured 40 B a name.
+// 8-byte record pointer in a table of blocks that never move, and its share
+// of an open-addressing index of 4-byte ids kept at most half full. Over
+// 200k 16-character names that measured 39.6 B a name (RSS growth).
+//
+// InternSymbol takes the table's lock; SymbolName and InternedSymbolCount
+// do not: a record is published (release) before its id is handed out.
 #ifndef RELCOMP_UTIL_INTERNER_H_
 #define RELCOMP_UTIL_INTERNER_H_
 

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -368,12 +370,12 @@ std::string LittleEndian(uint64_t v, int n) {
   return out;
 }
 
-/// `payload` behind a valid header (magic, version 1, size, checksum), so
+/// `payload` behind a valid header (magic, version 2, size, checksum), so
 /// the payload's own defects reach the decoder past every header check.
 std::string Sealed(const std::string& payload) {
   StableHasher checksum;
   checksum.Mix(payload.data(), payload.size());
-  return std::string("RCCS") + LittleEndian(1, 4) +
+  return std::string("RCCS") + LittleEndian(2, 4) +
          LittleEndian(payload.size(), 8) + LittleEndian(checksum.digest(), 8) +
          payload;
 }
@@ -389,6 +391,9 @@ TEST(PersistTest, CorruptionAndTruncationAreRejected) {
   bad_magic[0] = 'X';
   std::string bad_version = bytes;
   bad_version[4] = 99;  // version field follows the 4-byte magic
+  // Version 1 keyed entries by rendered text; its keys can never match.
+  std::string version_one = bytes;
+  version_one[4] = 1;
   // Shard count 1, setting key (7, 7), entry count 1, entry key (3, 3),
   // then a status code no build ever wrote.
   const std::string unknown_code =
@@ -415,6 +420,8 @@ TEST(PersistTest, CorruptionAndTruncationAreRejected) {
        "truncated"},
       {"unsupported version", bad_version, StatusCode::kVersionMismatch,
        "version"},
+      {"text-keyed version 1", version_one, StatusCode::kVersionMismatch,
+       "version"},
   };
   for (const auto& c : cases) {
     Result<cache::Snapshot> decoded = cache::DecodeSnapshot(c.bytes);
@@ -423,6 +430,41 @@ TEST(PersistTest, CorruptionAndTruncationAreRejected) {
         << c.what << ": " << decoded.status().ToString();
     EXPECT_NE(decoded.status().message().find(c.message), std::string::npos)
         << c.what << ": " << decoded.status().ToString();
+  }
+}
+
+TEST(PersistTest, FuzzSeedsAreInTheCurrentFormat) {
+  // The fuzz corpus starts from valid snapshots: each must decode and
+  // re-encode byte for byte, or the fuzzer only ever explores the header
+  // checks. Each corrupt seed must fail the check it was made to fail.
+  auto read = [](const char* name) {
+    std::ifstream in(std::string(RELCOMP_PERSIST_CORPUS) + "/" + name,
+                     std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  for (const char* name :
+       {"witnessed_entries.bin", "empty_snapshot.bin", "one_shard_empty.bin"}) {
+    const std::string bytes = read(name);
+    Result<cache::Snapshot> decoded = cache::DecodeSnapshot(bytes);
+    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
+    EXPECT_EQ(cache::EncodeSnapshot(*decoded), bytes) << name;
+  }
+  const struct {
+    const char* name;
+    StatusCode code;
+    const char* message;
+  } corrupt[] = {{"bad_magic.bin", StatusCode::kCorruption, "magic"},
+                 {"bad_checksum.bin", StatusCode::kCorruption, "checksum"},
+                 {"truncated.bin", StatusCode::kDataLoss, "size mismatch"}};
+  for (const auto& c : corrupt) {
+    Result<cache::Snapshot> decoded = cache::DecodeSnapshot(read(c.name));
+    ASSERT_FALSE(decoded.ok()) << c.name;
+    EXPECT_EQ(decoded.status().code(), c.code)
+        << c.name << ": " << decoded.status().ToString();
+    EXPECT_NE(decoded.status().message().find(c.message), std::string::npos)
+        << c.name << ": " << decoded.status().ToString();
   }
 }
 

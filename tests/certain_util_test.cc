@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -242,6 +243,51 @@ TEST(InternerTest, ConcurrentInternsGetOneIdPerName) {
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
   EXPECT_EQ(sorted.front(), before);
   EXPECT_EQ(sorted.back(), before + static_cast<size_t>(distinct) - 1);
+}
+
+TEST(InternerTest, NamesReadWithoutTheLockWhileOthersIntern) {
+  // Two threads intern fresh names, crossing record-block boundaries, while
+  // two others read back the names of ids already counted (SymbolName takes
+  // no lock) and check that each name interns to its own id again.
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kNamesPerWriter = 20000;
+  constexpr size_t kWindow = 32;  // ids read per reader pass
+  std::atomic<int> writers_left{kWriters};
+  std::vector<size_t> reads(kReaders, 0);
+  std::vector<size_t> mismatches(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int k = 0; k < kNamesPerWriter; ++k) {
+        InternSymbol(NumberedName(
+            w == 0 ? "interner-lockfree-a" : "interner-lockfree-b", k));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      do {
+        const size_t count = InternedSymbolCount();
+        for (size_t id = count > kWindow ? count - kWindow : 0; id < count;
+             ++id) {
+          const std::string name(SymbolName(static_cast<SymbolId>(id)));
+          if (InternSymbol(name) != id) ++mismatches[static_cast<size_t>(r)];
+          ++reads[static_cast<size_t>(r)];
+        }
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_GT(reads[static_cast<size_t>(r)], 0u) << "reader " << r;
+    EXPECT_EQ(mismatches[static_cast<size_t>(r)], 0u) << "reader " << r;
+  }
+  for (int k = 0; k < kNamesPerWriter; k += 997) {
+    const std::string name = NumberedName("interner-lockfree-b", k);
+    EXPECT_EQ(SymbolName(InternSymbol(name)), name);
+  }
 }
 
 TEST(StatsTest, ToStringListsCounters) {

@@ -544,6 +544,107 @@ TEST(PreparedSettingTest, FingerprintsAreStableAndDiscriminating) {
   EXPECT_EQ(FingerprintQuery(fx.q1), FingerprintQuery(fx.q1));
   EXPECT_NE(FingerprintCInstance(fx.ctable),
             FingerprintCInstance(CInstance(fx.setting.schema)));
+
+  // One walk yields both registry digests; the first is the fingerprint.
+  const SettingFingerprints wide = FingerprintSettingWide(fx.setting);
+  EXPECT_EQ(wide.primary, a.fingerprint());
+  EXPECT_NE(wide.check, wide.primary);
+  EXPECT_EQ(a.schema_fingerprint(), FingerprintSchema(fx.setting.schema));
+
+  // A c-instance over the setting's schema may reuse its digest; one whose
+  // attribute names differ is hashed on its own, as it would be alone.
+  EXPECT_EQ(FingerprintCInstance(fx.ctable, fx.setting.schema,
+                                 a.schema_fingerprint()),
+            FingerprintCInstance(fx.ctable));
+  DatabaseSchema renamed;
+  for (const RelationSchema& rel : fx.setting.schema.relations()) {
+    std::vector<Attribute> attributes = rel.attributes();
+    for (Attribute& attr : attributes) attr.name += "_renamed";
+    renamed.AddRelation(RelationSchema(rel.name(), std::move(attributes)));
+  }
+  CInstance over_renamed(renamed);
+  EXPECT_EQ(FingerprintCInstance(over_renamed, fx.setting.schema,
+                                 a.schema_fingerprint()),
+            FingerprintCInstance(over_renamed));
+  EXPECT_NE(FingerprintCInstance(over_renamed),
+            FingerprintCInstance(CInstance(fx.setting.schema)));
+}
+
+TEST(PreparedSettingTest, TypedTwinsFingerprintApart) {
+  // Each pair below renders to the same text, but the deciders treat its
+  // two sides as different inputs: Int(1) vs Sym("1"), and the variable x0
+  // vs the constant "x0".
+  const DatabaseSchema schema = testing::EdgeSchema();  // E(a, b)
+  auto one_row = [&schema](Cell a, Condition condition = Condition::True()) {
+    CInstance t(schema);
+    t.at("E").AddRow(CRow{{a, Cell(S("k"))}, std::move(condition)});
+    return FingerprintCInstance(t);
+  };
+  EXPECT_NE(one_row(Cell(I(1))), one_row(Cell(S("1"))));
+  EXPECT_NE(one_row(Cell(V(0))), one_row(Cell(S("x0"))));
+  EXPECT_NE(one_row(Cell(V(0)), Condition::VarNeqConst(V(0), I(1))),
+            one_row(Cell(V(0)), Condition::VarNeqConst(V(0), S("1"))));
+
+  // Q(x1) :- E(c, x1) for a constant or variable c, in every language.
+  auto atom = [](CTerm c) { return RelAtom{"E", {c, CTerm(V(1))}}; };
+  auto cq = [&atom](CTerm c) {
+    return ConjunctiveQuery({CTerm(V(1))}, {atom(c)});
+  };
+  auto efo = [&atom](CTerm c) {
+    return FoQuery({V(1)},
+                   FoFormula::Exists({V(2)}, FoFormula::Atom(atom(c))));
+  };
+  auto fo = [&atom](CTerm c) {
+    return FoQuery({V(1)}, FoFormula::And({FoFormula::Atom(atom(c)),
+                                           FoFormula::Not(FoFormula::Eq(
+                                               CTerm(V(1)), c))}));
+  };
+  auto fp = [&atom](CTerm c) {
+    FpProgram program;
+    program.AddRule(FpRule{RelAtom{"Out", {CTerm(V(1))}}, {atom(c)}, {}});
+    program.set_output("Out");
+    return program;
+  };
+  const std::vector<std::pair<CTerm, CTerm>> twins = {
+      {CTerm(I(1)), CTerm(S("1"))}, {CTerm(V(0)), CTerm(S("x0"))}};
+  for (const auto& [lhs, rhs] : twins) {
+    const std::vector<std::pair<Query, Query>> queries = {
+        {Query::Cq(cq(lhs)), Query::Cq(cq(rhs))},
+        {Query::Ucq(UnionQuery({cq(lhs)})), Query::Ucq(UnionQuery({cq(rhs)}))},
+        {Query::Fo(efo(lhs)), Query::Fo(efo(rhs))},
+        {Query::Fo(fo(lhs)), Query::Fo(fo(rhs))},
+        {Query::Fp(fp(lhs)), Query::Fp(fp(rhs))}};
+    for (const auto& [q1, q2] : queries) {
+      ASSERT_EQ(q1.language(), q2.language());
+      EXPECT_EQ(q1.ToString(), q2.ToString()) << "not a rendering twin";
+      EXPECT_NE(FingerprintQuery(q1), FingerprintQuery(q2)) << q1.ToString();
+    }
+  }
+
+  // Settings whose CC builtin or Dm value differs only in type.
+  auto setting = [&schema](Value builtin, Value master) {
+    PartiallyClosedSetting s;
+    s.schema = schema;
+    s.master_schema.AddRelation(
+        RelationSchema("M", {Attribute{"a", Domain::Infinite()}}));
+    s.dm = Instance(s.master_schema);
+    s.dm.AddTuple("M", {master});
+    s.ccs.emplace_back(
+        "known",
+        ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"E", {V(0), V(1)}}},
+                         {CondAtom{V(1), false, builtin}}),
+        "M", std::vector<int>{0});
+    return s;
+  };
+  const PartiallyClosedSetting base = setting(I(1), I(1));
+  for (const PartiallyClosedSetting& twin :
+       {setting(S("1"), I(1)), setting(I(1), S("1"))}) {
+    EXPECT_EQ(twin.ccs[0].ToString(), base.ccs[0].ToString());
+    EXPECT_EQ(twin.dm.ToString(), base.dm.ToString());
+    EXPECT_NE(FingerprintSetting(twin), FingerprintSetting(base));
+    EXPECT_NE(FingerprintSettingWide(twin).check,
+              FingerprintSettingWide(base).check);
+  }
 }
 
 TEST(PreparedSettingTest, AllIndsClassificationIsCached) {

@@ -160,6 +160,60 @@ TEST(ServiceTest, RegisteringIdenticalSettingReturnsSameHandle) {
   EXPECT_TRUE(hit.from_cache);
 }
 
+TEST(ServiceTest, TypedTwinsGetTheirOwnVerdictsAndShards) {
+  // R(a), the master M(a) and the CC π_a R ⊆ M, with Dm = {M(master)}.
+  auto make_setting = [](Value master) {
+    PartiallyClosedSetting setting;
+    setting.schema.AddRelation(
+        RelationSchema("R", {Attribute{"a", Domain::Infinite()}}));
+    setting.master_schema.AddRelation(
+        RelationSchema("M", {Attribute{"a", Domain::Infinite()}}));
+    setting.dm = Instance(setting.master_schema);
+    setting.dm.AddTuple("M", {master});
+    setting.ccs.emplace_back(
+        "r_in_m",
+        ConjunctiveQuery({CTerm(VarId{0})}, {RelAtom{"R", {VarId{0}}}}), "M",
+        std::vector<int>{0});
+    return setting;
+  };
+  const PartiallyClosedSetting setting = make_setting(Value::Int(1));
+  CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(setting));
+
+  // T = {R(1)} and T = {R("1")} print alike; Q(x) :- R(x).
+  DecisionRequest int_request;
+  int_request.kind = ProblemKind::kRcdpStrong;
+  int_request.query = Query::Cq(
+      ConjunctiveQuery({CTerm(VarId{0})}, {RelAtom{"R", {VarId{0}}}}));
+  int_request.cinstance = CInstance(setting.schema);
+  int_request.cinstance.at("R").AddRow({Cell(Value::Int(1))});
+  DecisionRequest sym_request = int_request;
+  sym_request.cinstance = CInstance(setting.schema);
+  sym_request.cinstance.at("R").AddRow({Cell(S("1"))});
+  ASSERT_EQ(int_request.cinstance.ToString(), sym_request.cinstance.ToString());
+
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+  ASSERT_OK_AND_ASSIGN(direct_int, RcdpStrong(int_request.query,
+                                              int_request.cinstance, prepared));
+  ASSERT_OK_AND_ASSIGN(direct_sym, RcdpStrong(sym_request.query,
+                                              sym_request.cinstance, prepared));
+  const Decision on_int = service.Decide({handle, int_request});
+  const Decision on_sym = service.Decide({handle, sym_request});
+  ASSERT_TRUE(on_int.status.ok()) << on_int.status.ToString();
+  ASSERT_TRUE(on_sym.status.ok()) << on_sym.status.ToString();
+  EXPECT_TRUE(on_int.answer);
+  EXPECT_EQ(on_int.answer, direct_int);
+  EXPECT_FALSE(on_sym.from_cache);
+  EXPECT_FALSE(on_sym.answer);
+  EXPECT_EQ(on_sym.answer, direct_sym);
+
+  // Dm = {M(1)} and Dm = {M("1")} print alike too, yet are two settings.
+  ASSERT_OK_AND_ASSIGN(twin,
+                       service.RegisterSetting(make_setting(S("1"))));
+  EXPECT_NE(twin, handle);
+  EXPECT_EQ(service.num_settings(), 2u);
+}
+
 TEST(ServiceTest, ReleaseSettingRefcountsAndEvicts) {
   AuditFixture fx = MakeAuditFixture();
   CompletenessService service(MakeOptions(/*workers=*/0, /*cache=*/64));

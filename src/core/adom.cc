@@ -1,6 +1,8 @@
 #include "core/adom.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 
@@ -107,15 +109,19 @@ const std::vector<Value>& AdomContext::values() const {
   return values_;
 }
 
-Result<Relation> EvalOverAdom(const Query& q, const Instance& instance,
-                              const AdomContext& adom) {
-  switch (q.language()) {
-    case QueryLanguage::kEFOPlus:
-    case QueryLanguage::kFO:
-      return q.Eval(instance, adom.values());
-    default:
-      return q.Eval(instance);
+Relation EvalOverAdom(const Query& q, const Instance& instance,
+                      const AdomContext& adom) {
+  const bool quantifies = q.language() == QueryLanguage::kEFOPlus ||
+                          q.language() == QueryLanguage::kFO;
+  Result<Relation> answers =
+      quantifies ? q.Eval(instance, adom.values()) : q.Eval(instance);
+  if (!answers.ok()) {
+    std::fprintf(stderr, "relcomp: query evaluation failed: %s\n",
+                 answers.status().ToString().c_str());
+    std::fflush(stderr);
+    std::abort();
   }
+  return std::move(answers).value();
 }
 
 }  // namespace relcomp

@@ -84,9 +84,10 @@ class AdomContext {
 
 /// Q(I), with the quantifiers of ∃FO⁺ and FO queries ranging over Adom as
 /// well. Those are the only languages that read the extra domain, so only
-/// they materialize values().
-Result<Relation> EvalOverAdom(const Query& q, const Instance& instance,
-                              const AdomContext& adom);
+/// they materialize values(). Q has passed CheckQuery; should Query::Eval
+/// fail anyway, this prints the status and aborts, in every build.
+Relation EvalOverAdom(const Query& q, const Instance& instance,
+                      const AdomContext& adom);
 
 }  // namespace relcomp
 

@@ -13,8 +13,7 @@ Result<BoundedSearchResult> SearchAround(const Query& q, const Instance& base,
                                          SearchStats* stats) {
   BoundedSearchResult result;
   if (stats != nullptr) ++stats->query_evals;
-  Result<Relation> base_answers = EvalOverAdom(q, base, adom);
-  if (!base_answers.ok()) return base_answers.status();
+  const Relation base_answers = EvalOverAdom(q, base, adom);
   using Step = ExtensionSearch::Step;
   auto test = [&](const Instance& extended, size_t added) -> Result<Step> {
     if (added == 0) return Step::kDescend;
@@ -27,14 +26,13 @@ Result<BoundedSearchResult> SearchAround(const Query& q, const Instance& base,
       return Step::kPrune;  // supersets stay violated
     }
     if (stats != nullptr) ++stats->query_evals;
-    Result<Relation> answers = EvalOverAdom(q, extended, adom);
-    if (!answers.ok()) return answers.status();
-    if (*answers == *base_answers) return Step::kDescend;
+    const Relation answers = EvalOverAdom(q, extended, adom);
+    if (answers == base_answers) return Step::kDescend;
     result.witness_found = true;
     result.witness.world = base;
     result.witness.extension = extended;
-    Relation gained = answers->Difference(*base_answers);
-    Relation lost = base_answers->Difference(*answers);
+    Relation gained = answers.Difference(base_answers);
+    Relation lost = base_answers.Difference(answers);
     if (!gained.empty()) {
       result.witness.answer = gained.rows().front();
       result.witness.note =
@@ -59,6 +57,8 @@ Result<BoundedSearchResult> SearchIncompletenessGround(
     const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(instance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kBoundedSearch));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
   ExtensionSearch search(prepared, adom, max_added_tuples, options,
                          "bounded incompleteness search", "bounded-dfs");
@@ -71,6 +71,8 @@ Result<BoundedSearchResult> SearchIncompletenessStrong(
     const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kBoundedSearch));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
   ExtensionSearch search(prepared, adom, max_added_tuples, options,
                          "bounded incompleteness search", "bounded-dfs");

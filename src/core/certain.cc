@@ -14,13 +14,12 @@ Result<CertainAnswersResult> CertainAnswers(
     if (!got.ok()) return got.status();
     if (!*got) break;
     if (stats != nullptr) ++stats->query_evals;
-    Result<Relation> answers = EvalOverAdom(q, world, adom);
-    if (!answers.ok()) return answers.status();
+    Relation answers = EvalOverAdom(q, world, adom);
     if (!result.mod_nonempty) {
       result.mod_nonempty = true;
-      result.answers = std::move(answers).value();
+      result.answers = std::move(answers);
     } else {
-      result.answers = result.answers.Intersect(*answers);
+      result.answers = result.answers.Intersect(answers);
     }
     ++result.worlds;
     // An empty intersection can only stay empty.

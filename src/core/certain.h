@@ -19,8 +19,9 @@ struct CertainAnswersResult {
 };
 
 /// Computes the certain answers of `q` over Mod(T, Dm, V). Like
-/// GroundCheck, it takes an Adom its caller built, and T must be over
-/// prepared.schema(): the caller has checked it (CheckSchemaMatches).
+/// GroundCheck, it takes an Adom its caller built, and T and Q must be over
+/// prepared.schema(): the caller has checked both (CheckSchemaMatches,
+/// CheckQuery).
 Result<CertainAnswersResult> CertainAnswers(
     const Query& q, const CInstance& cinstance,
     const PreparedSetting& prepared, const AdomContext& adom,

@@ -82,15 +82,11 @@ std::vector<OpenVarCandidate> CqVarCandidatesOpen(
   DomainCollector collector;
   // LINT:waive(checkpoint-coverage, scans the query atoms once)
   for (const RelAtom& atom : q.atoms()) {
-    const RelationSchema* rel = schema.Find(atom.rel);
+    const RelationSchema& rel = *schema.Find(atom.rel);
     for (size_t i = 0; i < atom.args.size(); ++i) {
       if (std::holds_alternative<VarId>(atom.args[i])) {
-        VarId v = std::get<VarId>(atom.args[i]);
-        if (rel != nullptr && i < rel->arity()) {
-          collector.Constrain(v, rel->attribute(i).domain);
-        } else {
-          collector.Touch(v);
-        }
+        collector.Constrain(std::get<VarId>(atom.args[i]),
+                            rel.attribute(i).domain);
       }
     }
   }

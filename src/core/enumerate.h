@@ -27,9 +27,9 @@ struct OpenVarCandidate {
   bool open = false;
 };
 
-/// Open-variable candidates for a CQ tableau: a variable is open when no
-/// finite-domain column constrains it, and otherwise gets the intersection
-/// of its columns' finite domains. Needs no Adom.
+/// Open-variable candidates for a CQ tableau over `schema`: a variable is
+/// open when no finite-domain column constrains it, and otherwise gets the
+/// intersection of its columns' finite domains. Needs no Adom.
 std::vector<OpenVarCandidate> CqVarCandidatesOpen(
     const ConjunctiveQuery& q, const DatabaseSchema& schema);
 

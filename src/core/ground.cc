@@ -5,48 +5,21 @@
 namespace relcomp {
 namespace {
 
-// The schema index of each tableau atom's relation, resolved once per
-// disjunct; fails like ConjunctiveQuery::InstantiateTableau on an unknown
-// relation.
-Result<std::vector<size_t>> AtomRelations(const ConjunctiveQuery& q,
-                                          const DatabaseSchema& schema) {
-  std::vector<size_t> rels;
-  rels.reserve(q.atoms().size());
-  // LINT:waive(checkpoint-coverage, one lookup per tableau atom)
-  for (const RelAtom& atom : q.atoms()) {
-    const int rel = schema.IndexOf(atom.rel);
-    if (rel < 0) {
-      return Status::NotFound("tableau atom over unknown relation '" +
-                              atom.rel + "'");
-    }
-    rels.push_back(static_cast<size_t>(rel));
-  }
-  return rels;
-}
-
 // ν(T_Q) as delta rows, reusing `delta`'s storage; `rels` holds each atom's
-// schema index. Fails like ConjunctiveQuery::InstantiateTableau on an
-// unbound variable.
-Status InstantiateDelta(const ConjunctiveQuery& q,
-                        const std::vector<size_t>& rels, const Valuation& nu,
-                        std::vector<DeltaRow>* delta) {
+// schema index. ν binds every variable of the tableau.
+void InstantiateDelta(const ConjunctiveQuery& q,
+                      const std::vector<size_t>& rels, const Valuation& nu,
+                      std::vector<DeltaRow>* delta) {
   delta->resize(q.atoms().size());
   // LINT:waive(checkpoint-coverage, one row per tableau atom)
   for (size_t a = 0; a < q.atoms().size(); ++a) {
-    const RelAtom& atom = q.atoms()[a];
     DeltaRow& row = (*delta)[a];
     row.rel = rels[a];
     row.tuple.clear();
-    for (const CTerm& term : atom.args) {
-      std::optional<Value> v = nu.Resolve(term);
-      if (!v.has_value()) {
-        return Status::InvalidArgument("unbound variable in tableau atom " +
-                                       atom.ToString());
-      }
-      row.tuple.push_back(*v);
+    for (const CTerm& term : q.atoms()[a].args) {
+      row.tuple.push_back(*nu.Resolve(term));
     }
   }
-  return Status::OK();
 }
 
 // True when `phi` binds its variables to pairwise distinct values.
@@ -68,7 +41,6 @@ AdmissibleValuations::AdmissibleValuations(const ConjunctiveQuery& disjunct,
     : disjunct_(disjunct),
       prepared_(prepared),
       empty_(prepared.schema()),
-      rels_(AtomRelations(disjunct, prepared.schema())),
       // Fresh constants are interchangeable in this existential search, so
       // a symmetry-broken enumeration suffices. Contradictory builtins need
       // none: Next returns before enumerating, and Adom stays unread.
@@ -76,21 +48,23 @@ AdmissibleValuations::AdmissibleValuations(const ConjunctiveQuery& disjunct,
                ? MakeCanonicalCqEnumerator(disjunct, prepared.schema(), adom,
                                            empty_)
                : CanonicalValuationEnumerator(
-                     std::vector<CanonicalValuationEnumerator::Level>{})) {}
+                     std::vector<CanonicalValuationEnumerator::Level>{})) {
+  // LINT:waive(checkpoint-coverage, one lookup per tableau atom)
+  for (const RelAtom& atom : disjunct.atoms()) {
+    rels_.push_back(static_cast<size_t>(prepared.schema().IndexOf(atom.rel)));
+  }
+}
 
 Result<bool> AdmissibleValuations::Next(SearchCheckpoint* checkpoint,
                                         SearchStats* stats, Valuation* nu,
                                         std::vector<DeltaRow>* delta) {
   // No ν satisfies contradictory builtins, so the disjunct adds nothing.
   if (!disjunct_.BuiltinsSatisfiable()) return false;
-  if (!rels_.ok()) return rels_.status();
   while (nus_.Next(nu)) {
     RELCOMP_RETURN_IF_ERROR(checkpoint->Tick());
     if (stats != nullptr) ++stats->valuations;
-    Result<bool> builtins_ok = disjunct_.BuiltinsSatisfied(*nu);
-    if (!builtins_ok.ok()) return builtins_ok.status();
-    if (!*builtins_ok) continue;
-    RELCOMP_RETURN_IF_ERROR(InstantiateDelta(disjunct_, *rels_, *nu, delta));
+    if (!*disjunct_.BuiltinsSatisfied(*nu)) continue;
+    InstantiateDelta(disjunct_, rels_, *nu, delta);
     if (stats != nullptr) ++stats->cc_checks;
     if (prepared_.SatisfiesCCsDelta(empty_, *delta)) return true;
   }
@@ -99,26 +73,16 @@ Result<bool> AdmissibleValuations::Next(SearchCheckpoint* checkpoint,
 
 GroundCheck::GroundCheck(const Query& q, const PreparedSetting& prepared,
                          const AdomContext& adom)
-    : q_(&q), prepared_(&prepared), adom_(&adom) {
+    : q_(&q),
+      prepared_(&prepared),
+      adom_(&adom),
+      disjuncts_(q.Disjuncts().value()) {
   const std::vector<Value>& fresh = adom.fresh();
   // LINT:waive(checkpoint-coverage, one entry per fresh constant)
   for (size_t i = 0; i < fresh.size(); ++i) {
     fresh_index_.emplace_back(fresh[i], i);
   }
   std::sort(fresh_index_.begin(), fresh_index_.end());
-}
-
-Result<GroundCheck> GroundCheck::For(const Query& q,
-                                     const PreparedSetting& prepared,
-                                     const AdomContext& adom) {
-  if (q.language() == QueryLanguage::kFO ||
-      q.language() == QueryLanguage::kFP) {
-    return Status::Undecidable(
-        std::string("RCDP in the strong/viable model is undecidable for ") +
-        QueryLanguageName(q.language()) +
-        " (Theorem 4.1); use the bounded search in core/bounded.h");
-  }
-  return GroundCheck(q, prepared, adom);
 }
 
 int GroundCheck::FreshIndex(const Value& v) const {
@@ -137,9 +101,9 @@ Result<bool> GroundCheck::FindAdmissible(SearchCheckpoint* checkpoint,
   std::vector<DeltaRow> delta;
   while (true) {
     if (walk_ == nullptr) {
-      if (next_disjunct_ == disjuncts_->size()) return false;
+      if (next_disjunct_ == disjuncts_.size()) return false;
       walk_ = std::make_unique<AdmissibleValuations>(
-          (*disjuncts_)[next_disjunct_++], *prepared_, *adom_);
+          disjuncts_[next_disjunct_++], *prepared_, *adom_);
     }
     Result<bool> found = walk_->Next(checkpoint, stats, &nu, &delta);
     if (!found.ok()) return found.status();
@@ -147,8 +111,7 @@ Result<bool> GroundCheck::FindAdmissible(SearchCheckpoint* checkpoint,
       walk_.reset();
       continue;
     }
-    Result<Tuple> head = (*disjuncts_)[next_disjunct_ - 1].InstantiateHead(nu);
-    if (!head.ok()) return head.status();
+    Tuple head = disjuncts_[next_disjunct_ - 1].InstantiateHead(nu).value();
     size_t fresh = 0;
     // LINT:waive(checkpoint-coverage, one slot per variable of ν)
     for (size_t v = 0; v < nu.num_slots(); ++v) {
@@ -156,7 +119,7 @@ Result<bool> GroundCheck::FindAdmissible(SearchCheckpoint* checkpoint,
       if (!value.has_value()) continue;
       fresh = std::max(fresh, static_cast<size_t>(FreshIndex(*value) + 1));
     }
-    admissible_.push_back({std::move(delta), std::move(head).value(), fresh});
+    admissible_.push_back({std::move(delta), std::move(head), fresh});
     return true;
   }
 }
@@ -166,13 +129,7 @@ Result<bool> GroundCheck::IsComplete(const Instance& closed,
                                      SearchStats* stats,
                                      CompletenessWitness* witness) {
   if (stats != nullptr) ++stats->query_evals;
-  Result<Relation> answers = EvalOverAdom(*q_, closed, *adom_);
-  if (!answers.ok()) return answers.status();
-  if (!disjuncts_.has_value()) {
-    Result<std::vector<ConjunctiveQuery>> disjuncts = q_->Disjuncts();
-    if (!disjuncts.ok()) return disjuncts.status();
-    disjuncts_ = std::move(disjuncts).value();
-  }
+  const Relation answers = EvalOverAdom(*q_, closed, *adom_);
 
   // The fresh constants I mentions, and the rest in adom.fresh() order: a
   // ν's renamings map its fresh constants injectively onto the first, or
@@ -203,7 +160,7 @@ Result<bool> GroundCheck::IsComplete(const Instance& closed,
   // Is I ∪ Δ partially closed with the new answer `head`? I is, so only Δ
   // can break V.
   auto extends = [&](const std::vector<DeltaRow>& delta, const Tuple& head) {
-    if (answers->Contains(head)) return false;
+    if (answers.Contains(head)) return false;
     if (stats != nullptr) {
       ++stats->extensions;
       ++stats->cc_checks;

@@ -10,12 +10,12 @@
 // then tested against that set only. GroundCheck is the inner loop of the
 // strong, viable and minimality deciders and of the strong RCQP search;
 // RcdpStrongGround (core/rcdp.h) is its entry point for one ground
-// instance.
+// instance. It trusts its caller, a decider, to have checked Q
+// (CheckQuery), so nothing here fails on Q.
 #ifndef RELCOMP_CORE_GROUND_H_
 #define RELCOMP_CORE_GROUND_H_
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -32,8 +32,9 @@ namespace relcomp {
 /// admissible when its builtins hold and ν(T_Q) satisfies V on its own.
 /// Contradictory builtins end the walk before any enumeration. ∅ must be
 /// partially closed, which it is whenever any instance is (CCs are
-/// monotone). `disjunct`, `prepared` and `adom` must outlive the walk,
-/// which is built in place (neither copyable nor movable).
+/// monotone). `disjunct` is over prepared.schema(); it, `prepared` and
+/// `adom` must outlive the walk, which is built in place (neither copyable
+/// nor movable).
 class AdmissibleValuations {
  public:
   AdmissibleValuations(const ConjunctiveQuery& disjunct,
@@ -45,8 +46,7 @@ class AdmissibleValuations {
   /// Binds `nu` to the next admissible valuation and fills `delta` with
   /// ν(T_Q); false when none is left. Each ν enumerated is one step of
   /// `checkpoint` and one SearchStats::valuations; each V test is one
-  /// cc_checks. Fails with NotFound on a tableau atom over an unknown
-  /// relation.
+  /// cc_checks. Fails only when the checkpoint aborts.
   Result<bool> Next(SearchCheckpoint* checkpoint, SearchStats* stats,
                     Valuation* nu, std::vector<DeltaRow>* delta);
 
@@ -54,7 +54,7 @@ class AdmissibleValuations {
   const ConjunctiveQuery& disjunct_;
   const PreparedSetting& prepared_;
   const Instance empty_;
-  Result<std::vector<size_t>> rels_;  // each atom's schema index
+  std::vector<size_t> rels_;  // each atom's schema index
   CanonicalValuationEnumerator nus_;
 };
 
@@ -62,13 +62,11 @@ class AdmissibleValuations {
 /// call and handed every instance it tests.
 class GroundCheck {
  public:
-  /// Requires CQ/UCQ/∃FO⁺ (languages with tableau disjuncts); FO and FP
-  /// are undecidable here (Theorem 4.1) and yield kUndecidable. `adom` must
-  /// have been built with `q` folded in; `q`, `prepared` and `adom` must
-  /// outlive the check.
-  static Result<GroundCheck> For(const Query& q,
-                                 const PreparedSetting& prepared,
-                                 const AdomContext& adom);
+  /// Builds Q's tableau disjuncts. Q must have passed CheckQuery for a
+  /// cell decided by tableau (CQ, UCQ, ∃FO⁺); `adom` must have been built
+  /// with `q` folded in; `q`, `prepared` and `adom` must outlive the check.
+  GroundCheck(const Query& q, const PreparedSetting& prepared,
+              const AdomContext& adom);
 
   /// Is `closed` complete for Q relative to (Dm, V)? `closed` must be over
   /// prepared.schema() (the caller, a decider, has checked it) and
@@ -97,9 +95,6 @@ class GroundCheck {
     size_t fresh = 0;
   };
 
-  GroundCheck(const Query& q, const PreparedSetting& prepared,
-              const AdomContext& adom);
-
   // Appends the next admissible ν to admissible_; false once every
   // disjunct is walked.
   Result<bool> FindAdmissible(SearchCheckpoint* checkpoint,
@@ -111,7 +106,7 @@ class GroundCheck {
   const PreparedSetting* prepared_;
   const AdomContext* adom_;
   std::vector<std::pair<Value, size_t>> fresh_index_;  // sorted by value
-  std::optional<std::vector<ConjunctiveQuery>> disjuncts_;  // at first use
+  std::vector<ConjunctiveQuery> disjuncts_;
   size_t next_disjunct_ = 0;
   std::unique_ptr<AdmissibleValuations> walk_;  // the disjunct walked now
   std::vector<Admissible> admissible_;

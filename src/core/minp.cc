@@ -39,13 +39,14 @@ Result<bool> MinpStrongGround(const Query& q, const Instance& instance,
                               SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(instance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kMinpStrong));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   // The one instance here that may not be partially closed.
   if (stats != nullptr) ++stats->cc_checks;
   if (!*prepared.SatisfiesCCs(instance)) return false;
-  return MinimalCompleteWorld(*ground, instance, options, stats);
+  return MinimalCompleteWorld(ground, instance, options, stats);
 }
 
 Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
@@ -53,9 +54,10 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
                         const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kMinpStrong));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   bool any = false;
@@ -64,7 +66,7 @@ Result<bool> MinpStrong(const Query& q, const CInstance& cinstance,
     if (!got.ok()) return got.status();
     if (!*got) break;
     any = true;
-    Result<bool> minimal = MinimalCompleteWorld(*ground, world, options, stats);
+    Result<bool> minimal = MinimalCompleteWorld(ground, world, options, stats);
     if (!minimal.ok()) return minimal.status();
     if (!*minimal) return false;
   }
@@ -76,16 +78,17 @@ Result<bool> MinpViable(const Query& q, const CInstance& cinstance,
                         const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kMinpViable));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   while (true) {
     Result<bool> got = worlds.Next(nullptr, &world);
     if (!got.ok()) return got.status();
     if (!*got) break;
-    Result<bool> minimal = MinimalCompleteWorld(*ground, world, options, stats);
+    Result<bool> minimal = MinimalCompleteWorld(ground, world, options, stats);
     if (!minimal.ok()) return minimal.status();
     if (*minimal) return true;
   }
@@ -97,6 +100,8 @@ Result<bool> MinpWeak(const Query& q, const CInstance& cinstance,
                       const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kMinpWeak));
   Result<bool> complete = RcdpWeak(q, cinstance, prepared, options, stats);
   if (!complete.ok()) return complete.status();
   if (!*complete) return false;
@@ -129,6 +134,8 @@ Result<bool> MinpWeakCq(const Query& q, const CInstance& cinstance,
                         const SearchOptions& options, SearchStats* stats) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kMinpWeak));
   if (q.language() != QueryLanguage::kCQ) {
     return Status::InvalidArgument(
         "MinpWeakCq implements the Lemma 5.7 dichotomy for CQ only");

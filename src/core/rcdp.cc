@@ -8,9 +8,10 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
                         CompletenessWitness* witness) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcdpStrong));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Valuation mu;
   Instance world;
@@ -20,7 +21,7 @@ Result<bool> RcdpStrong(const Query& q, const CInstance& cinstance,
     if (!got.ok()) return got.status();
     if (!*got) break;
     any = true;
-    Result<bool> complete = ground->IsComplete(world, options, stats, witness);
+    Result<bool> complete = ground.IsComplete(world, options, stats, witness);
     if (!complete.ok()) return complete.status();
     if (!*complete) {
       if (witness != nullptr) {
@@ -46,16 +47,17 @@ Result<bool> RcdpViable(const Query& q, const CInstance& cinstance,
                         Instance* witness_world) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcdpViable));
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   ModEnumerator worlds(cinstance, prepared, adom, options, stats);
   Instance world;
   while (true) {
     Result<bool> got = worlds.Next(nullptr, &world);
     if (!got.ok()) return got.status();
     if (!*got) break;
-    Result<bool> complete = ground->IsComplete(world, options, stats);
+    Result<bool> complete = ground.IsComplete(world, options, stats);
     if (!complete.ok()) return complete.status();
     if (*complete) {
       if (witness_world != nullptr) *witness_world = world;
@@ -71,11 +73,8 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
                       CompletenessWitness* witness) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(cinstance.schema(), prepared.schema()));
-  if (q.language() == QueryLanguage::kFO) {
-    return Status::Undecidable(
-        "RCDP (weak model) is undecidable for FO (Theorem 5.1); use the "
-        "bounded procedures in core/bounded.h");
-  }
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcdpWeak));
   // One extra fresh constant per column of the widest relation backs the
   // fresh-variable row of the Lemma 5.2 characterization.
   AdomContext adom = prepared.BuildAdom(cinstance, &q);
@@ -119,13 +118,12 @@ Result<bool> RcdpWeak(const Query& q, const CInstance& cinstance,
         if (!prepared.SatisfiesCCsDelta(world, delta)) continue;
         const Instance extended = PreparedSetting::WithDelta(world, delta);
         if (stats != nullptr) ++stats->query_evals;
-        Result<Relation> answers = EvalOverAdom(q, extended, adom);
-        if (!answers.ok()) return answers.status();
+        Relation answers = EvalOverAdom(q, extended, adom);
         if (!any_extension) {
           any_extension = true;
-          extension_certain = std::move(answers).value();
+          extension_certain = std::move(answers);
         } else {
-          extension_certain = extension_certain.Intersect(*answers);
+          extension_certain = extension_certain.Intersect(answers);
         }
         // Early exit: once the extension-certain set shrinks into the
         // certain answers, it can never escape them again.
@@ -158,9 +156,10 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
                               CompletenessWitness* witness) {
   RELCOMP_RETURN_IF_ERROR(
       CheckSchemaMatches(instance.schema(), prepared.schema()));
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcdpStrong));
   AdomContext adom = prepared.BuildAdomForGround(instance, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   // The one instance here that may not be partially closed.
   if (stats != nullptr) ++stats->cc_checks;
   if (!*prepared.SatisfiesCCs(instance)) {
@@ -169,7 +168,7 @@ Result<bool> RcdpStrongGround(const Query& q, const Instance& instance,
     }
     return false;
   }
-  return ground->IsComplete(instance, options, stats, witness);
+  return ground.IsComplete(instance, options, stats, witness);
 }
 
 }  // namespace relcomp

@@ -6,16 +6,21 @@
 //   viable: some world is complete                             (Thm 6.1)
 // Decidable cases follow the paper's algorithms (Adom valuation search with
 // the Lemma 4.2/4.3 and Lemma 5.2 characterizations); undecidable cells of
-// Table I return kUndecidable and point to core/bounded.h. The strong and
+// Table I return kUndecidable; core/bounded.h searches them. The strong and
 // viable deciders walk Mod(T, Dm, V) row by row (ModEnumerator) and test
 // each world with one GroundCheck per call, which enumerates the query's
 // tableau valuations at most once.
 //
-// Input contract (every decider in src/core/ that takes T or I): T is a
-// c-instance of the setting's own schema R (Section 2.2), i.e. its relations
-// are prepared.schema()'s, in order, with the same arities and attribute
-// domains. Each decider checks this first (CheckSchemaMatches) and fails
-// with kInvalidArgument naming the first relation that differs.
+// Input contract (every decider in src/core/), checked once, at entry:
+//  - T (or I) is a c-instance of the setting's own schema R (Section 2.2):
+//    its relations are prepared.schema()'s, in order, with the same arities
+//    and attribute domains (CheckSchemaMatches; kInvalidArgument naming the
+//    first relation that differs).
+//  - Q, the RCQP deciders' too, is a query over R in a language that the
+//    decider's Table I cell decides (CheckQuery: kInvalidArgument from
+//    Query::Validate, then kUndecidable naming the problem, the model and
+//    the theorem).
+// Past these checks nothing in src/core/ fails on T or Q.
 #ifndef RELCOMP_CORE_RCDP_H_
 #define RELCOMP_CORE_RCDP_H_
 

@@ -4,12 +4,9 @@
 
 namespace relcomp {
 
-Result<bool> RcqpWeak(const Query& q) {
-  if (q.language() == QueryLanguage::kFO) {
-    return Status::Undecidable(
-        "RCQP (weak model) is undecidable for FO over ground instances "
-        "(Theorem 5.4); the c-instance case is open in the paper");
-  }
+Result<bool> RcqpWeak(const Query& q, const PreparedSetting& prepared) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcqpWeak));
   // Theorem 5.4: for monotone languages a weakly complete instance always
   // exists (constructed as a maximal Adom instance in the proof).
   return true;
@@ -18,16 +15,11 @@ Result<bool> RcqpWeak(const Query& q) {
 Result<RcqpSearchResult> RcqpStrongBounded(
     const Query& q, const PreparedSetting& prepared, size_t max_tuples,
     const SearchOptions& options, SearchStats* stats) {
-  if (q.language() == QueryLanguage::kFO ||
-      q.language() == QueryLanguage::kFP) {
-    return Status::Undecidable(
-        std::string("RCQP (strong/viable model) is undecidable for ") +
-        QueryLanguageName(q.language()) + " (Theorem 4.5)");
-  }
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcqpStrong));
   CInstance empty(prepared.schema());
   AdomContext adom = prepared.BuildAdom(empty, &q);
-  Result<GroundCheck> ground = GroundCheck::For(q, prepared, adom);
-  if (!ground.ok()) return ground.status();
+  GroundCheck ground(q, prepared, adom);
   // Ground instances grow from ∅ in canonical tuple order, so each one is
   // generated once; CC violations prune the subtree (CC bodies are
   // monotone CQs), and a node that passes is closed for the ground check.
@@ -39,7 +31,7 @@ Result<RcqpSearchResult> RcqpStrongBounded(
     if (!*prepared.SatisfiesCCs(candidate)) {
       return Step::kPrune;  // supersets can only stay violated
     }
-    Result<bool> complete = ground->IsComplete(candidate, options, stats);
+    Result<bool> complete = ground.IsComplete(candidate, options, stats);
     if (!complete.ok()) return complete.status();
     if (!*complete) return Step::kDescend;
     result.found = true;
@@ -53,32 +45,27 @@ Result<RcqpSearchResult> RcqpStrongBounded(
 
 bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
                        const DatabaseSchema& schema, const CCSet& ccs) {
-  // Positions of `var` in the tableau: (relation, column) pairs.
-  auto positions = [&](VarId var) {
-    std::vector<std::pair<std::string, size_t>> out;
-    // LINT:waive(checkpoint-coverage, scans the disjunct atoms once)
-    for (const RelAtom& atom : disjunct.atoms()) {
-      for (size_t i = 0; i < atom.args.size(); ++i) {
-        if (std::holds_alternative<VarId>(atom.args[i]) &&
-            std::get<VarId>(atom.args[i]) == var) {
-          out.emplace_back(atom.rel, i);
-        }
-      }
-    }
-    return out;
-  };
   // Is column (rel, col) covered by some IND CC into master data?
   auto ind_covered = [&ccs](const std::string& rel, size_t col) {
     // LINT:waive(checkpoint-coverage, scans the CC set once)
     for (const ContainmentConstraint& cc : ccs) {
-      if (!cc.IsInd()) continue;
-      const RelAtom& atom = cc.q().atoms()[0];
-      if (atom.rel != rel || col >= atom.args.size()) continue;
-      if (!std::holds_alternative<VarId>(atom.args[col])) continue;
-      VarId at_col = std::get<VarId>(atom.args[col]);
-      for (const CTerm& h : cc.q().head()) {
-        if (std::holds_alternative<VarId>(h) &&
-            std::get<VarId>(h) == at_col) {
+      if (!cc.IsInd() || cc.q().atoms()[0].rel != rel) continue;
+      const std::vector<CTerm>& head = cc.q().head();
+      if (std::find(head.begin(), head.end(), cc.q().atoms()[0].args[col]) !=
+          head.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // Does `var` sit in a finite-domain or IND-covered column of the tableau?
+  auto bounded = [&](VarId var) {
+    // LINT:waive(checkpoint-coverage, scans the disjunct atoms once)
+    for (const RelAtom& atom : disjunct.atoms()) {
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        if (atom.args[i] == CTerm(var) &&
+            (schema.Find(atom.rel)->attribute(i).domain.is_finite() ||
+             ind_covered(atom.rel, i))) {
           return true;
         }
       }
@@ -87,22 +74,10 @@ bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
   };
   // LINT:waive(checkpoint-coverage, static boundedness check over the head)
   for (const CTerm& head_term : disjunct.head()) {
-    if (std::holds_alternative<Value>(head_term)) continue;  // constant
-    VarId var = std::get<VarId>(head_term);
-    bool bounded = false;
-    for (const auto& [rel, col] : positions(var)) {
-      const RelationSchema* rs = schema.Find(rel);
-      if (rs != nullptr && col < rs->arity() &&
-          rs->attribute(col).domain.is_finite()) {
-        bounded = true;
-        break;
-      }
-      if (ind_covered(rel, col)) {
-        bounded = true;
-        break;
-      }
+    if (std::holds_alternative<VarId>(head_term) &&
+        !bounded(std::get<VarId>(head_term))) {
+      return false;
     }
-    if (!bounded) return false;
   }
   return true;
 }
@@ -110,12 +85,13 @@ bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
 Result<bool> RcqpStrongInd(const Query& q,
                            const PreparedSetting& prepared,
                            const SearchOptions& options, SearchStats* stats) {
+  RELCOMP_RETURN_IF_ERROR(
+      CheckQuery(q, prepared.schema(), TableICell::kRcqpStrong));
   if (!prepared.all_inds()) {
     return Status::InvalidArgument(
         "RcqpStrongInd requires every CC to be an IND (Corollary 7.2)");
   }
-  Result<std::vector<ConjunctiveQuery>> disjuncts = q.Disjuncts();
-  if (!disjuncts.ok()) return disjuncts.status();
+  const std::vector<ConjunctiveQuery> disjuncts = q.Disjuncts().value();
 
   CInstance empty(prepared.schema());
   AdomContext adom = prepared.BuildAdom(empty, &q);
@@ -123,7 +99,7 @@ Result<bool> RcqpStrongInd(const Query& q,
   SearchCheckpoint checkpoint(options, "IND RCQP valuation search", "rcqp-ind");
   Valuation nu;
   std::vector<DeltaRow> delta;
-  for (const ConjunctiveQuery& disjunct : *disjuncts) {
+  for (const ConjunctiveQuery& disjunct : disjuncts) {
     // A bounded disjunct leaves RCQ non-empty.
     if (IsBoundedDisjunct(disjunct, prepared.schema(), prepared.ccs())) {
       continue;

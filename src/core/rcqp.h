@@ -21,7 +21,7 @@
 namespace relcomp {
 
 /// Weak model: O(1) — always true for CQ/UCQ/∃FO⁺/FP; kUndecidable for FO.
-Result<bool> RcqpWeak(const Query& q);
+Result<bool> RcqpWeak(const Query& q, const PreparedSetting& prepared);
 
 /// Outcome of the bounded strong/viable-model search.
 struct RcqpSearchResult {
@@ -42,8 +42,7 @@ Result<RcqpSearchResult> RcqpStrongBounded(const Query& q,
 
 /// PTIME decision when every CC in V is an IND (Corollary 7.2): RCQ is
 /// non-empty iff every disjunct of Q is either bounded by (Dm, V) or has no
-/// valid valuation. Fails with kInvalidArgument if some CC is not an IND or
-/// the language has no tableau form.
+/// valid valuation. Fails with kInvalidArgument if some CC is not an IND.
 Result<bool> RcqpStrongInd(const Query& q,
                            const PreparedSetting& prepared,
                            const SearchOptions& options = {},
@@ -51,7 +50,7 @@ Result<bool> RcqpStrongInd(const Query& q,
 
 /// Boundedness of one disjunct (Fan & Geerts 2009): every head variable
 /// either sits in a finite-domain column or in a column covered by an IND CC
-/// into master data.
+/// into master data. The disjunct must be over `schema`.
 bool IsBoundedDisjunct(const ConjunctiveQuery& disjunct,
                        const DatabaseSchema& schema, const CCSet& ccs);
 

@@ -58,6 +58,39 @@ Status CheckSchemaMatches(const DatabaseSchema& have,
   return Status::OK();
 }
 
+Status CheckQuery(const Query& q, const DatabaseSchema& schema,
+                  TableICell cell) {
+  RELCOMP_RETURN_IF_ERROR(q.Validate(schema));
+  if (cell == TableICell::kBoundedSearch) return Status::OK();
+  struct Entry {
+    const char* problem;
+    const char* model;
+    const char* theorem;
+    bool decides_fp;  // every cell is undecidable for FO
+  };
+  // Indexed by TableICell.
+  static constexpr Entry kTableI[] = {
+      {"RCDP", "strong", "Theorem 4.1", false},
+      {"RCDP", "weak", "Theorem 5.1", true},
+      {"RCDP", "viable", "Theorem 6.1", false},
+      {"RCQP", "strong", "Theorem 4.5", false},
+      {"RCQP", "weak", "Theorem 5.4", true},
+      {"MINP", "strong", "Theorem 4.8", false},
+      {"MINP", "weak", "Theorem 5.6", true},
+      {"MINP", "viable", "Corollary 6.3", false},
+  };
+  const Entry& entry = kTableI[static_cast<size_t>(cell)];
+  const QueryLanguage lang = q.language();
+  if (lang == QueryLanguage::kFO ||
+      (lang == QueryLanguage::kFP && !entry.decides_fp)) {
+    return Status::Undecidable(std::string(entry.problem) + " in the " +
+                               entry.model + " model is undecidable for " +
+                               QueryLanguageName(lang) + " (" + entry.theorem +
+                               ")");
+  }
+  return Status::OK();
+}
+
 Status PartiallyClosedSetting::Validate() const {
   // The CC checks read each master from Dm by the master schema's layout.
   RELCOMP_RETURN_IF_ERROR(CheckSchemaMatches(dm.schema(), master_schema,

@@ -42,6 +42,29 @@ Status CheckSchemaMatches(const DatabaseSchema& have,
                           const char* have_what = "instance",
                           const char* want_what = "setting schema");
 
+/// The Table I cell a decider implements: one problem in one model (RCQP's
+/// viable model is its strong model, Lemma 4.4). kBoundedSearch is no cell:
+/// the searches of core/bounded.h take every language.
+enum class TableICell {
+  kRcdpStrong,   ///< undecidable for FO and FP (Theorem 4.1)
+  kRcdpWeak,     ///< undecidable for FO (Theorem 5.1)
+  kRcdpViable,   ///< undecidable for FO and FP (Theorem 6.1)
+  kRcqpStrong,   ///< undecidable for FO and FP (Theorem 4.5)
+  kRcqpWeak,     ///< undecidable for FO (Theorem 5.4)
+  kMinpStrong,   ///< undecidable for FO and FP (Theorem 4.8)
+  kMinpWeak,     ///< undecidable for FO (Theorem 5.6)
+  kMinpViable,   ///< undecidable for FO and FP (Corollary 6.3)
+  kBoundedSearch,
+};
+
+/// The query contract of every decider that takes Q, checked at entry: Q is
+/// over `schema` (Query::Validate, kInvalidArgument), then `cell` decides
+/// Q's language (else kUndecidable, as in "RCDP in the strong model is
+/// undecidable for FO (Theorem 4.1)"). Past it nothing in src/core/ fails
+/// on Q.
+Status CheckQuery(const Query& q, const DatabaseSchema& schema,
+                  TableICell cell);
+
 /// Per-evaluation search attribution: which core search loops ran, for how
 /// long, and how many steps each charged. A SearchProfile is a single-
 /// threaded phase machine fed by the SearchCheckpoint RAII (construction

@@ -17,8 +17,9 @@ Result<Relation> ContainmentConstraint::ProjectMaster(
     const Instance& dm) const {
   const Relation* master = dm.Find(master_rel_);
   if (master == nullptr) {
-    return Status::NotFound("CC '" + name_ + "' references unknown master '" +
-                            master_rel_ + "'");
+    return Status::InvalidArgument("CC '" + name_ +
+                                   "' references unknown master '" +
+                                   master_rel_ + "'");
   }
   return master->Project(master_cols_);
 }
@@ -28,8 +29,9 @@ Status ContainmentConstraint::Validate(
   RELCOMP_RETURN_IF_ERROR(q_.Validate(schema));
   const RelationSchema* master = master_schema.Find(master_rel_);
   if (master == nullptr) {
-    return Status::NotFound("CC '" + name_ + "' references unknown master '" +
-                            master_rel_ + "'");
+    return Status::InvalidArgument("CC '" + name_ +
+                                   "' references unknown master '" +
+                                   master_rel_ + "'");
   }
   if (master_cols_.size() != q_.OutputArity()) {
     return Status::InvalidArgument(

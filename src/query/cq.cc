@@ -14,20 +14,24 @@ std::string RelAtom::ToString() const {
   return out;
 }
 
+Status RelAtom::Validate(const DatabaseSchema& schema) const {
+  const RelationSchema* found = schema.Find(rel);
+  if (found == nullptr) {
+    return Status::InvalidArgument("query references unknown relation '" +
+                                   rel + "'");
+  }
+  if (found->arity() != args.size()) {
+    return Status::InvalidArgument(
+        "atom " + ToString() + " has arity " + std::to_string(args.size()) +
+        ", schema expects " + std::to_string(found->arity()));
+  }
+  return Status::OK();
+}
+
 Status ConjunctiveQuery::Validate(const DatabaseSchema& schema) const {
   std::vector<VarId> bound;
   for (const RelAtom& atom : atoms_) {
-    const RelationSchema* rel = schema.Find(atom.rel);
-    if (rel == nullptr) {
-      return Status::NotFound("query references unknown relation '" +
-                              atom.rel + "'");
-    }
-    if (rel->arity() != atom.args.size()) {
-      return Status::InvalidArgument(
-          "atom " + atom.ToString() + " has arity " +
-          std::to_string(atom.args.size()) + ", schema expects " +
-          std::to_string(rel->arity()));
-    }
+    RELCOMP_RETURN_IF_ERROR(atom.Validate(schema));
     for (const CTerm& t : atom.args) {
       if (std::holds_alternative<VarId>(t)) {
         bound.push_back(std::get<VarId>(t));
@@ -88,29 +92,6 @@ std::vector<Value> ConjunctiveQuery::Constants() const {
   std::sort(consts.begin(), consts.end());
   consts.erase(std::unique(consts.begin(), consts.end()), consts.end());
   return consts;
-}
-
-Result<Instance> ConjunctiveQuery::InstantiateTableau(
-    const Valuation& nu, const DatabaseSchema& schema) const {
-  Instance out(schema);
-  for (const RelAtom& atom : atoms_) {
-    Tuple t;
-    t.reserve(atom.args.size());
-    for (const CTerm& term : atom.args) {
-      std::optional<Value> v = nu.Resolve(term);
-      if (!v.has_value()) {
-        return Status::InvalidArgument("unbound variable in tableau atom " +
-                                       atom.ToString());
-      }
-      t.push_back(*v);
-    }
-    if (schema.Find(atom.rel) == nullptr) {
-      return Status::NotFound("tableau atom over unknown relation '" +
-                              atom.rel + "'");
-    }
-    out.AddTuple(atom.rel, std::move(t));
-  }
-  return out;
 }
 
 Result<Tuple> ConjunctiveQuery::InstantiateHead(const Valuation& nu) const {

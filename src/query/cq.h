@@ -21,6 +21,10 @@ struct RelAtom {
   std::string rel;
   std::vector<CTerm> args;
 
+  /// Checks that `rel` names a relation of `schema` and that the atom has
+  /// its arity; kInvalidArgument naming the mismatch otherwise.
+  Status Validate(const DatabaseSchema& schema) const;
+
   std::string ToString() const;
 };
 
@@ -50,19 +54,13 @@ class ConjunctiveQuery {
   Result<Relation> Eval(const Instance& instance) const;
 
   /// Checks well-formedness against `schema` (relations exist, arities match,
-  /// safety). OK status if valid.
+  /// safety). OK status if valid, kInvalidArgument otherwise.
   Status Validate(const DatabaseSchema& schema) const;
 
   /// Distinct variables (head, atoms, builtins), sorted by id.
   std::vector<VarId> Vars() const;
   /// Constants appearing anywhere in the query (sorted, unique).
   std::vector<Value> Constants() const;
-
-  /// ν(T_Q): instantiates the tableau under a total valuation, producing the
-  /// set of ground tuples per relation as an Instance over `schema`.
-  /// Fails if a variable is unbound.
-  Result<Instance> InstantiateTableau(const Valuation& nu,
-                                      const DatabaseSchema& schema) const;
 
   /// ν(u_Q): instantiates the head under a total valuation.
   Result<Tuple> InstantiateHead(const Valuation& nu) const;

@@ -1,5 +1,7 @@
 // Backtracking-join evaluator for conjunctive queries. Atoms are processed
-// left to right; builtins are checked as soon as both sides are bound.
+// left to right; builtins are checked as soon as both sides are bound. The
+// query is validated once, at entry, so every head and builtin variable is
+// bound once every atom is.
 #include <optional>
 
 #include "query/cq.h"
@@ -15,21 +17,17 @@ class CqEvaluator {
   Result<Relation> Run() {
     RELCOMP_RETURN_IF_ERROR(q_.Validate(instance_.schema()));
     Relation out(RelationSchema::Anonymous("out", q_.OutputArity()));
-    Status st = Recurse(0, &out);
-    if (!st.ok()) return st;
+    Recurse(0, &out);
     return out;
   }
 
  private:
-  Status Recurse(size_t atom_index, Relation* out) {
+  void Recurse(size_t atom_index, Relation* out) {
     if (atom_index == q_.atoms().size()) {
-      Result<bool> sat = q_.BuiltinsSatisfied(binding_);
-      if (!sat.ok()) return sat.status();
-      if (!*sat) return Status::OK();
-      Result<Tuple> head = q_.InstantiateHead(binding_);
-      if (!head.ok()) return head.status();
-      out->Insert(std::move(head).value());
-      return Status::OK();
+      if (*q_.BuiltinsSatisfied(binding_)) {
+        out->Insert(q_.InstantiateHead(binding_).value());
+      }
+      return;
     }
     const RelAtom& atom = q_.atoms()[atom_index];
     const Relation& rel = instance_.at(atom.rel);
@@ -43,11 +41,9 @@ class CqEvaluator {
         Rollback(newly_bound);
         continue;
       }
-      Status st = Recurse(atom_index + 1, out);
+      Recurse(atom_index + 1, out);
       Rollback(newly_bound);
-      if (!st.ok()) return st;
     }
-    return Status::OK();
   }
 
   // Attempts to unify the atom's terms with a concrete tuple, extending the

@@ -136,6 +136,46 @@ std::string FoFormula::ToString() const {
   return "?";
 }
 
+namespace {
+
+// Validates `f` under the variables `scope` binds: the head's, then those
+// of each enclosing quantifier.
+Status ValidateFormula(const FoFormula& f, const DatabaseSchema& schema,
+                       std::vector<VarId>* scope) {
+  auto bound = [scope, &f](const CTerm& t) {
+    const VarId* v = std::get_if<VarId>(&t);
+    if (v == nullptr || std::count(scope->begin(), scope->end(), *v) > 0) {
+      return Status::OK();
+    }
+    return Status::InvalidArgument(
+        "variable " + CTermToString(t) + " of " + f.ToString() +
+        " is neither a head variable nor bound by a quantifier");
+  };
+  if (f.kind() == FoFormula::Kind::kAtom) {
+    RELCOMP_RETURN_IF_ERROR(f.atom().Validate(schema));
+    for (const CTerm& t : f.atom().args) RELCOMP_RETURN_IF_ERROR(bound(t));
+  }
+  if (f.kind() == FoFormula::Kind::kCmp) {
+    RELCOMP_RETURN_IF_ERROR(bound(f.cmp().lhs));
+    RELCOMP_RETURN_IF_ERROR(bound(f.cmp().rhs));
+  }
+  const size_t outer = scope->size();
+  scope->insert(scope->end(), f.bound_vars().begin(), f.bound_vars().end());
+  for (const FoPtr& child : f.children()) {
+    RELCOMP_RETURN_IF_ERROR(ValidateFormula(*child, schema, scope));
+  }
+  scope->resize(outer);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status FoQuery::Validate(const DatabaseSchema& schema) const {
+  if (formula_ == nullptr) return Status::InvalidArgument("empty FO query");
+  std::vector<VarId> scope = head_;
+  return ValidateFormula(*formula_, schema, &scope);
+}
+
 std::vector<Value> FoQuery::Constants() const {
   std::vector<Value> consts;
   if (formula_ != nullptr) formula_->Collect(&consts, nullptr);

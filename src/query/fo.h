@@ -76,9 +76,15 @@ class FoQuery {
 
   /// Q(I) under active-domain semantics. `extra_domain` values are added to
   /// the quantification range (used by the deciders so that quantifiers see
-  /// the full Adom).
+  /// the full Adom). Validates against I's schema once, at entry.
   Result<Relation> Eval(const Instance& instance,
                         const std::vector<Value>& extra_domain = {}) const;
+
+  /// Checks that the query is over `schema` (kInvalidArgument otherwise):
+  /// the formula is set, every atom names a relation of `schema` with its
+  /// arity, and every variable is a head variable or is bound by an
+  /// enclosing quantifier.
+  Status Validate(const DatabaseSchema& schema) const;
 
   /// Constants of the formula (sorted, unique).
   std::vector<Value> Constants() const;

@@ -1,5 +1,7 @@
 // Active-domain evaluator for FO queries: quantifiers and free variables
-// range over adom(I) ∪ constants(Q) ∪ extra_domain.
+// range over adom(I) ∪ constants(Q) ∪ extra_domain. The query is validated
+// once, at entry, so every atom's relation exists with its arity and every
+// variable is bound when it is read.
 #include <algorithm>
 
 #include "query/fo.h"
@@ -12,86 +14,65 @@ class FoEvaluator {
   FoEvaluator(const Instance& instance, std::vector<Value> domain)
       : instance_(instance), domain_(std::move(domain)) {}
 
-  Result<bool> EvalFormula(const FoFormula& f, Valuation* binding) {
+  bool EvalFormula(const FoFormula& f, Valuation* binding) {
     switch (f.kind()) {
       case FoFormula::Kind::kAtom: {
-        const Relation* rel = instance_.Find(f.atom().rel);
-        if (rel == nullptr) {
-          return Status::NotFound("FO atom over unknown relation '" +
-                                  f.atom().rel + "'");
-        }
-        if (rel->arity() != f.atom().args.size()) {
-          return Status::InvalidArgument("arity mismatch in FO atom " +
-                                         f.atom().ToString());
-        }
         Tuple t;
         t.reserve(f.atom().args.size());
         for (const CTerm& term : f.atom().args) {
-          std::optional<Value> v = binding->Resolve(term);
-          if (!v.has_value()) {
-            return Status::InvalidArgument(
-                "free variable in FO atom not covered by head/quantifier: " +
-                f.atom().ToString());
-          }
-          t.push_back(*v);
+          t.push_back(*binding->Resolve(term));
         }
-        return rel->Contains(t);
+        return instance_.at(f.atom().rel).Contains(t);
       }
       case FoFormula::Kind::kCmp: {
-        std::optional<Value> lhs = binding->Resolve(f.cmp().lhs);
-        std::optional<Value> rhs = binding->Resolve(f.cmp().rhs);
-        if (!lhs.has_value() || !rhs.has_value()) {
-          return Status::InvalidArgument("free variable in FO comparison");
-        }
-        bool eq = (*lhs == *rhs);
+        const bool eq =
+            *binding->Resolve(f.cmp().lhs) == *binding->Resolve(f.cmp().rhs);
         return f.cmp().neq ? !eq : eq;
       }
-      case FoFormula::Kind::kAnd: {
+      case FoFormula::Kind::kAnd:
         for (const FoPtr& child : f.children()) {
-          Result<bool> r = EvalFormula(*child, binding);
-          if (!r.ok()) return r;
-          if (!*r) return false;
+          if (!EvalFormula(*child, binding)) return false;
         }
         return true;
-      }
-      case FoFormula::Kind::kOr: {
+      case FoFormula::Kind::kOr:
         for (const FoPtr& child : f.children()) {
-          Result<bool> r = EvalFormula(*child, binding);
-          if (!r.ok()) return r;
-          if (*r) return true;
+          if (EvalFormula(*child, binding)) return true;
         }
         return false;
-      }
-      case FoFormula::Kind::kNot: {
-        Result<bool> r = EvalFormula(*f.children()[0], binding);
-        if (!r.ok()) return r;
-        return !*r;
-      }
+      case FoFormula::Kind::kNot:
+        return !EvalFormula(*f.children()[0], binding);
       case FoFormula::Kind::kExists:
-      case FoFormula::Kind::kForall: {
-        bool exists = f.kind() == FoFormula::Kind::kExists;
-        return EvalQuantifier(f, 0, exists, binding);
-      }
+        return EvalQuantifier(f, 0, true, binding);
+      case FoFormula::Kind::kForall:
+        return EvalQuantifier(f, 0, false, binding);
     }
-    return Status::Internal("unreachable FO kind");
+    return false;
   }
 
  private:
-  Result<bool> EvalQuantifier(const FoFormula& f, size_t var_index,
-                              bool exists, Valuation* binding) {
+  bool EvalQuantifier(const FoFormula& f, size_t var_index, bool exists,
+                      Valuation* binding) {
     if (var_index == f.bound_vars().size()) {
       return EvalFormula(*f.children()[0], binding);
     }
-    VarId var = f.bound_vars()[var_index];
+    const VarId var = f.bound_vars()[var_index];
+    // A quantifier may shadow a head variable or an outer quantifier's:
+    // the outer binding comes back when this scope ends.
+    const std::optional<Value> outer = binding->Get(var);
+    bool result = !exists;
     for (const Value& v : domain_) {
       binding->Bind(var, v);
-      Result<bool> r = EvalQuantifier(f, var_index + 1, exists, binding);
-      binding->Unbind(var);
-      if (!r.ok()) return r;
-      if (exists && *r) return true;
-      if (!exists && !*r) return false;
+      if (EvalQuantifier(f, var_index + 1, exists, binding) == exists) {
+        result = exists;
+        break;
+      }
     }
-    return !exists;
+    if (outer.has_value()) {
+      binding->Bind(var, *outer);
+    } else {
+      binding->Unbind(var);
+    }
+    return result;
   }
 
   const Instance& instance_;
@@ -102,9 +83,7 @@ class FoEvaluator {
 
 Result<Relation> FoQuery::Eval(const Instance& instance,
                                const std::vector<Value>& extra_domain) const {
-  if (formula_ == nullptr) {
-    return Status::InvalidArgument("empty FO query");
-  }
+  RELCOMP_RETURN_IF_ERROR(Validate(instance.schema()));
   std::vector<Value> domain = instance.ActiveDomain();
   std::vector<Value> consts = Constants();
   domain.insert(domain.end(), consts.begin(), consts.end());
@@ -120,9 +99,7 @@ Result<Relation> FoQuery::Eval(const Instance& instance,
   Tuple current(head_.size());
   // Boolean query: no head variables.
   if (head_.empty()) {
-    Result<bool> r = evaluator.EvalFormula(*formula_, &binding);
-    if (!r.ok()) return r.status();
-    if (*r) out.Insert(Tuple{});
+    if (evaluator.EvalFormula(*formula_, &binding)) out.Insert(Tuple{});
     return out;
   }
   std::vector<size_t> idx(head_.size(), 0);
@@ -132,9 +109,7 @@ Result<Relation> FoQuery::Eval(const Instance& instance,
       binding.Bind(head_[i], domain[idx[i]]);
       current[i] = domain[idx[i]];
     }
-    Result<bool> r = evaluator.EvalFormula(*formula_, &binding);
-    if (!r.ok()) return r.status();
-    if (*r) out.Insert(current);
+    if (evaluator.EvalFormula(*formula_, &binding)) out.Insert(current);
     // Advance the odometer.
     size_t pos = 0;
     while (pos < idx.size()) {

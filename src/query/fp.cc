@@ -35,72 +35,38 @@ size_t FpProgram::OutputArity() const {
   return 0;
 }
 
+DatabaseSchema FpProgram::CombinedSchema(
+    const DatabaseSchema& edb_schema) const {
+  DatabaseSchema combined = edb_schema;
+  for (const FpRule& rule : rules_) {
+    if (!combined.Contains(rule.head.rel)) {
+      combined.AddRelation(
+          RelationSchema::Anonymous(rule.head.rel, rule.head.args.size()));
+    }
+  }
+  return combined;
+}
+
 Status FpProgram::Validate(const DatabaseSchema& edb_schema) const {
-  std::vector<std::string> idbs = IdbPredicates();
-  auto is_idb = [&idbs](const std::string& name) {
-    return std::binary_search(idbs.begin(), idbs.end(), name);
-  };
+  const std::vector<std::string> idbs = IdbPredicates();
   for (const std::string& idb : idbs) {
     if (edb_schema.Contains(idb)) {
       return Status::InvalidArgument("IDB predicate '" + idb +
                                      "' collides with an EDB relation");
     }
   }
-  if (!is_idb(output_)) {
+  if (!std::binary_search(idbs.begin(), idbs.end(), output_)) {
     return Status::InvalidArgument("output predicate '" + output_ +
                                    "' is not defined by any rule");
   }
-  // IDB arities must be consistent across occurrences.
-  std::vector<std::pair<std::string, size_t>> arities;
-  auto check_arity = [&arities](const RelAtom& atom) -> Status {
-    for (const auto& known : arities) {
-      if (known.first == atom.rel) {
-        if (known.second != atom.args.size()) {
-          return Status::InvalidArgument("inconsistent arity for IDB '" +
-                                         atom.rel + "'");
-        }
-        return Status::OK();
-      }
-    }
-    arities.emplace_back(atom.rel, atom.args.size());
-    return Status::OK();
-  };
+  // Each rule, read as a CQ over EDB ∪ IDB, must validate: every relation
+  // known, with one arity (an IDB's first head fixes it), and every head
+  // and builtin variable bound by the body.
+  const DatabaseSchema combined = CombinedSchema(edb_schema);
   for (const FpRule& rule : rules_) {
-    RELCOMP_RETURN_IF_ERROR(check_arity(rule.head));
-    for (const RelAtom& atom : rule.body) {
-      if (is_idb(atom.rel)) {
-        RELCOMP_RETURN_IF_ERROR(check_arity(atom));
-      } else {
-        const RelationSchema* rel = edb_schema.Find(atom.rel);
-        if (rel == nullptr) {
-          return Status::NotFound("rule body references unknown relation '" +
-                                  atom.rel + "'");
-        }
-        if (rel->arity() != atom.args.size()) {
-          return Status::InvalidArgument("arity mismatch in body atom " +
-                                         atom.ToString());
-        }
-      }
-    }
-    // Safety: head variables must occur in the body.
-    std::vector<VarId> body_vars;
-    for (const RelAtom& atom : rule.body) {
-      for (const CTerm& t : atom.args) {
-        if (std::holds_alternative<VarId>(t)) {
-          body_vars.push_back(std::get<VarId>(t));
-        }
-      }
-    }
-    for (const CTerm& t : rule.head.args) {
-      if (std::holds_alternative<VarId>(t)) {
-        VarId v = std::get<VarId>(t);
-        if (std::find(body_vars.begin(), body_vars.end(), v) ==
-            body_vars.end()) {
-          return Status::InvalidArgument("unsafe rule (head var unbound): " +
-                                         rule.ToString());
-        }
-      }
-    }
+    RELCOMP_RETURN_IF_ERROR(rule.head.Validate(combined));
+    const ConjunctiveQuery as_cq(rule.head.args, rule.body, rule.builtins);
+    RELCOMP_RETURN_IF_ERROR(as_cq.Validate(combined));
   }
   return Status::OK();
 }

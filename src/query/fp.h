@@ -40,11 +40,13 @@ class FpProgram {
   size_t OutputArity() const;
 
   /// Q(I): computes the inflationary fixpoint over EDB ∪ IDB and returns the
-  /// output predicate's relation. Fails on arity clashes, head variables not
-  /// bound in the body, or IDB/EDB name collisions.
+  /// output predicate's relation. Validates against I's schema first and
+  /// fails as Validate does.
   Result<Relation> Eval(const Instance& edb) const;
 
-  /// Checks well-formedness against the EDB schema.
+  /// Checks well-formedness against the EDB schema (kInvalidArgument): no
+  /// IDB/EDB name collision, a defined output, and each rule a valid CQ
+  /// over CombinedSchema(edb_schema).
   Status Validate(const DatabaseSchema& edb_schema) const;
 
   /// Constants appearing in any rule (sorted, unique).
@@ -53,6 +55,10 @@ class FpProgram {
   std::string ToString() const;
 
  private:
+  /// EDB ∪ one anonymous relation per IDB predicate, with the arity of its
+  /// first head.
+  DatabaseSchema CombinedSchema(const DatabaseSchema& edb_schema) const;
+
   std::vector<FpRule> rules_;
   std::string output_;
 };

@@ -7,22 +7,7 @@ namespace relcomp {
 
 Result<Relation> FpProgram::Eval(const Instance& edb) const {
   RELCOMP_RETURN_IF_ERROR(Validate(edb.schema()));
-
-  // Build the combined schema: EDB relations plus one anonymous relation per
-  // IDB predicate.
-  DatabaseSchema combined_schema = edb.schema();
-  std::vector<std::string> idbs = IdbPredicates();
-  for (const std::string& idb : idbs) {
-    size_t arity = 0;
-    for (const FpRule& rule : rules_) {
-      if (rule.head.rel == idb) {
-        arity = rule.head.args.size();
-        break;
-      }
-    }
-    combined_schema.AddRelation(RelationSchema::Anonymous(idb, arity));
-  }
-  Instance combined(combined_schema);
+  Instance combined(CombinedSchema(edb.schema()));
   for (const Relation& rel : edb.relations()) {
     combined.at(rel.schema().name()) = rel;
   }
@@ -39,10 +24,10 @@ Result<Relation> FpProgram::Eval(const Instance& edb) const {
   while (changed) {
     changed = false;
     for (size_t i = 0; i < rules_.size(); ++i) {
-      Result<Relation> derived = rule_queries[i].Eval(combined);
-      if (!derived.ok()) return derived.status();
+      // Validate admitted each rule over `combined`: Eval cannot fail.
+      const Relation derived = rule_queries[i].Eval(combined).value();
       Relation& idb_rel = combined.at(rules_[i].head.rel);
-      for (const Tuple& t : derived->rows()) {
+      for (const Tuple& t : derived.rows()) {
         if (idb_rel.Insert(t)) changed = true;
       }
     }

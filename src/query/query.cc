@@ -80,6 +80,21 @@ Result<Relation> Query::Eval(const Instance& instance,
   return Status::Internal("unreachable");
 }
 
+Status Query::Validate(const DatabaseSchema& schema) const {
+  switch (language_) {
+    case QueryLanguage::kCQ:
+      return cq().Validate(schema);
+    case QueryLanguage::kUCQ:
+      return ucq().Validate(schema);
+    case QueryLanguage::kEFOPlus:
+    case QueryLanguage::kFO:
+      return fo().Validate(schema);
+    case QueryLanguage::kFP:
+      return fp().Validate(schema);
+  }
+  return Status::Internal("unreachable");
+}
+
 std::vector<Value> Query::Constants() const {
   switch (language_) {
     case QueryLanguage::kCQ:

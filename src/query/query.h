@@ -40,16 +40,22 @@ class Query {
 
   /// Q(I). `extra_domain` extends the active domain for FO quantifiers so
   /// that deciders evaluate all worlds over the same Adom; monotone
-  /// languages ignore it.
+  /// languages ignore it. Fails only on a Q that Validate refuses for I's
+  /// schema.
   Result<Relation> Eval(const Instance& instance,
                         const std::vector<Value>& extra_domain = {}) const;
+
+  /// Is Q over `schema`? The language's own Validate: kInvalidArgument
+  /// naming an unknown relation, a wrong arity, an unbound variable, ...
+  Status Validate(const DatabaseSchema& schema) const;
 
   /// Constants appearing in the query (sorted, unique).
   std::vector<Value> Constants() const;
 
   /// The CQ disjuncts of the query: {Q} for CQ, the member CQs for UCQ, the
-  /// DNF expansion for ∃FO⁺. Fails with kUndecidable-flavored
-  /// kInvalidArgument for FO/FP, whose tableau form does not exist.
+  /// DNF expansion for ∃FO⁺. Fails with kInvalidArgument for FO/FP, whose
+  /// tableau form does not exist; the deciders ask only after CheckQuery
+  /// (core/types.h) has admitted Q for a tableau cell, and read it with `*`.
   Result<std::vector<ConjunctiveQuery>> Disjuncts() const;
 
   /// Largest variable id used anywhere in the query, or -1 if none.

@@ -198,7 +198,7 @@ Decision EvaluateRequest(const DecisionRequest& request,
       break;
     }
     case ProblemKind::kRcqpWeak:
-      answer = RcqpWeak(request.query);
+      answer = RcqpWeak(request.query, prepared);
       break;
     case ProblemKind::kMinpStrong:
       answer = MinpStrong(request.query, request.cinstance, prepared,

@@ -103,6 +103,21 @@ TEST(CertainAnswersTest, ConditionRestrictsWorlds) {
   EXPECT_TRUE(result.answers.empty());
 }
 
+TEST(EvalOverAdomDeathTest, AFailedEvaluationAborts) {
+  // Every decider checks Q at entry (CheckQuery), after which Query::Eval
+  // cannot fail under EvalOverAdom. If it fails anyway, the process stops
+  // with the status instead of answering, in every build.
+  BoolFixture fx;
+  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
+  const Instance db(fx.setting.schema);
+  const AdomContext adom = prepared.BuildAdomForGround(db, nullptr);
+  const Query ghost = Query::Cq(
+      ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Nope", {V(0)}}}));
+  EXPECT_DEATH(EvalOverAdom(ghost, db, adom),
+               "relcomp: query evaluation failed: InvalidArgument: query "
+               "references unknown relation 'Nope'");
+}
+
 TEST(StatusTest, CodesAndMessages) {
   Status ok = Status::OK();
   EXPECT_TRUE(ok.ok());

@@ -225,13 +225,14 @@ TEST(PreparedSettingTest, PrepareValidatesTheSetting) {
            "nomaster",
            ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"P", {V(0)}}}), "Nope",
            {0}),
-       StatusCode::kNotFound,
+       StatusCode::kInvalidArgument,
        "CC 'nomaster' references unknown master 'Nope'"},
       {"unknown relation",
        ContainmentConstraint(
            "norel", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Q", {V(0)}}}),
            "M1", {0}),
-       StatusCode::kNotFound, "query references unknown relation 'Q'"},
+       StatusCode::kInvalidArgument,
+       "query references unknown relation 'Q'"},
       {"unsafe head",
        ContainmentConstraint(
            "unsafe", ConjunctiveQuery({CTerm(V(3))}, {RelAtom{"P", {V(0)}}}),
@@ -795,6 +796,156 @@ TEST(PreparedSettingTest, DecidersRefuseAnInstanceOffTheSchema) {
     const Decision valid = service.Decide({handle, request});
     EXPECT_TRUE(valid.status.ok())
         << ProblemKindName(kind) << ": " << valid.status.ToString();
+  }
+}
+
+TEST(PreparedSettingTest, DecidersRefuseAQueryOffTheSchema) {
+  // R(a), S(b ∈ {x, y}) and the master M(a) = {r0}, with the IND π_a R ⊆ M.
+  // Every decider that takes Q checks first that it is over this schema,
+  // before its Table I cell and before T: the refusal is the same whether
+  // Mod(T) is empty or not.
+  const Domain inf = Domain::Infinite();
+  PartiallyClosedSetting setting;
+  setting.schema.AddRelation(RelationSchema("R", {Attribute{"a", inf}}));
+  setting.schema.AddRelation(RelationSchema(
+      "S", {Attribute{"b", Domain::Finite({S("x"), S("y")})}}));
+  setting.master_schema.AddRelation(RelationSchema("M", {Attribute{"a", inf}}));
+  setting.dm = Instance(setting.master_schema);
+  setting.dm.AddTuple("M", {S("r0")});
+  setting.ccs.emplace_back(
+      "r_in_m", ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}}), "M",
+      std::vector<int>{0});
+  const PreparedSetting prepared = testing::MustPrepare(setting);
+
+  // T = I = {R(r0)} has one world; {R(zz)} violates V.
+  struct Audited {
+    const char* what;
+    CInstance t;
+    Instance i;
+  };
+  std::vector<Audited> instances;
+  for (const auto& [what, a] : {std::pair{"Mod(T) not empty", S("r0")},
+                                std::pair{"T violates V", S("zz")}}) {
+    Audited in{what, CInstance(setting.schema), Instance(setting.schema)};
+    in.t.at("R").AddRow({Cell(a)});
+    in.i.AddTuple("R", {a});
+    instances.push_back(std::move(in));
+  }
+
+  FpProgram ghost_rule;
+  ghost_rule.AddRule(FpRule{{"P", {V(0)}}, {{"Nope", {V(0)}}}, {}});
+  ghost_rule.set_output("P");
+  auto r_and_not = [](RelAtom atom) {
+    return FoFormula::And({FoFormula::Atom({"R", {V(0)}}),
+                           FoFormula::Not(FoFormula::Atom(std::move(atom)))});
+  };
+  const struct {
+    const char* what;
+    Query q;
+    std::string message;
+  } queries[] = {
+      {"CQ over an unknown relation",
+       Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"Nope", {V(0)}}})),
+       "query references unknown relation 'Nope'"},
+      {"CQ with a wrong arity",
+       Query::Cq(ConjunctiveQuery({CTerm(V(0))},
+                                  {RelAtom{"S", {V(0), V(1)}}})),
+       "atom S(x0, x1) has arity 2, schema expects 1"},
+      {"FO atom over an unknown relation",
+       Query::Fo(FoQuery({V(0)}, r_and_not({"Nope", {V(0)}}))),
+       "query references unknown relation 'Nope'"},
+      {"FO variable no head or quantifier binds",
+       Query::Fo(FoQuery({V(0)}, r_and_not({"S", {V(1)}}))),
+       "variable x1 of S(x1) is neither a head variable nor bound by a "
+       "quantifier"},
+      {"FP rule body over an unknown relation", Query::Fp(ghost_rule),
+       "query references unknown relation 'Nope'"},
+  };
+
+  // The 14 deciders that take Q.
+  using Q = const Query&;
+  using C = const CInstance&;
+  using G = const Instance&;
+  auto found = [](Result<BoundedSearchResult> got) -> Result<bool> {
+    if (!got.ok()) return got.status();
+    return got->witness_found;
+  };
+  auto rcqp_found = [](Result<RcqpSearchResult> got) -> Result<bool> {
+    if (!got.ok()) return got.status();
+    return got->found;
+  };
+  const struct {
+    const char* name;
+    std::function<Result<bool>(Q, C, G)> run;
+  } deciders[] = {
+      {"RcdpStrong", [&](Q q, C t, G) { return RcdpStrong(q, t, prepared); }},
+      {"RcdpViable", [&](Q q, C t, G) { return RcdpViable(q, t, prepared); }},
+      {"RcdpWeak", [&](Q q, C t, G) { return RcdpWeak(q, t, prepared); }},
+      {"RcdpStrongGround",
+       [&](Q q, C, G i) { return RcdpStrongGround(q, i, prepared); }},
+      {"MinpStrong", [&](Q q, C t, G) { return MinpStrong(q, t, prepared); }},
+      {"MinpViable", [&](Q q, C t, G) { return MinpViable(q, t, prepared); }},
+      {"MinpWeak", [&](Q q, C t, G) { return MinpWeak(q, t, prepared); }},
+      {"MinpWeakCq", [&](Q q, C t, G) { return MinpWeakCq(q, t, prepared); }},
+      {"MinpStrongGround",
+       [&](Q q, C, G i) { return MinpStrongGround(q, i, prepared); }},
+      {"RcqpStrongInd", [&](Q q, C, G) { return RcqpStrongInd(q, prepared); }},
+      {"RcqpStrongBounded",
+       [&](Q q, C, G) {
+         return rcqp_found(RcqpStrongBounded(q, prepared, 1));
+       }},
+      {"RcqpWeak", [&](Q q, C, G) { return RcqpWeak(q, prepared); }},
+      {"SearchIncompletenessGround",
+       [&](Q q, C, G i) {
+         return found(SearchIncompletenessGround(q, i, prepared, 1));
+       }},
+      {"SearchIncompletenessStrong",
+       [&](Q q, C t, G) {
+         return found(SearchIncompletenessStrong(q, t, prepared, 1));
+       }},
+  };
+  const Query valid =
+      Query::Cq(ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"R", {V(0)}}}));
+  for (const auto& d : deciders) {
+    for (const auto& in : instances) {
+      const Result<bool> answer = d.run(valid, in.t, in.i);
+      EXPECT_TRUE(answer.ok()) << d.name << " on " << in.what << ": "
+                               << answer.status().ToString();
+      for (const auto& bad : queries) {
+        const Status refused = d.run(bad.q, in.t, in.i).status();
+        EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+            << d.name << ", " << bad.what << ", " << in.what << ": "
+            << refused.ToString();
+        EXPECT_EQ(refused.message(), bad.message)
+            << d.name << ", " << bad.what << ", " << in.what;
+      }
+    }
+  }
+
+  // The service returns the refusal as the decision of every kind, and
+  // the next identical request gets the same refusal, not a verdict.
+  ServiceOptions options;
+  options.num_workers = 0;
+  CompletenessService service(options);
+  ASSERT_OK_AND_ASSIGN(handle, service.RegisterSetting(setting));
+  for (ProblemKind kind : AllProblemKinds()) {
+    for (const auto& in : instances) {
+      for (const auto& bad : queries) {
+        DecisionRequest request;
+        request.kind = kind;
+        request.query = bad.q;
+        request.cinstance = in.t;
+        for (int round = 0; round < 2; ++round) {
+          const Decision refused = service.Decide({handle, request});
+          EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+              << ProblemKindName(kind) << ", " << bad.what << ", " << in.what
+              << ", round " << round << ": " << refused.ToString();
+          EXPECT_EQ(refused.status.message(), bad.message)
+              << ProblemKindName(kind) << ", " << bad.what << ", " << in.what
+              << ", round " << round;
+        }
+      }
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include "core/prepared_setting.h"
 #include "core/rcdp.h"
 #include "core/rcqp.h"
+#include "query/fo.h"
 #include "reductions/examples_fig1.h"
 #include "reference_deciders.h"
 #include "service/service.h"
@@ -458,6 +459,8 @@ struct OracleCoverage {
   bool empty_mod = false;
   bool yes = false;  // RcdpStrong's verdict
   bool no = false;
+  std::vector<Instance> worlds;  // the row walk's, sorted
+  std::string verdicts;          // "RcdpStrong=1 RcdpViable=0 ..."
 };
 
 // A NO witness of a strong decision must check on its own: µ binds every
@@ -564,6 +567,7 @@ OracleCoverage CheckAgainstReference(const PartiallyClosedSetting& setting,
   }
   seen.empty_mod = want.empty();
   const std::vector<Instance> got_sorted = SortedWorlds(got);
+  seen.worlds = got_sorted;
   EXPECT_EQ(got_sorted.size(), got.size()) << what;
   EXPECT_TRUE(got_sorted == SortedWorlds(want))
       << what << ": " << got.size() << " worlds, reference " << want.size();
@@ -572,13 +576,14 @@ OracleCoverage CheckAgainstReference(const PartiallyClosedSetting& setting,
   }
 
   // Verdicts, and the strong NO witnesses.
-  auto same = [&what](const char* name, const Result<bool>& got_answer,
-                      const Result<bool>& want_answer) {
+  auto same = [&what, &seen](const char* name, const Result<bool>& got_answer,
+                             const Result<bool>& want_answer) {
     ASSERT_TRUE(got_answer.ok()) << what << " " << name << ": "
                                  << got_answer.status().ToString();
     ASSERT_TRUE(want_answer.ok()) << what << " " << name << ": "
                                   << want_answer.status().ToString();
     EXPECT_EQ(*got_answer, *want_answer) << what << " " << name;
+    seen.verdicts += std::string(name) + "=" + (*got_answer ? "1 " : "0 ");
   };
   CompletenessWitness witness;
   const Result<bool> strong = RcdpStrong(q, t, prepared, {}, nullptr, &witness);
@@ -610,6 +615,7 @@ OracleCoverage CheckAgainstReference(const PartiallyClosedSetting& setting,
     EXPECT_TRUE(got_rcqp.ok() && want_rcqp.ok()) << what;
     if (got_rcqp.ok() && want_rcqp.ok()) {
       EXPECT_EQ(got_rcqp->found, want_rcqp->found) << what << " RCQP";
+      seen.verdicts += got_rcqp->found ? "RCQP=1 " : "RCQP=0 ";
     }
   }
 
@@ -644,9 +650,56 @@ OracleCoverage CheckAgainstReference(const PartiallyClosedSetting& setting,
   return seen;
 }
 
+// The ∃FO⁺ rendering of a CQ or UCQ whose disjuncts share one head of
+// distinct variables: ∃ over each disjunct's body-only variables, ∨ across
+// the disjuncts, with the same variable ids, so its Adom is the CQ or
+// UCQ's. nullopt for any other query.
+std::optional<Query> EfoRendering(const Query& q) {
+  const std::vector<ConjunctiveQuery> disjuncts = q.Disjuncts().value();
+  const std::vector<CTerm>& head = disjuncts.front().head();
+  std::vector<VarId> head_vars;
+  for (const CTerm& t : head) {
+    if (!std::holds_alternative<VarId>(t)) return std::nullopt;
+    head_vars.push_back(std::get<VarId>(t));
+  }
+  std::vector<VarId> sorted = head_vars;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return std::nullopt;
+  }
+  std::vector<FoPtr> branches;
+  for (const ConjunctiveQuery& d : disjuncts) {
+    if (d.head() != head) return std::nullopt;
+    std::vector<FoPtr> conjuncts;
+    for (const RelAtom& atom : d.atoms()) {
+      conjuncts.push_back(FoFormula::Atom(atom));
+    }
+    for (const CondAtom& b : d.builtins()) {
+      conjuncts.push_back(b.neq ? FoFormula::Neq(b.lhs, b.rhs)
+                                : FoFormula::Eq(b.lhs, b.rhs));
+    }
+    std::vector<VarId> body_only;
+    for (VarId v : d.Vars()) {
+      if (!std::binary_search(sorted.begin(), sorted.end(), v)) {
+        body_only.push_back(v);
+      }
+    }
+    FoPtr body = conjuncts.size() == 1 ? conjuncts.front()
+                                       : FoFormula::And(std::move(conjuncts));
+    if (!body_only.empty()) {
+      body = FoFormula::Exists(std::move(body_only), std::move(body));
+    }
+    branches.push_back(std::move(body));
+  }
+  FoPtr formula = branches.size() == 1 ? branches.front()
+                                       : FoFormula::Or(std::move(branches));
+  return Query::Fo(FoQuery(std::move(head_vars), std::move(formula)));
+}
+
 TEST(ModOracle, WideProblemsMatchTheReferenceLoops) {
   constexpr uint64_t kSeeds = 256;
   size_t fresh = 0, dropped = 0, shared = 0, empty = 0, yes = 0, no = 0;
+  size_t efo = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     const RandomProblem p = MakeWideProblem(seed * 104729 + 7);
     const std::string what = "seed " + std::to_string(seed) + ": " +
@@ -661,7 +714,24 @@ TEST(ModOracle, WideProblemsMatchTheReferenceLoops) {
     empty += seen.empty_mod;
     yes += seen.yes;
     no += seen.no;
+
+    // The same query in ∃FO⁺: the FO evaluator answers Q(I), the DNF
+    // expansion gives the tableau disjuncts, and every verdict must match.
+    const std::optional<Query> rendered = EfoRendering(p.query);
+    if (!rendered.has_value()) continue;
+    ASSERT_EQ(rendered->language(), QueryLanguage::kEFOPlus) << what;
+    const PreparedSetting prepared = testing::MustPrepare(p.setting);
+    EXPECT_EQ(prepared.BuildAdom(p.cinstance, &*rendered).values(),
+              prepared.BuildAdom(p.cinstance, &p.query).values())
+        << what;
+    const OracleCoverage as_efo = CheckAgainstReference(
+        p.setting, p.cinstance, *rendered, /*bounded_tuples=*/1,
+        /*check_weak=*/true, what + " as " + rendered->ToString());
+    EXPECT_TRUE(as_efo.worlds == seen.worlds) << what;
+    EXPECT_EQ(as_efo.verdicts, seen.verdicts) << what;
+    ++efo;
   }
+  EXPECT_GE(efo, 32u) << "seeds checked in their ∃FO⁺ rendering";
   // Each shape the walk and the ground check treat specially shows up on
   // at least one seed in eight.
   const size_t floor = kSeeds / 8;

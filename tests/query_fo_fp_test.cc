@@ -94,6 +94,62 @@ TEST(FoEvalTest, ExtraDomainWidensQuantifiers) {
   EXPECT_EQ(yes.size(), 1u);
 }
 
+TEST(FoEvalTest, ValidatesOnceAtEntry) {
+  // Eval refuses what Validate refuses, with its status, before it binds
+  // any variable.
+  const DatabaseSchema schema = testing::EdgeSchema();
+  const FoPtr edge = FoFormula::Atom({"E", {V(0), V(1)}});
+  const struct {
+    const char* what;
+    FoQuery q;
+    const char* message;
+  } bad[] = {
+      {"no formula", FoQuery({V(0)}, nullptr), "empty FO query"},
+      {"unknown relation",
+       FoQuery({V(0)}, FoFormula::Not(FoFormula::Atom({"Zap", {V(0)}}))),
+       "query references unknown relation 'Zap'"},
+      {"wrong arity", FoQuery({V(0)}, FoFormula::Atom({"E", {V(0)}})),
+       "atom E(x0) has arity 1, schema expects 2"},
+      {"unbound atom variable", FoQuery({V(0)}, edge),
+       "variable x1 of E(x0, x1) is neither a head variable nor bound by a "
+       "quantifier"},
+      {"unbound comparison variable",
+       FoQuery({V(0), V(1)},
+               FoFormula::And({edge, FoFormula::Neq(V(0), V(2))})),
+       "variable x2 of x0 != x2 is neither a head variable nor bound by a "
+       "quantifier"},
+      {"variable bound only in a sibling scope",
+       FoQuery({V(0)},
+               FoFormula::And({FoFormula::Exists({V(1)}, edge),
+                               FoFormula::Atom({"E", {V(1), V(0)}})})),
+       "variable x1 of E(x1, x0) is neither a head variable nor bound by a "
+       "quantifier"},
+  };
+  for (const auto& b : bad) {
+    const Status invalid = b.q.Validate(schema);
+    EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument) << b.what;
+    EXPECT_EQ(invalid.message(), b.message) << b.what;
+    const Result<Relation> evaluated = b.q.Eval(PathInstance());
+    EXPECT_EQ(evaluated.status().code(), StatusCode::kInvalidArgument)
+        << b.what;
+    EXPECT_EQ(evaluated.status().message(), b.message) << b.what;
+  }
+  const FoQuery valid({V(0)}, FoFormula::Exists({V(1)}, edge));
+  EXPECT_TRUE(valid.Validate(schema).ok());
+}
+
+TEST(FoEvalTest, QuantifierRestoresTheBindingItShadows) {
+  // Q(x) := (exists x E(x, 2)) & E(x, 3): after the quantifier, x is the
+  // head variable again.
+  FoPtr shadowing =
+      FoFormula::Exists({V(0)}, FoFormula::Atom({"E", {V(0), I(2)}}));
+  FoPtr head_to_3 = FoFormula::Atom({"E", {V(0), I(3)}});
+  FoQuery q({V(0)}, FoFormula::And({shadowing, head_to_3}));
+  ASSERT_OK_AND_ASSIGN(out, q.Eval(PathInstance()));
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out.Contains({I(2)}));
+}
+
 TEST(FoTest, ExistentialPositiveDetection) {
   FoPtr pos = FoFormula::Exists(
       {V(0)}, FoFormula::Or({FoFormula::Atom({"E", {V(0), V(0)}}),
@@ -220,6 +276,20 @@ TEST(FpEvalTest, UnsafeRuleRejected) {
   p.AddRule(FpRule{{"T", {V(0), V(9)}}, {{"E", {V(0), V(1)}}}, {}});
   p.set_output("T");
   EXPECT_FALSE(p.Eval(PathInstance()).ok());
+}
+
+TEST(FpEvalTest, UnsafeBuiltinRejected) {
+  // A builtin variable the body does not bind is refused by Validate, so
+  // the rule's CQ never meets it during the fixpoint.
+  FpProgram p;
+  p.AddRule(FpRule{{"T", {V(0)}}, {{"E", {V(0), V(1)}}},
+                   {CondAtom{V(9), true, I(1)}}});
+  p.set_output("T");
+  const Status invalid = p.Validate(testing::EdgeSchema());
+  EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(invalid.message(),
+            "unsafe builtin x9 != 1 in query (x0) :- E(x0, x1), x9 != 1");
+  EXPECT_EQ(p.Eval(PathInstance()).status().message(), invalid.message());
 }
 
 TEST(FpEvalTest, MissingOutputRejected) {

@@ -5,6 +5,7 @@
 
 #include "core/rcdp.h"
 #include "reductions/thm51_rcdpw.h"
+#include "service/decision.h"
 #include "test_util.h"
 
 namespace relcomp {
@@ -181,23 +182,71 @@ TEST(RcdpTest, InconsistentCInstanceRejectedInAllModels) {
 }
 
 TEST(RcdpTest, UndecidableLanguagesReportStatus) {
-  BoolFixture fx;
-  CInstance t(fx.setting.schema);
-  FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"B", {I(0)}})));
-  const PreparedSetting prepared = testing::MustPrepare(fx.setting);
-  EXPECT_EQ(RcdpStrong(Query::Fo(fo), t, prepared).status().code(),
-            StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpWeak(Query::Fo(fo), t, prepared).status().code(),
-            StatusCode::kUndecidable);
-  EXPECT_EQ(RcdpViable(Query::Fo(fo), t, prepared).status().code(),
-            StatusCode::kUndecidable);
+  // One refusal per Table I cell, through the dispatch table: FO is
+  // undecidable for every problem in every model, FP for every problem
+  // outside the weak model. Whether V is all INDs (which picks the RCQP
+  // path) does not change the answer.
+  BoolFixture ind;
+  BoolFixture non_ind;
+  // A builtin makes this CC no IND.
+  non_ind.setting.ccs.emplace_back(
+      "one_is_bounded",
+      ConjunctiveQuery({CTerm(V(0))}, {RelAtom{"B", {V(0)}}},
+                       {CondAtom{V(0), false, I(1)}}),
+      "Bm", std::vector<int>{0});
+  const PreparedSetting all_inds = testing::MustPrepare(ind.setting);
+  const PreparedSetting with_builtin = testing::MustPrepare(non_ind.setting);
+  ASSERT_TRUE(all_inds.all_inds());
+  ASSERT_FALSE(with_builtin.all_inds());
+
+  const Query fo =
+      Query::Fo(FoQuery({}, FoFormula::Not(FoFormula::Atom({"B", {I(0)}}))));
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"B", {V(0)}}}, {}});
   p.set_output("T");
-  EXPECT_EQ(RcdpStrong(Query::Fp(p), t, prepared).status().code(),
-            StatusCode::kUndecidable);
-  // FP in the weak model IS decidable (Theorem 5.1).
-  EXPECT_TRUE(RcdpWeak(Query::Fp(p), t, prepared).ok());
+  const Query fp = Query::Fp(p);
+
+  const struct {
+    ProblemKind kind;
+    const char* cell;  // how the refusal names the problem and model
+    bool decides_fp;
+  } cells[] = {
+      {ProblemKind::kRcdpStrong, "RCDP in the strong model", false},
+      {ProblemKind::kRcdpWeak, "RCDP in the weak model", true},
+      {ProblemKind::kRcdpViable, "RCDP in the viable model", false},
+      {ProblemKind::kRcqpStrong, "RCQP in the strong model", false},
+      {ProblemKind::kRcqpWeak, "RCQP in the weak model", true},
+      {ProblemKind::kMinpStrong, "MINP in the strong model", false},
+      {ProblemKind::kMinpViable, "MINP in the viable model", false},
+      {ProblemKind::kMinpWeak, "MINP in the weak model", true},
+  };
+  ASSERT_EQ(std::size(cells), AllProblemKinds().size());
+  for (const auto& cell : cells) {
+    for (const Query* q : {&fo, &fp}) {
+      const bool decidable = q == &fp && cell.decides_fp;
+      const std::string what = std::string(ProblemKindName(cell.kind)) +
+                               " on " + QueryLanguageName(q->language());
+      std::vector<StatusCode> codes;
+      for (const PreparedSetting* prepared : {&all_inds, &with_builtin}) {
+        DecisionRequest request;
+        request.kind = cell.kind;
+        request.query = *q;
+        request.cinstance = CInstance(prepared->schema());
+        const Decision decision = EvaluateRequest(request, *prepared);
+        codes.push_back(decision.status.code());
+        if (decidable) {
+          EXPECT_TRUE(decision.status.ok())
+              << what << ": " << decision.status.ToString();
+          continue;
+        }
+        EXPECT_EQ(decision.status.code(), StatusCode::kUndecidable)
+            << what << ": " << decision.status.ToString();
+        EXPECT_EQ(decision.status.message().rfind(cell.cell, 0), 0u)
+            << what << ": " << decision.status.message();
+      }
+      EXPECT_EQ(codes[0], codes[1]) << what;
+    }
+  }
 }
 
 TEST(RcdpTest, GroundStrongEqualsGroundViable) {

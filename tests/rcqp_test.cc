@@ -18,16 +18,20 @@ Query EdgeQuery() {
 }
 
 TEST(RcqpWeakTest, MonotoneLanguagesAreO1True) {
-  EXPECT_TRUE(*RcqpWeak(EdgeQuery()));
+  const PreparedSetting prepared =
+      testing::MustPrepare(testing::OpenSetting(testing::EdgeSchema()));
+  EXPECT_TRUE(*RcqpWeak(EdgeQuery(), prepared));
   FpProgram p;
   p.AddRule(FpRule{{"T", {V(0)}}, {{"E", {V(0), V(1)}}}, {}});
   p.set_output("T");
-  EXPECT_TRUE(*RcqpWeak(Query::Fp(p)));
+  EXPECT_TRUE(*RcqpWeak(Query::Fp(p), prepared));
 }
 
 TEST(RcqpWeakTest, FoIsUndecidable) {
+  const PreparedSetting prepared =
+      testing::MustPrepare(testing::OpenSetting(testing::EdgeSchema()));
   FoQuery fo({}, FoFormula::Not(FoFormula::Atom({"E", {I(0), I(0)}})));
-  Result<bool> r = RcqpWeak(Query::Fo(fo));
+  Result<bool> r = RcqpWeak(Query::Fo(fo), prepared);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUndecidable);
 }

@@ -139,8 +139,7 @@ inline Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
   Result<bool> closed = SatisfiesCCs(instance, prepared.dm(), prepared.ccs());
   if (!closed.ok()) return closed.status();
   if (!*closed) return false;
-  Result<Relation> answers = EvalOverAdom(q, instance, adom);
-  if (!answers.ok()) return answers.status();
+  const Relation answers = EvalOverAdom(q, instance, adom);
   Result<std::vector<ConjunctiveQuery>> disjuncts = q.Disjuncts();
   if (!disjuncts.ok()) return disjuncts.status();
   for (const ConjunctiveQuery& disjunct : *disjuncts) {
@@ -154,7 +153,7 @@ inline Result<bool> IsCompleteGround(const Query& q, const Instance& instance,
       if (!*builtins_ok) continue;
       Result<Tuple> head = disjunct.InstantiateHead(nu);
       if (!head.ok()) return head.status();
-      if (answers->Contains(*head)) continue;
+      if (answers.Contains(*head)) continue;
       std::vector<DeltaRow> delta;
       for (const RelAtom& atom : disjunct.atoms()) {
         DeltaRow row;
@@ -212,9 +211,8 @@ inline Result<bool> RcdpWeak(const Query& q,
   if (worlds.empty()) return false;
   std::optional<Relation> certain;
   for (const Instance& world : worlds) {
-    Result<Relation> answers = EvalOverAdom(q, world, adom);
-    if (!answers.ok()) return answers.status();
-    certain = certain.has_value() ? certain->Intersect(*answers) : *answers;
+    const Relation answers = EvalOverAdom(q, world, adom);
+    certain = certain.has_value() ? certain->Intersect(answers) : answers;
   }
   std::optional<Relation> extension_certain;
   std::vector<DeltaRow> delta(1);
@@ -226,12 +224,11 @@ inline Result<bool> RcdpWeak(const Query& q,
       while (tuples.Next(&delta[0].tuple)) {
         if (world.relations()[r].Contains(delta[0].tuple)) continue;
         if (!prepared.SatisfiesCCsDelta(world, delta)) continue;
-        Result<Relation> answers =
+        const Relation answers =
             EvalOverAdom(q, PreparedSetting::WithDelta(world, delta), adom);
-        if (!answers.ok()) return answers.status();
         extension_certain = extension_certain.has_value()
-                                ? extension_certain->Intersect(*answers)
-                                : *answers;
+                                ? extension_certain->Intersect(answers)
+                                : answers;
         if (extension_certain->IsSubsetOf(*certain)) return true;
       }
     }

@@ -876,7 +876,8 @@ TEST(ServiceTest, UndecidableKindsReportErrorsInCounters) {
       RelAtom{"Visit", {CTerm(VarId{0}), CTerm(VarId{1})}}));
   DecisionRequest request;
   request.kind = ProblemKind::kRcdpWeak;
-  request.query = Query::Fo(FoQuery({VarId{0}}, std::move(formula)));
+  request.query =
+      Query::Fo(FoQuery({VarId{0}, VarId{1}}, std::move(formula)));
   request.cinstance = fx.audited;
 
   Decision decision = service.Decide({handle, request});
